@@ -491,14 +491,16 @@ def hull_fit_items(rng, tiny, ctx):
 
 # The README chain extended.  lhv and scan need qubit POVMs; the
 # transported construction and the conditions need equal local dimensions.
-# crossnorm and theorem 1 run on bell and the seeded random state only: at
-# every d their cost is a cold start, which the other commands already time.
+# bell runs every command.  The larger states run only the decompositions
+# and the minimality check, whose work grows fastest with d: the other
+# commands cost a cold start that bell already times, and two passes of the
+# chain must fit in a run.
 CHAIN_BELL = (
     "schmidt", "crossnorm", "decompose-1", "decompose-2", "decompose-3", "verify-minimal",
     "conditions", "lhv-3", "lhv-2", "scan-pauli", "scan-magic",
 )
-CHAIN_SQUARE = ("schmidt", "decompose-2", "decompose-3", "verify-minimal", "conditions")
-CHAIN_RECT = ("schmidt", "crossnorm", "decompose-1", "decompose-2", "verify-minimal")
+CHAIN_SQUARE = ("decompose-2", "decompose-3", "verify-minimal")
+CHAIN_RECT = ("decompose-1", "decompose-2", "verify-minimal")
 
 
 def _cli_argv(command, state, seed, path):
