@@ -11,19 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, frob_inner
+from .core import as_matrix, combine, frozen, stack
 from .tolerances import ATOL
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -40,7 +34,7 @@ class OperatorBasis:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        ops = tuple(_frozen(as_matrix(op, f"ops[{k}]")) for k, op in enumerate(self.ops))
+        ops = tuple(frozen(as_matrix(op, f"ops[{k}]")) for k, op in enumerate(self.ops))
         object.__setattr__(self, "ops", ops)
         for k, op in enumerate(ops):
             if op.shape != (self.dim, self.dim):
@@ -60,13 +54,15 @@ class OperatorBasis:
     def complete(self) -> bool:
         return len(self.ops) == self.dim**2
 
+    @property
+    def vecs(self) -> np.ndarray:
+        """The operators as the rows vec(C_k) of an (N, d^2) array."""
+        return stack(self.ops, self.dim).reshape(len(self.ops), self.dim**2)
+
     def gram(self) -> np.ndarray:
-        n = len(self.ops)
-        g = np.empty((n, n), dtype=complex)
-        for i, a in enumerate(self.ops):
-            for j, b in enumerate(self.ops):
-                g[i, j] = frob_inner(a, b)
-        return g
+        """Gram matrix tr(C_i^dag C_j)."""
+        v = self.vecs
+        return v.conj() @ v.T
 
     def rescaled(self, kappa: float) -> "OperatorBasis":
         """The same basis rescaled to a different normalisation constant."""
@@ -76,17 +72,14 @@ class OperatorBasis:
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of x in this basis: x = sum_i c_i C_i."""
         x = as_matrix(x, "x")
-        return np.array([frob_inner(op, x) / self.normalization for op in self.ops])
+        return self.vecs.conj() @ x.reshape(-1) / self.normalization
 
     def assemble(self, coeffs) -> np.ndarray:
         """Inverse of :meth:`coefficients`."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (len(self.ops),):
             raise ValueError(f"expected {len(self.ops)} coefficients, got {coeffs.shape}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, op in zip(coeffs, self.ops):
-            out = out + c * op
-        return out
+        return combine(coeffs, stack(self.ops, self.dim))
 
 
 def pauli_basis() -> OperatorBasis:

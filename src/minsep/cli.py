@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import serialize
+from .core import stack
 from .crossnorm import DiagonalScaling, cross_norm_value, decomposition_cost
 from .decompositions import (
     cross_norm_decomposition,
@@ -144,11 +145,8 @@ def _parse_unitary(spec: str, D: int, seed: int, orthogonal: bool) -> np.ndarray
 
 
 def _frame_report(os) -> dict:
-    gram_x = max(
-        abs(np.vdot(x.reshape(-1), y.reshape(-1)) - (1.0 if i == j else 0.0))
-        for i, x in enumerate(os.X)
-        for j, y in enumerate(os.X)
-    )
+    v = stack(os.X, os.dA).reshape(os.D, -1)
+    gram_x = np.max(np.abs(v.conj() @ v.T - np.eye(os.D)))
     return {"orthonormality_deviation": float(gram_x)}
 
 
@@ -329,7 +327,7 @@ def cmd_scan(args) -> tuple[dict, list]:
     dec = serialize.decode_decomposition(
         _load_wrapped(args.decomposition, "p", "decomposition"), "decomposition"
     )
-    report = povm_scan(dec, family=args.family, seed=args.seed, budget=args.budget)
+    report = povm_scan(dec, family=args.family, budget=args.budget)
     rows = [
         {
             "label": r.label,

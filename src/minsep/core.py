@@ -1,10 +1,18 @@
 """Dense complex matrix arithmetic used throughout the package.
 
 Everything here operates on plain ``numpy.ndarray`` objects with dtype
-``complex128``.  The one non-obvious convention is the realignment map,
-which permutes a bipartite operator (acting on A tensor B) into the
-``dA^2 x dB^2`` matrix whose singular value decomposition produces the
-operator-Schmidt form.
+``complex128``.  Two conventions carry the rest of the package:
+
+* An operator sigma is identified with its row-major vectorisation
+  vec(sigma) = ``sigma.reshape(-1)``, so tr(C^dag sigma) = vec(C)^dag vec(sigma)
+  and a linear map on d x d operators is one d^2 x d^2 matrix acting on
+  vec(sigma).  A family of N operators stacks into one (N, d, d) array
+  (:func:`stack`), whose rows of vec(O_k) form an (N, d^2) matrix.
+* The realignment map permutes a bipartite operator (acting on A tensor B)
+  into the ``dA^2 x dB^2`` matrix whose singular value decomposition
+  produces the operator-Schmidt form; it sends A tensor B to
+  vec(A) vec(B)^T, so a sum of products is one matrix product
+  (:func:`product_sum`).
 """
 
 from __future__ import annotations
@@ -44,9 +52,34 @@ def frob_norm(m: np.ndarray) -> float:
     return math.sqrt(math.fsum((v * v).ravel().tolist()))
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    return complex(np.sum(np.conj(a) * b))
+def frozen(m) -> np.ndarray:
+    """A read-only complex128 copy of ``m``."""
+    out = np.array(m, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+def stack(ops, d: int) -> np.ndarray:
+    """A family of d x d operators as one (N, d, d) array; (0, d, d) if empty."""
+    return np.asarray(ops, dtype=complex).reshape(len(ops), d, d)
+
+
+def combine(coeffs, ops: np.ndarray) -> np.ndarray:
+    """sum_k c_k O_k over a stacked (N, d, d) family, as one contraction.
+
+    ``coeffs`` of shape (M, N) gives the M sums, stacked (M, d, d).
+    """
+    return np.tensordot(coeffs, ops, axes=1)
+
+
+def product_sum(w, A, B) -> np.ndarray:
+    """sum_k w_k A_k tensor B_k over nonempty families, as one matrix product:
+    its realignment is sum_k w_k vec(A_k) vec(B_k)^T.
+    """
+    dA, dB = np.shape(A[0])[0], np.shape(B[0])[0]
+    va = stack(A, dA).reshape(len(A), -1)
+    vb = stack(B, dB).reshape(len(B), -1)
+    return unrealign(va.T @ (np.asarray(w)[:, None] * vb), dA, dB)
 
 
 def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:

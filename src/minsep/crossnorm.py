@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import as_matrix, frob_inner, frob_norm
+from .core import as_matrix, stack
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL
 
@@ -115,18 +115,20 @@ def operator_coefficients(ops, frame, conjugate: bool = False) -> list[np.ndarra
     B = sum_i conj(b_i) Y_i).  Raises if any operator has a component
     outside the span of the frame.
     """
-    out = []
-    for k, op in enumerate(ops):
-        op = as_matrix(op, f"ops[{k}]")
-        c = np.array([frob_inner(f, op) for f in frame])
-        residual = op - sum(ci * f for ci, f in zip(c, frame))
-        if frob_norm(residual) > ATOL * max(1.0, frob_norm(op)):
-            raise ValueError(
-                f"operator {k} lies outside the span of the Schmidt frame "
-                f"(projection residual {frob_norm(residual):.3e})"
-            )
-        out.append(np.conj(c) if conjugate else c)
-    return out
+    ops = [as_matrix(op, f"ops[{k}]") for k, op in enumerate(ops)]
+    d = np.shape(frame[0])[0]
+    vo = stack(ops, d).reshape(len(ops), d * d)
+    vf = stack(frame, d).reshape(len(frame), -1)
+    c = vo @ vf.conj().T  # row k: tr(F_i^dag O_k)
+    res = np.linalg.norm(vo - c @ vf, axis=1)
+    outside = np.flatnonzero(res > ATOL * np.maximum(1.0, np.linalg.norm(vo, axis=1)))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(
+            f"operator {k} lies outside the span of the Schmidt frame "
+            f"(projection residual {res[k]:.3e})"
+        )
+    return list(np.conj(c) if conjugate else c)
 
 
 def decomposition_cost(dec, scaling: DiagonalScaling) -> float:

@@ -16,16 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import as_matrix, frob_norm, is_hermitian, kron
+from .core import as_matrix, combine, frob_norm, frozen, is_hermitian, product_sum, stack
 from .crossnorm import DiagonalScaling, operator_coefficients
 from .schmidt import OperatorSchmidt, reconstruct
 from .tolerances import ATOL, MIN_WEIGHT, RECON_TOL
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m)
-    out.setflags(write=False)
-    return out
 
 
 def is_row_isometry(u: np.ndarray, tol: float = ATOL) -> bool:
@@ -103,17 +97,17 @@ class SeparableDecomposition:
             raise ValueError(f"weights below {MIN_WEIGHT:.0e} are rejected")
         if len(self.A) != len(p) or len(self.B) != len(p):
             raise ValueError("A and B must match the number of weights")
-        A = tuple(_frozen(as_matrix(a, f"A[{k}]")) for k, a in enumerate(self.A))
-        B = tuple(_frozen(as_matrix(b, f"B[{k}]")) for k, b in enumerate(self.B))
+        A = tuple(frozen(as_matrix(a, f"A[{k}]")) for k, a in enumerate(self.A))
+        B = tuple(frozen(as_matrix(b, f"B[{k}]")) for k, b in enumerate(self.B))
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         if self.a_coeff is not None:
-            object.__setattr__(self, "a_coeff", tuple(_frozen(np.asarray(v, dtype=complex)) for v in self.a_coeff))
+            object.__setattr__(self, "a_coeff", tuple(frozen(v) for v in self.a_coeff))
         if self.b_coeff is not None:
-            object.__setattr__(self, "b_coeff", tuple(_frozen(np.asarray(v, dtype=complex)) for v in self.b_coeff))
+            object.__setattr__(self, "b_coeff", tuple(frozen(v) for v in self.b_coeff))
 
     @property
     def terms(self) -> int:
@@ -121,11 +115,7 @@ class SeparableDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """sum_k p_k A^k tensor B^k."""
-        out = None
-        for pk, a, b in zip(self.p, self.A, self.B):
-            term = pk * kron(a, b)
-            out = term if out is None else out + term
-        return out
+        return product_sum(self.p, self.A, self.B)
 
 
 def attach_coefficients(dec: SeparableDecomposition, os: OperatorSchmidt) -> SeparableDecomposition:
@@ -143,15 +133,11 @@ def _build_terms(os, scaling, u, p, c):
     sqrt_s = np.sqrt(os.s)
     za = (sqrt_s / scaling.r)[:, None] * u  # sqrt(S) R^-1 U
     zb = (sqrt_s * scaling.r)[:, None] * u  # sqrt(S) R U
-    a_coeff, b_coeff, ops_a, ops_b = [], [], [], []
-    for k in range(len(p)):
-        ak = za[:, k] / np.sqrt(p[k] * c[k])
-        bk = zb[:, k] * np.sqrt(c[k] / p[k])
-        a_coeff.append(ak)
-        b_coeff.append(bk)
-        ops_a.append(sum(ai * x for ai, x in zip(ak, os.X)))
-        ops_b.append(sum(np.conj(bi) * y for bi, y in zip(bk, os.Y)))
-    return a_coeff, b_coeff, ops_a, ops_b
+    a_coeff = za.T / np.sqrt(p * c)[:, None]  # row k: column k of za / sqrt(p_k c_k)
+    b_coeff = zb.T * np.sqrt(c / p)[:, None]
+    ops_a = combine(a_coeff, stack(os.X, os.dA))
+    ops_b = combine(np.conj(b_coeff), stack(os.Y, os.dB))
+    return tuple(a_coeff), tuple(b_coeff), tuple(ops_a), tuple(ops_b)
 
 
 def _check_reconstruction(dec, os):
@@ -196,7 +182,7 @@ def cross_norm_decomposition(
 
     a_coeff, b_coeff, ops_a, ops_b = _build_terms(os, scaling, u, p, c)
     meta = DecompositionMeta(kind="cross-norm-family", s=np.array(os.s), scaling=scaling, U=u, c=c)
-    dec = SeparableDecomposition(p, tuple(ops_a), tuple(ops_b), tuple(a_coeff), tuple(b_coeff), meta)
+    dec = SeparableDecomposition(p, ops_a, ops_b, a_coeff, b_coeff, meta)
     _check_reconstruction(dec, os)
     return dec
 

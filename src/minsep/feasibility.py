@@ -21,19 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import lsq_linear, nnls
 
-from .core import as_matrix, kron
-from .states import BipartiteState
+from .core import as_matrix, frozen, stack
+from .states import BipartiteState, haar_projectors
 from .tolerances import ATOL, FEAS_TOL, INFEAS_THRESHOLD
 
 MODES = ("convex", "conic")
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class StateSpace:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        gens = tuple(_frozen(as_matrix(g, f"generators[{k}]")) for k, g in enumerate(self.generators))
+        gens = tuple(frozen(as_matrix(g, f"generators[{k}]")) for k, g in enumerate(self.generators))
         for k, g in enumerate(gens):
             if g.shape != (self.dim, self.dim):
                 raise ValueError(f"generators[{k}] has shape {g.shape}, expected {(self.dim, self.dim)}")
@@ -95,14 +89,34 @@ class FeasibilityResult:
         object.__setattr__(self, "weights", w)
 
 
-def _product_columns(gens_a, gens_b, n):
-    cols = np.empty((n * n, len(gens_a) * len(gens_b)), dtype=complex)
-    idx = 0
-    for a in gens_a:
-        for b in gens_b:
-            cols[:, idx] = kron(a, b).reshape(-1)
-            idx += 1
-    return cols
+def _product_columns(gens_a, gens_b, dA, dB):
+    """Columns vec(A_i tensor B_j), i major, as one broadcast product.
+
+    Each entry is the one complex multiply A_i[a, a'] B_j[b, b'] that
+    ``np.kron`` makes too, so the columns match a ``np.kron`` build bit for bit.
+    """
+    a = stack(gens_a, dA)
+    b = stack(gens_b, dB)
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return np.ascontiguousarray(prod.reshape(len(a) * len(b), (dA * dB) ** 2).T)
+
+
+def _nnls(design, target, maxiter):
+    """scipy's ``nnls``, re-solved by bounded-variable least squares when its
+    point fails the KKT conditions on g = A^T (Aq - b): g >= -tau, and
+    |g| <= tau where q > 0.  ``nnls`` can stop short of the optimum, which
+    overstates the residual: the unsafe direction for an infeasibility verdict.
+    """
+    try:
+        q, _ = nnls(design, target, maxiter=maxiter)
+    except RuntimeError as exc:
+        raise RuntimeError(f"nonnegative solver iteration cap exceeded: {exc}") from exc
+    g = design.T @ (design @ q - target)
+    tau = 1e-8 * float(np.max(np.abs(design))) * float(np.linalg.norm(target))
+    if np.all(g >= -tau) and np.all(np.abs(g[q > 0]) <= tau):
+        return q
+    res = lsq_linear(design, target, bounds=(0, np.inf), method="bvls")
+    return np.clip(res.x, 0.0, None)
 
 
 def separable_feasible(
@@ -131,7 +145,6 @@ def separable_feasible(
         )
     if va.mode != vb.mode:
         raise ValueError("the two state spaces must share a mode")
-    n = rho.dim
     ncols = len(va) * len(vb)
     if ncols == 0:
         residual = float(np.linalg.norm(rho.rho))
@@ -140,7 +153,7 @@ def separable_feasible(
             0.0 if va.mode == "conic" else 1.0,
         )
 
-    cols = _product_columns(va.generators, vb.generators, n)
+    cols = _product_columns(va.generators, vb.generators, rho.dA, rho.dB)
     design = np.vstack([cols.real, cols.imag])
     target = np.concatenate([rho.rho.reshape(-1).real, rho.rho.reshape(-1).imag])
 
@@ -149,11 +162,7 @@ def separable_feasible(
         design = np.vstack([design, np.full((1, ncols), w)])
         target = np.concatenate([target, [w]])
 
-    try:
-        q, _ = nnls(design, target, maxiter=maxiter)
-    except RuntimeError as exc:
-        raise RuntimeError(f"nonnegative solver iteration cap exceeded: {exc}") from exc
-
+    q = _nnls(design, target, maxiter)
     weights = q.reshape(len(va), len(vb))
     fit = cols @ q
     residual = float(np.linalg.norm(rho.rho.reshape(-1) - fit))
@@ -203,18 +212,11 @@ def deletion_minimality(
     return MinimalityReport(tuple(records), passed, threshold)
 
 
-def _pure_projector_samples(d: int, count: int, rng) -> list[np.ndarray]:
+def _pure_projector_samples(d: int, count: int, rng) -> tuple:
     """Computational-basis projectors followed by seeded Haar projectors."""
-    samples = []
-    for i in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[i, i] = 1.0
-        samples.append(p)
-    for _ in range(count):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        samples.append(np.outer(v, v.conj()))
-    return samples
+    eye = np.eye(d, dtype=complex)
+    basis = eye[:, :, None] * eye[:, None, :]  # |i><i|
+    return tuple(np.concatenate([basis, haar_projectors(rng, d, count)]))
 
 
 def quantum_augmented_feasible(
@@ -242,7 +244,7 @@ def quantum_augmented_feasible(
     spaces = []
     for space in (va, vb):
         if space.include_quantum:
-            gens = space.generators + tuple(_pure_projector_samples(space.dim, sample_budget, rng))
+            gens = space.generators + _pure_projector_samples(space.dim, sample_budget, rng)
             spaces.append(StateSpace(space.dim, gens, space.mode, include_quantum=False))
         else:
             spaces.append(StateSpace(space.dim, space.generators, space.mode, include_quantum=False))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, kron
+from .core import as_matrix, kron, stack
 from .decompositions import SeparableDecomposition
 from .states import BipartiteState, Povm, identity_povm, magic_povm, projective_povm
 from .tolerances import ATOL
@@ -75,8 +75,16 @@ class LhvModel:
         object.__setattr__(self, "dropped", tuple(int(i) for i in self.dropped))
 
 
-def _real_responses(op: np.ndarray, povm: Povm, term: int) -> np.ndarray:
-    resp = np.array([np.trace(op @ e) for e in povm.effects])
+def _responses(ops, povm: Povm) -> np.ndarray:
+    """Table of tr(O_k M_i) over a family of operators and the effects M_i.
+
+    tr(O M) = vec(O) . vec(M^T), so the table is one matrix product.
+    """
+    effects_t = stack(povm.effects, povm.dim).transpose(0, 2, 1).reshape(len(povm), -1)
+    return stack(ops, povm.dim).reshape(len(ops), -1) @ effects_t.T
+
+
+def _real_responses(resp: np.ndarray, term: int) -> np.ndarray:
     worst = int(np.argmax(np.abs(resp.imag)))
     if np.abs(resp.imag[worst]) > ATOL:
         raise LhvConstructionError(
@@ -98,7 +106,7 @@ def generalized_positive(x, povm: Povm, tol: float = ATOL) -> bool:
     tr = complex(np.trace(x))
     if abs(tr.imag) > tol or tr.real <= tol:
         return False
-    resp = np.array([np.trace(x @ e) for e in povm.effects])
+    resp = _responses([x], povm)[0]
     if np.max(np.abs(resp.imag)) > tol:
         return False
     return bool(np.min(resp.real) >= -tol)
@@ -122,9 +130,11 @@ def build_lhv(
     rb = np.zeros((n, len(povm_b)))
     weights = np.zeros(n)
     dropped = []
-    for k, (qk, a, b) in enumerate(zip(dec.p, dec.A, dec.B)):
-        resp_a = _real_responses(a, povm_a, k)
-        resp_b = _real_responses(b, povm_b, k)
+    table_a = _responses(dec.A, povm_a)
+    table_b = _responses(dec.B, povm_b)
+    for k, qk in enumerate(dec.p):
+        resp_a = _real_responses(table_a[k], k)
+        resp_b = _real_responses(table_b[k], k)
         tr_a = float(np.sum(resp_a))  # completeness: responses sum to tr(op)
         tr_b = float(np.sum(resp_b))
         drop = False
@@ -234,7 +244,6 @@ def pauli_pairs() -> list[tuple[str, Povm, Povm]]:
 def povm_scan(
     dec: SeparableDecomposition,
     family: str = "pauli",
-    seed: int = 0,
     budget: int = 16,
 ) -> ScanReport:
     """Attempt the classical-model construction across a family of POVM pairs.
@@ -244,34 +253,30 @@ def povm_scan(
     magic-state projector at ``budget`` strengths (the B side measures the
     transposed effects) and locates, by bisection to 1e-6, the largest
     strength for which the construction still succeeds.  A custom iterable
-    of (label, povm_a, povm_b) triples is also accepted.  The scan order is
-    deterministic for fixed (inputs, seed).
+    of (label, povm_a, povm_b) triples is also accepted.  The scan is
+    deterministic for fixed inputs.
     """
     if isinstance(family, str):
         if family == "pauli":
             rows = tuple(_attempt(dec, label, pa, pb) for label, pa, pb in pauli_pairs())
             return ScanReport("pauli", rows)
         if family == "magic":
-            def succeeds(c: float) -> bool:
+            def attempt(c: float) -> ScanRecord:
                 povm = magic_povm(c)
-                return _attempt(dec, f"magic:{c:.8f}", povm, povm.transpose()).success
+                return _attempt(dec, f"magic:{c:.8f}", povm, povm.transpose())
 
-            rows = []
-            for i in range(budget):
-                c = (i + 1) / budget
-                povm = magic_povm(c)
-                rows.append(_attempt(dec, f"magic:{c:.8f}", povm, povm.transpose()))
+            rows = tuple(attempt((i + 1) / budget) for i in range(budget))
             lo, hi = 0.0, 1.0
-            if succeeds(1.0):
+            if attempt(1.0).success:
                 lo = 1.0
             else:
                 while hi - lo > 1e-6:
                     mid = 0.5 * (lo + hi)
-                    if succeeds(mid):
+                    if attempt(mid).success:
                         lo = mid
                     else:
                         hi = mid
-            return ScanReport("magic", tuple(rows), threshold=lo)
+            return ScanReport("magic", rows, threshold=lo)
         raise ValueError(f"unknown POVM family {family!r}")
     rows = tuple(_attempt(dec, label, pa, pb) for label, pa, pb in family)
     return ScanReport("custom", rows)

@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import as_matrix, dagger, frob_norm, is_hermitian, kron, realign, svd
+from .core import as_matrix, dagger, frob_norm, frozen, is_hermitian, product_sum, realign, svd
 from .states import BipartiteState
 from .tolerances import ATOL, RANK_CUTOFF, RECON_TOL
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,8 @@ class OperatorSchmidt:
             raise ValueError("X and Y must match the number of coefficients")
         if len(s) > min(self.dA**2, self.dB**2):
             raise ValueError("rank exceeds min(dA^2, dB^2)")
-        X = tuple(_frozen(as_matrix(x, f"X[{i}]")) for i, x in enumerate(self.X))
-        Y = tuple(_frozen(as_matrix(y, f"Y[{i}]")) for i, y in enumerate(self.Y))
+        X = tuple(frozen(as_matrix(x, f"X[{i}]")) for i, x in enumerate(self.X))
+        Y = tuple(frozen(as_matrix(y, f"Y[{i}]")) for i, y in enumerate(self.Y))
         for i, x in enumerate(X):
             if x.shape != (self.dA, self.dA):
                 raise ValueError(f"X[{i}] has shape {x.shape}, expected {(self.dA, self.dA)}")
@@ -131,20 +125,16 @@ def _canonical_order(s, Xs, Ys, herm):
 def _schmidt_hermitian(rho, dA, dB, cutoff):
     """Schmidt pairs of a Hermitian operator via a real coefficient SVD."""
     rho = 0.5 * (rho + dagger(rho))  # discard Hermiticity dust within tolerance
-    ha = [op / np.sqrt(dA) for op in hermitian_basis(dA).ops]
-    hb = [op / np.sqrt(dB) for op in hermitian_basis(dB).ops]
-    pa = np.column_stack([h.reshape(-1) for h in ha])
-    pb = np.column_stack([h.reshape(-1) for h in hb])
+    pa = hermitian_basis(dA).vecs.T / np.sqrt(dA)  # orthonormal frames as columns
+    pb = hermitian_basis(dB).vecs.T / np.sqrt(dB)
     m = realign(rho, dA, dB)
     g = dagger(pa) @ m @ np.conj(pb)
     if np.max(np.abs(g.imag)) > 1e-10:
         raise ValueError("coefficient matrix is not real; input not Hermitian")
     o1, s, o2t = np.linalg.svd(g.real)
-    keep = s > cutoff
-    xs, ys = [], []
-    for i in np.flatnonzero(keep):
-        xs.append((pa @ o1[:, i]).reshape(dA, dA))
-        ys.append((pb @ o2t[i, :]).reshape(dB, dB))
+    keep = np.flatnonzero(s > cutoff)  # o1, o2t are square, so index, not mask
+    xs = list((pa @ o1[:, keep]).T.reshape(-1, dA, dA))
+    ys = list((o2t[keep, :] @ pb.T).reshape(-1, dB, dB))
     herm = [True] * len(xs)
     return s[keep], xs, ys, herm
 
@@ -199,10 +189,7 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
 
 def reconstruct(os: OperatorSchmidt) -> np.ndarray:
     """Multiply the decomposition back out: sum_i s_i X_i tensor Y_i."""
-    out = np.zeros((os.dA * os.dB, os.dA * os.dB), dtype=complex)
-    for si, x, y in zip(os.s, os.X, os.Y):
-        out = out + si * kron(x, y)
-    return out
+    return product_sum(os.s, os.X, os.Y)
 
 
 def normalized_form(os: OperatorSchmidt):

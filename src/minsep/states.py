@@ -10,14 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, dagger, is_hermitian
+from .core import as_matrix, dagger, frozen, is_hermitian
 from .tolerances import ATOL, PSD_TOL
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,7 @@ class BipartiteState:
             lo = float(np.linalg.eigvalsh(rho)[0])
             if lo < -PSD_TOL:
                 raise ValueError(f"rho has eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
-        object.__setattr__(self, "rho", _frozen(rho))
+        object.__setattr__(self, "rho", frozen(rho))
 
     @property
     def dim(self) -> int:
@@ -66,7 +60,7 @@ class Povm:
 
     def __post_init__(self):
         effects = tuple(
-            _frozen(as_matrix(e, f"effects[{k}]")) for k, e in enumerate(self.effects)
+            frozen(as_matrix(e, f"effects[{k}]")) for k, e in enumerate(self.effects)
         )
         if not effects:
             raise ValueError("a POVM needs at least one effect")
@@ -110,6 +104,17 @@ def random_pure_state(seed: int, dA: int, dB: int) -> BipartiteState:
     v = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
     v /= np.linalg.norm(v)
     return BipartiteState(dA, dB, np.outer(v, v.conj()))
+
+
+def haar_projectors(rng, d: int, count: int) -> np.ndarray:
+    """``count`` Haar-random pure-state projectors, stacked (count, d, d).
+
+    Each state draws d real parts, then d imaginary parts, from ``rng``.
+    """
+    z = rng.normal(size=(count, 2, d))
+    v = z[:, 0] + 1j * z[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def random_density(seed: int, dA: int, dB: int) -> BipartiteState:

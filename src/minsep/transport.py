@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import as_matrix, frob_inner, frob_norm, kron
+from .core import as_matrix, combine, frob_norm, product_sum, realign, stack, unrealign
 from .crossnorm import pair_cost
 from .decompositions import DecompositionMeta, SeparableDecomposition, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
+from .states import haar_projectors
 from .tolerances import ATOL, RECON_TOL
 
 
@@ -44,6 +45,15 @@ class SchmidtMaps:
     basis C normalised to tr(C_i^dag C_j) = d delta_ij.  The forward maps
     act as sigma -> sum_j sqrt(s_j) X_j tr(C_j^dag sigma) (A side) and
     sigma -> sum_j sqrt(s_j) Y_j tr((C_j^T)^dag sigma) (B side).
+
+    Each map is held as one d^2 x d^2 matrix acting on the row-major
+    vec(sigma) (see :mod:`minsep.core`).  With the frames as columns,
+    X = [vec(X_j)], Y = [vec(Y_j)], C = [vec(C_j)] and C' = [vec(C_j^T)],
+    the forward maps are F_A = X diag(sqrt(s)) C^dag and
+    F_B = Y diag(sqrt(s)) C'^dag.  X and Y are orthonormal and C C^dag = d I,
+    so the inverses are G_A = C diag(1 / (d sqrt(s))) X^dag and
+    G_B = C' diag(1 / (d sqrt(s))) Y^dag, with no matrix inversion.  They
+    are built once, as ``fwd_a``, ``fwd_b``, ``inv_a`` and ``inv_b``.
     """
 
     d: int
@@ -51,56 +61,50 @@ class SchmidtMaps:
     X: tuple = field(repr=False)
     Y: tuple = field(repr=False)
     basis: OperatorBasis
+    fwd_a: np.ndarray = field(init=False, repr=False, compare=False)
+    fwd_b: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_a: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d, n = self.d, len(self.s)
+        sqrt_s = np.sqrt(self.s)
+        x = stack(self.X, d).reshape(n, -1).T
+        y = stack(self.Y, d).reshape(n, -1).T
+        c = self.basis.vecs.T
+        ct = stack(self.basis.ops, d).transpose(0, 2, 1).reshape(n, -1).T
+        object.__setattr__(self, "fwd_a", (x * sqrt_s) @ c.conj().T)
+        object.__setattr__(self, "fwd_b", (y * sqrt_s) @ ct.conj().T)
+        object.__setattr__(self, "inv_a", (c / (d * sqrt_s)) @ x.conj().T)
+        object.__setattr__(self, "inv_b", (ct / (d * sqrt_s)) @ y.conj().T)
+
+    def _apply(self, m: np.ndarray, sigma) -> np.ndarray:
+        sigma = as_matrix(sigma, "sigma")
+        return (m @ sigma.reshape(-1)).reshape(self.d, self.d)
 
     def forward_a(self, sigma) -> np.ndarray:
-        sigma = as_matrix(sigma, "sigma")
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for sj, xj, cj in zip(self.s, self.X, self.basis.ops):
-            out = out + np.sqrt(sj) * frob_inner(cj, sigma) * xj
-        return out
+        return self._apply(self.fwd_a, sigma)
 
     def forward_b(self, sigma) -> np.ndarray:
-        sigma = as_matrix(sigma, "sigma")
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for sj, yj, cj in zip(self.s, self.Y, self.basis.ops):
-            out = out + np.sqrt(sj) * frob_inner(cj.T, sigma) * yj
-        return out
+        return self._apply(self.fwd_b, sigma)
 
     def inverse_a(self, sigma) -> np.ndarray:
-        sigma = as_matrix(sigma, "sigma")
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for sk, xk, ck in zip(self.s, self.X, self.basis.ops):
-            out = out + frob_inner(xk, sigma) / (self.d * np.sqrt(sk)) * ck
-        return out
+        return self._apply(self.inv_a, sigma)
 
     def inverse_b(self, sigma) -> np.ndarray:
-        sigma = as_matrix(sigma, "sigma")
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for sk, yk, ck in zip(self.s, self.Y, self.basis.ops):
-            out = out + frob_inner(yk, sigma) / (self.d * np.sqrt(sk)) * ck.T
-        return out
+        return self._apply(self.inv_b, sigma)
 
     def apply_joint(self, op) -> np.ndarray:
-        """Apply (forward_a tensor forward_b) to a bipartite operator."""
+        """Apply (forward_a tensor forward_b) to a bipartite operator.
+
+        Since realign(a tensor b) = vec(a) vec(b)^T, the joint map acts on
+        the realignment as R -> F_A R F_B^T.
+        """
         op = as_matrix(op, "op")
         d = self.d
         if op.shape != (d * d, d * d):
             raise ValueError(f"operator has shape {op.shape}, expected {(d * d, d * d)}")
-        out = np.zeros_like(op)
-        for i, ci in enumerate(self.basis.ops):
-            ai = self.d * np.sqrt(self.s[i]) * self.X[i]  # forward_a(C_i)
-            for j, cj in enumerate(self.basis.ops):
-                gij = frob_inner(kron(ci, cj.T), op) / d**2
-                if abs(gij) < 1e-15:
-                    continue
-                bj = self.d * np.sqrt(self.s[j]) * self.Y[j]  # forward_b(C_j^T)
-                out = out + gij * kron(ai, bj)
-        return out
-
-    def trace_preserving_a(self, tol: float = ATOL) -> bool:
-        """Whether the A-side map preserves traces (adjoint fixes identity)."""
-        adj = sum(np.sqrt(sj) * np.trace(xj) * cj for sj, xj, cj in zip(self.s, self.X, self.basis.ops))
-        return bool(np.max(np.abs(adj - np.eye(self.d))) <= tol)
+        return unrealign(self.fwd_a @ realign(op, d, d) @ self.fwd_b.T, d, d)
 
 
 def build_maps(os: OperatorSchmidt, basis: OperatorBasis | None = None) -> SchmidtMaps:
@@ -147,8 +151,8 @@ def check_condition_a(os: OperatorSchmidt, tol: float = ATOL) -> ConditionARepor
     """
     if os.dA != os.dB or os.D != os.dA**2:
         raise ValueError("condition A needs equal dimensions and full Schmidt rank")
-    tr_x = np.array([np.trace(x) for x in os.X])
-    tr_y = np.array([np.trace(y) for y in os.Y])
+    tr_x = np.trace(stack(os.X, os.dA), axis1=1, axis2=2)
+    tr_y = np.trace(stack(os.Y, os.dB), axis1=1, axis2=2)
     if max(np.max(np.abs(tr_x.imag)), np.max(np.abs(tr_y.imag))) > 1e-8:
         raise ValueError("frame traces are not real; Hermitian frames required")
     e = np.sqrt(os.s) * tr_x.real
@@ -186,17 +190,9 @@ def check_condition_b(
     min_s = float(np.min(maps.s))
     bound = 1.0 / (d * min_s)
     ceiling = float(np.sqrt(d))
-    rng = np.random.default_rng(seed)
-    sampled = 0.0
-    for _ in range(sample_count):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        proj = np.outer(v, v.conj())
-        sampled = max(
-            sampled,
-            frob_norm(maps.inverse_a(proj)),
-            frob_norm(maps.inverse_b(proj)),
-        )
+    proj = haar_projectors(np.random.default_rng(seed), d, sample_count).reshape(sample_count, d * d)
+    images = np.concatenate([proj @ maps.inv_a.T, proj @ maps.inv_b.T])
+    sampled = np.max(np.linalg.norm(images, axis=1), initial=0.0)
     threshold = 1.0 / d**2
     marginal = abs(min_s - threshold) <= 1e-12
     passed = (min_s - threshold) > 1e-12 and not marginal
@@ -255,11 +251,8 @@ def build_w_basis(maps: SchmidtMaps, alignment: TraceAlignment) -> OperatorBasis
     forward images of W_k (A side) and W_k^T (B side) all have unit trace.
     """
     d = maps.d
-    ws = tuple(
-        sum(tkj * cj for tkj, cj in zip(row, maps.basis.ops))
-        for row in alignment.T
-    )
-    return OperatorBasis(d, ws, float(d))
+    ws = combine(alignment.T, stack(maps.basis.ops, d))
+    return OperatorBasis(d, tuple(ws), float(d))
 
 
 def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableDecomposition:
@@ -274,22 +267,16 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     d = maps.d
     if w.dim != d or not w.complete or abs(w.normalization - d) > 1e-12:
         raise ValueError("W must be a complete basis with normalisation d")
-    sqrt_s = np.sqrt(maps.s)
-    ops_a, ops_b, a_coeff, b_coeff = [], [], [], []
-    for wk in w.ops:
-        coeffs = np.array([frob_inner(c, wk) for c in maps.basis.ops]) / d
-        a = sqrt_s * coeffs * d
-        ops_a.append(sum(ai * x for ai, x in zip(a, maps.X)))
-        ops_b.append(sum(ai * y for ai, y in zip(a, maps.Y)))
-        a_coeff.append(a)
-        b_coeff.append(np.conj(a))
+    # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that forward_a(W_k) =
+    # sum_j a^k_j X_j and forward_b(W_k^T) = sum_j a^k_j Y_j.
+    a = (w.vecs @ maps.basis.vecs.conj().T) * np.sqrt(maps.s)
+    ops_a = combine(a, stack(maps.X, d))
+    ops_b = combine(a, stack(maps.Y, d))
     p = np.full(d * d, 1.0 / d**2)
     meta = DecompositionMeta(kind="transported", s=np.array(maps.s))
-    dec = SeparableDecomposition(p, tuple(ops_a), tuple(ops_b), tuple(a_coeff), tuple(b_coeff), meta)
+    dec = SeparableDecomposition(p, tuple(ops_a), tuple(ops_b), tuple(a), tuple(np.conj(a)), meta)
 
-    target = sum(
-        si * kron(x, y) for si, x, y in zip(maps.s, maps.X, maps.Y)
-    )
+    target = product_sum(maps.s, maps.X, maps.Y)
     residual = frob_norm(dec.reconstruct() - target) / max(frob_norm(target), 1e-300)
     if residual > RECON_TOL:
         raise ValueError(f"transported decomposition residual {residual:.3e}; inconsistent inputs")
@@ -324,14 +311,13 @@ def minimal_quantum_spaces(
             f"condition B fails: min Schmidt coefficient {cond_b.min_s:.6g} "
             f"is not above 1/d^2 = {1.0 / maps.d**2:.6g}"
         )
-    gens_a, gens_b = [], []
-    for wk in w.ops:
-        ea = maps.forward_a(wk)
-        fb = maps.forward_b(wk.T)
-        if abs(np.trace(ea) - 1.0) > 1e-6 or abs(np.trace(fb) - 1.0) > 1e-6:
-            raise ValueError("image operators are not unit trace; condition A alignment missing")
-        gens_a.append(ea)
-        gens_b.append(fb)
-    va = StateSpace(maps.d, tuple(gens_a), mode, include_quantum=True)
-    vb = StateSpace(maps.d, tuple(gens_b), mode, include_quantum=True)
+    d, n = maps.d, len(w)
+    ws = stack(w.ops, d)
+    gens_a = (ws.reshape(n, -1) @ maps.fwd_a.T).reshape(n, d, d)
+    gens_b = (ws.transpose(0, 2, 1).reshape(n, -1) @ maps.fwd_b.T).reshape(n, d, d)
+    traces = np.trace(np.concatenate([gens_a, gens_b]), axis1=1, axis2=2)
+    if np.max(np.abs(traces - 1.0)) > 1e-6:
+        raise ValueError("image operators are not unit trace; condition A alignment missing")
+    va = StateSpace(d, tuple(gens_a), mode, include_quantum=True)
+    vb = StateSpace(d, tuple(gens_b), mode, include_quantum=True)
     return va, vb

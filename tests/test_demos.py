@@ -1,0 +1,20 @@
+"""Run each narrative demo once, in process."""
+
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_all_six_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, capsys):
+    with np.printoptions():  # the demos set print options; restore them after
+        runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
