@@ -246,7 +246,10 @@ def cmd_verify_minimal(args) -> tuple[dict, list]:
     baseline = separable_feasible(state, va, vb)
     report = deletion_minimality(state, va, vb, threshold=args.threshold)
     rows = [
-        {"side": r.side, "index": r.index, "residual": float(r.residual), "feasible": r.feasible}
+        {
+            "side": r.side, "index": r.index, "residual": float(r.residual),
+            "feasible": r.feasible, "decided_by": r.decided_by,
+        }
         for r in report.records
     ]
     min_residual = min((r.residual for r in report.records), default=float("inf"))

@@ -4,10 +4,18 @@ The core question: can rho be written sum_ij q_ij A_i tensor B_j with
 q >= 0 (and sum q = 1 for convex hulls), where the A_i and B_j generate the
 two local state spaces?  The problem is a nonnegative least squares over the
 real embedding of the vectorised operators, solved with the Lawson-Hanson
-active-set method; the achieved 2-norm residual decides membership.
+active-set method.  An achieved residual at or below the feasibility
+tolerance certifies membership; otherwise it is only an upper bound on the
+true minimum, the unsafe direction for an infeasibility verdict.
 
 Deletion testing certifies minimality claims: a generating set is minimal
 for rho exactly when removing any single generator makes the fit infeasible.
+Realignment sends A tensor B to vec(A) vec(B)^T, so each deleted fit is
+min ||R(rho) - G_A Q G_B^T|| over the generator vectors G_A and G_B (the
+rearrangement of Van Loan and Pitsianis).  Its minimum over all complex Q,
+with neither sign nor simplex constraint, is a rigorous lower bound on the
+nonnegative fit's residual, and it certifies almost every deletion
+infeasible without a solver call.
 
 Hulls that must contain all local quantum states are handled by sampling:
 pure-state projectors (the computational basis plus a seeded Haar batch)
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
 
-from .core import as_matrix, frozen, stack
+from .core import as_matrix, frozen, realign, stack
 from .states import BipartiteState, haar_projectors
 from .tolerances import ATOL, FEAS_TOL, INFEAS_THRESHOLD
 
@@ -119,6 +127,22 @@ def _nnls(design, target, maxiter):
     return np.clip(res.x, 0.0, None)
 
 
+def _check_spaces(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> None:
+    """Require finite generator sets of rho's local dimensions in one mode."""
+    if va.include_quantum or vb.include_quantum:
+        raise ValueError(
+            "separable_feasible handles finite generator sets only; "
+            "use quantum_augmented_feasible for quantum-augmented spaces"
+        )
+    if va.dim != rho.dA or vb.dim != rho.dB:
+        raise ValueError(
+            f"state space dims ({va.dim}, {vb.dim}) do not match state dims "
+            f"({rho.dA}, {rho.dB})"
+        )
+    if va.mode != vb.mode:
+        raise ValueError("the two state spaces must share a mode")
+
+
 def separable_feasible(
     rho: BipartiteState,
     va: StateSpace,
@@ -133,18 +157,7 @@ def separable_feasible(
     row).  Both spaces must have ``include_quantum`` unset; sampled quantum
     hulls are handled by :func:`quantum_augmented_feasible`.
     """
-    if va.include_quantum or vb.include_quantum:
-        raise ValueError(
-            "separable_feasible handles finite generator sets only; "
-            "use quantum_augmented_feasible for quantum-augmented spaces"
-        )
-    if va.dim != rho.dA or vb.dim != rho.dB:
-        raise ValueError(
-            f"state space dims ({va.dim}, {vb.dim}) do not match state dims "
-            f"({rho.dA}, {rho.dB})"
-        )
-    if va.mode != vb.mode:
-        raise ValueError("the two state spaces must share a mode")
+    _check_spaces(rho, va, vb)
     ncols = len(va) * len(vb)
     if ncols == 0:
         residual = float(np.linalg.norm(rho.rho))
@@ -173,10 +186,19 @@ def separable_feasible(
 
 @dataclass(frozen=True)
 class DeletionRecord:
+    """One deletion's outcome.
+
+    ``decided_by`` is "ls_bound" when the least-squares lower bound alone
+    certified the deletion infeasible; ``residual`` is then that bound.  It
+    is "nnls" when the nonnegative fit ran; ``residual`` is then the
+    residual that fit achieved.
+    """
+
     side: str
     index: int
     residual: float
     feasible: bool
+    decided_by: str
 
 
 @dataclass(frozen=True)
@@ -188,26 +210,58 @@ class MinimalityReport:
     threshold: float
 
 
+def _vecs(space: StateSpace) -> np.ndarray:
+    """The generators as the columns vec(A_i) of a dim^2 x n matrix."""
+    return stack(space.generators, space.dim).reshape(len(space), -1).T
+
+
 def deletion_minimality(
     rho: BipartiteState,
     va: StateSpace,
     vb: StateSpace,
     threshold: float = INFEAS_THRESHOLD,
 ) -> MinimalityReport:
-    """Re-run the separable fit with each generator deleted in turn.
+    """Decide, for each generator in turn, whether rho stays in the hull
+    of the spaces without it.
+
+    With R the realignment of rho, the fit without A-side generator k is
+    min ||R - G_A' Q G_B^T|| over the remaining generator vectors G_A'.  Over
+    all complex Q the minimum is the distance from R to Q_A' Q_A'^dag R
+    conj(Q_B) Q_B^T, where Q_A' and Q_B are orthonormal bases (thin QR) of
+    the two column spans; B-side deletions are the same with R transposed.
+    Q ranges over a superset of the nonnegative (and simplex) weights, so
+    this bound is at most every residual the fit can reach.  QR keeps every
+    column, with no rank cutoff: extra numerical directions can only lower
+    the bound.  A deletion whose bound is at or above ``threshold`` and
+    above ``FEAS_TOL`` is infeasible without a solver call; any other
+    deletion runs :func:`separable_feasible` on the smaller space.  The
+    ``FEAS_TOL`` condition keeps a bound at rounding level, which a tiny
+    threshold would accept, from passing a deletion that is feasible.
+    Deleting a side's only generator leaves the bound ||rho||.
 
     The claim "these spaces cannot be made smaller" passes when every
-    single-generator deletion leaves a residual at or above ``threshold``.
+    single-generator deletion is infeasible with a residual at or above
+    ``threshold``.
     """
+    _check_spaces(rho, va, vb)
+    realigned = realign(rho.rho, rho.dA, rho.dB)
     records = []
-    for side, space, other in (("A", va, vb), ("B", vb, va)):
+    for side, space, other, target in (("A", va, vb, realigned), ("B", vb, va, realigned.T)):
+        g = _vecs(space)
+        q_other = np.linalg.qr(_vecs(other))[0]
+        fixed = target @ q_other.conj()
         for k in range(len(space)):
+            q = np.linalg.qr(np.delete(g, k, axis=1))[0]
+            bound = float(np.linalg.norm(target - q @ (q.conj().T @ fixed) @ q_other.T))
+            if bound >= threshold and bound > FEAS_TOL:
+                records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
+                continue
             smaller = space.without(k)
             if side == "A":
                 result = separable_feasible(rho, smaller, other)
             else:
                 result = separable_feasible(rho, other, smaller)
-            records.append(DeletionRecord(side, k, result.residual, result.feasible))
+            records.append(DeletionRecord(side, k, result.residual, result.feasible, "nnls"))
     passed = all(r.residual >= threshold and not r.feasible for r in records)
     return MinimalityReport(tuple(records), passed, threshold)
 
