@@ -27,7 +27,7 @@ from .decompositions import (
     random_orthogonal,
     random_unitary,
 )
-from .feasibility import StateSpace, deletion_minimality, separable_feasible
+from .feasibility import StateSpace, deletion_minimality, separable_feasible, weights_feasible
 from .lhv import LhvConstructionError, build_lhv, povm_scan
 from .schmidt import operator_schmidt, reconstruct
 from .serialize import FormatError, dumps
@@ -165,6 +165,8 @@ def cmd_schmidt(args) -> tuple[dict, list]:
 
 
 def cmd_crossnorm(args) -> tuple[dict, list]:
+    if args.samples < 1:
+        raise CliInputError(f"--samples must be at least 1, got {args.samples}")
     state = parse_state(args.state)
     os = operator_schmidt(state)
     value = cross_norm_value(os)
@@ -237,13 +239,21 @@ def cmd_decompose(args) -> tuple[dict, list]:
 
 
 def cmd_verify_minimal(args) -> tuple[dict, list]:
+    if not np.isfinite(args.threshold):
+        raise CliInputError(f"--threshold must be finite, got {args.threshold}")
     state = parse_state(args.state)
     dec = serialize.decode_decomposition(
         _load_wrapped(args.decomposition, "p", "decomposition"), "decomposition"
     )
     va = StateSpace(state.dA, dec.A, args.mode)
     vb = StateSpace(state.dB, dec.B, args.mode)
-    baseline = separable_feasible(state, va, vb)
+    # The decomposition's own point q_ij = p_i delta_ij certifies membership in
+    # both modes; only a state it does not reconstruct needs the fit.
+    baseline = weights_feasible(state, va, vb, np.diag(dec.p))
+    decided_by = "decomposition"
+    if not baseline.feasible:
+        baseline = separable_feasible(state, va, vb)
+        decided_by = "nnls"
     report = deletion_minimality(state, va, vb, threshold=args.threshold)
     rows = [
         {
@@ -262,7 +272,7 @@ def cmd_verify_minimal(args) -> tuple[dict, list]:
         )
     ]
     return {
-        "baseline": serialize.encode_feasibility(baseline),
+        "baseline": {**serialize.encode_feasibility(baseline), "decided_by": decided_by},
         "deletions": rows,
         "passed": report.passed,
     }, claims

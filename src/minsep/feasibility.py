@@ -6,7 +6,10 @@ two local state spaces?  The problem is a nonnegative least squares over the
 real embedding of the vectorised operators, solved with the Lawson-Hanson
 active-set method.  An achieved residual at or below the feasibility
 tolerance certifies membership; otherwise it is only an upper bound on the
-true minimum, the unsafe direction for an infeasibility verdict.
+true minimum, the unsafe direction for an infeasibility verdict.  A point
+known in advance, such as the weights p_i delta_ij of a decomposition
+sum_k p_k A_k tensor B_k, is a membership certificate by itself:
+:func:`weights_feasible` checks it without a solver.
 
 Deletion testing certifies minimality claims: a generating set is minimal
 for rho exactly when removing any single generator makes the fit infeasible.
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear, nnls
 
 from .core import as_matrix, frozen, realign, stack
 from .states import BipartiteState, haar_projectors
@@ -115,6 +117,10 @@ def _nnls(design, target, maxiter):
     |g| <= tau where q > 0.  ``nnls`` can stop short of the optimum, which
     overstates the residual: the unsafe direction for an infeasibility verdict.
     """
+    # Imported here: it costs about 0.5 s, paid only by fits that neither the
+    # least-squares bound nor a given point decides.
+    from scipy.optimize import lsq_linear, nnls
+
     try:
         q, _ = nnls(design, target, maxiter=maxiter)
     except RuntimeError as exc:
@@ -131,7 +137,7 @@ def _check_spaces(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> None:
     """Require finite generator sets of rho's local dimensions in one mode."""
     if va.include_quantum or vb.include_quantum:
         raise ValueError(
-            "separable_feasible handles finite generator sets only; "
+            "separable fits handle finite generator sets only; "
             "use quantum_augmented_feasible for quantum-augmented spaces"
         )
     if va.dim != rho.dA or vb.dim != rho.dB:
@@ -141,6 +147,19 @@ def _check_spaces(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> None:
         )
     if va.mode != vb.mode:
         raise ValueError("the two state spaces must share a mode")
+
+
+def _verdict(rho, va, vb, cols, q, eps_feas) -> FeasibilityResult:
+    """Residual, simplex violation and verdict of the weights q on the columns
+    vec(A_i tensor B_j); a negative weight is outside the hull."""
+    residual = float(np.linalg.norm(rho.rho.reshape(-1) - cols @ q))
+    violation = abs(float(np.sum(q)) - 1.0) if va.mode == "convex" else 0.0
+    feasible = (
+        bool(np.all(q >= 0))
+        and residual <= eps_feas
+        and (va.mode == "conic" or violation <= 1e-6)
+    )
+    return FeasibilityResult(feasible, q.reshape(len(va), len(vb)), residual, violation)
 
 
 def separable_feasible(
@@ -159,14 +178,10 @@ def separable_feasible(
     """
     _check_spaces(rho, va, vb)
     ncols = len(va) * len(vb)
-    if ncols == 0:
-        residual = float(np.linalg.norm(rho.rho))
-        return FeasibilityResult(
-            residual <= eps_feas, np.zeros((len(va), len(vb))), residual,
-            0.0 if va.mode == "conic" else 1.0,
-        )
-
     cols = _product_columns(va.generators, vb.generators, rho.dA, rho.dB)
+    if ncols == 0:
+        return _verdict(rho, va, vb, cols, np.zeros(0), eps_feas)
+
     design = np.vstack([cols.real, cols.imag])
     target = np.concatenate([rho.rho.reshape(-1).real, rho.rho.reshape(-1).imag])
 
@@ -176,12 +191,26 @@ def separable_feasible(
         target = np.concatenate([target, [w]])
 
     q = _nnls(design, target, maxiter)
-    weights = q.reshape(len(va), len(vb))
-    fit = cols @ q
-    residual = float(np.linalg.norm(rho.rho.reshape(-1) - fit))
-    violation = abs(float(np.sum(q)) - 1.0) if va.mode == "convex" else 0.0
-    feasible = residual <= eps_feas and (va.mode == "conic" or violation <= 1e-6)
-    return FeasibilityResult(feasible, weights, residual, violation)
+    return _verdict(rho, va, vb, cols, q, eps_feas)
+
+
+def weights_feasible(
+    rho: BipartiteState, va: StateSpace, vb: StateSpace, weights
+) -> FeasibilityResult:
+    """Check given weights q_ij as a fit of rho by the products A_i tensor B_j.
+
+    Feasible certifies membership: every q_ij >= 0, the residual
+    ||rho - sum_ij q_ij A_i tensor B_j|| is at most ``FEAS_TOL`` and, in
+    convex mode, |sum q - 1| <= 1e-6, the same verdict as
+    :func:`separable_feasible`.  A point that fails says nothing about the
+    hull; only a fit decides that.  ``weights`` has shape (len(va), len(vb)).
+    """
+    _check_spaces(rho, va, vb)
+    q = np.asarray(weights, dtype=float)
+    if q.shape != (len(va), len(vb)):
+        raise ValueError(f"weights have shape {q.shape}, expected {(len(va), len(vb))}")
+    cols = _product_columns(va.generators, vb.generators, rho.dA, rho.dB)
+    return _verdict(rho, va, vb, cols, q.reshape(-1), FEAS_TOL)
 
 
 @dataclass(frozen=True)

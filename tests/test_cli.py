@@ -8,12 +8,22 @@ from minsep import serialize
 from minsep.bases import PAULI_I, phase_point_operators
 from minsep.cli import main
 from minsep.decompositions import SeparableDecomposition
+from minsep.feasibility import StateSpace, separable_feasible
+from minsep.states import random_density
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def bell_theorem_2_file(capsys, tmp_path):
+    path = tmp_path / "dec2.json"
+    argv = ["decompose", "--theorem", "2", "--state", "bell", "--unitary", "identity"]
+    assert main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
 
 
 def phase_point_file(tmp_path, extra_identity=False):
@@ -48,6 +58,11 @@ class TestCrossnorm:
         assert code == 0
         assert abs(report["result"]["value"] - 2.0) < 1e-10
         assert len(report["result"]["per_r"]) == 5
+
+    def test_no_samples_exits_1(self, capsys):
+        for count in ("0", "-2"):
+            assert main(["crossnorm", "--state", "bell", "--samples", count]) == 1
+            assert "error:" in capsys.readouterr().err
 
 
 class TestDecompose:
@@ -121,6 +136,43 @@ class TestVerifyMinimal:
         assert baseline["feasible"]
         assert baseline["residual"] <= 1e-8
         assert len(baseline["weights"]) == 4
+
+
+    def test_baseline_decided_by_the_decomposition(self, capsys, tmp_path):
+        dec = bell_theorem_2_file(capsys, tmp_path)
+        code, report = run(capsys, "verify-minimal", "--state", "bell", "--decomposition", dec)
+        assert code == 0
+        baseline = report["result"]["baseline"]
+        assert baseline["decided_by"] == "decomposition"
+        assert baseline["feasible"]
+
+    def test_baseline_falls_back_to_the_fit(self, capsys, tmp_path):
+        dec = bell_theorem_2_file(capsys, tmp_path)
+        _, report = run(
+            capsys, "verify-minimal", "--state", "random:3:2:2", "--decomposition", dec
+        )
+        baseline = report["result"]["baseline"]
+        assert baseline["decided_by"] == "nnls"
+        decomposition = serialize.decode_decomposition(
+            serialize.load_json(dec, "decomposition")["result"], "decomposition"
+        )
+        direct = separable_feasible(
+            random_density(3, 2, 2),
+            StateSpace(2, decomposition.A, "convex"),
+            StateSpace(2, decomposition.B, "convex"),
+        )
+        assert baseline["feasible"] == direct.feasible
+        assert baseline["residual"] == direct.residual
+        assert baseline["weights"] == direct.weights.tolist()
+
+    def test_non_finite_threshold_exits_1(self, capsys, tmp_path):
+        dec = phase_point_file(tmp_path)
+        for value in ("nan", "inf"):
+            code = main(
+                ["verify-minimal", "--state", "bell", "--decomposition", dec, "--threshold", value]
+            )
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
 
 
 class TestConditions:

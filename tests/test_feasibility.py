@@ -5,13 +5,25 @@ import pytest
 
 from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_point_operators
 from minsep.core import kron
+from minsep.crossnorm import DiagonalScaling
+from minsep.decompositions import equal_norm_decomposition
 from minsep.feasibility import (
     StateSpace,
     deletion_minimality,
     quantum_augmented_feasible,
     separable_feasible,
+    weights_feasible,
 )
-from minsep.states import BipartiteState, bell_state, product_state, random_density
+from minsep.schmidt import operator_schmidt
+from minsep.states import BipartiteState, bell_state, max_entangled, product_state, random_density
+from minsep.tolerances import FEAS_TOL
+from minsep.transport import (
+    build_maps,
+    build_w_basis,
+    check_condition_a,
+    construct_alignment,
+    transported_decomposition,
+)
 
 
 def phase_point_spaces(mode="convex", include_quantum=False):
@@ -141,6 +153,63 @@ class TestSeparableFeasible:
         target = np.concatenate([state.rho.reshape(-1).real, state.rho.reshape(-1).imag])
         _, oracle_residual = projected_gradient_nnls(design, target)
         assert abs(result.residual - oracle_residual) < 1e-7
+
+
+def transported(d):
+    state = max_entangled(d)
+    os_ = operator_schmidt(state)
+    maps = build_maps(os_)
+    w = build_w_basis(maps, construct_alignment(check_condition_a(os_)))
+    return state, transported_decomposition(maps, w)
+
+
+def equal_norm_bell():
+    os_ = operator_schmidt(bell_state())
+    dec = equal_norm_decomposition(
+        os_, DiagonalScaling.identity(os_.D), np.eye(os_.D, dtype=complex), 1.0
+    )
+    return bell_state(), dec
+
+
+class TestWeightsFeasible:
+    @pytest.mark.parametrize("mode", ["convex", "conic"])
+    @pytest.mark.parametrize(
+        "make", [lambda: transported(2), lambda: transported(3), equal_norm_bell],
+        ids=["transported-2", "transported-3", "equal-norm-bell"],
+    )
+    def test_decomposition_point_certifies(self, make, mode):
+        state, dec = make()
+        va = StateSpace(state.dA, dec.A, mode)
+        vb = StateSpace(state.dB, dec.B, mode)
+        result = weights_feasible(state, va, vb, np.diag(dec.p))
+        assert result.feasible
+        assert abs(result.residual - np.linalg.norm(state.rho - dec.reconstruct())) <= 1e-15
+        np.testing.assert_array_equal(result.weights, np.diag(dec.p))
+
+    @pytest.mark.parametrize("mode, feasible", [("convex", False), ("conic", True)])
+    def test_doubled_generators_break_only_the_simplex(self, mode, feasible):
+        state, dec = transported(2)
+        va = StateSpace(2, tuple(2 * a for a in dec.A), mode)
+        vb = StateSpace(2, dec.B, mode)
+        result = weights_feasible(state, va, vb, np.diag(dec.p / 2))
+        assert result.residual <= FEAS_TOL
+        assert result.feasible is feasible
+        if mode == "convex":
+            assert abs(result.constraint_violation - 0.5) <= 1e-12
+
+    def test_negative_weight_is_not_in_the_hull(self):
+        # Bell = (II + XX - YY + ZZ) / 4: an exact reconstruction whose Y
+        # weight is negative, so only the sign check can reject it.
+        paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+        va, vb = StateSpace(2, paulis, "conic"), StateSpace(2, paulis, "conic")
+        result = weights_feasible(bell_state(), va, vb, np.diag([0.25, 0.25, -0.25, 0.25]))
+        assert result.residual <= FEAS_TOL
+        assert not result.feasible
+
+    def test_wrong_shape_rejected(self):
+        va, vb = phase_point_spaces()
+        with pytest.raises(ValueError, match="shape"):
+            weights_feasible(bell_state(), va, vb, np.full(4, 0.25))
 
 
 class TestDeletionMinimality:

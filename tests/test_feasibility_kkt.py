@@ -3,9 +3,9 @@ re-solves with bounded-variable least squares when it is not optimal."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import lsq_linear
 
-import minsep.feasibility as feasibility
 from minsep.bases import phase_point_operators
 from minsep.feasibility import StateSpace, separable_feasible
 from minsep.states import bell_state, random_density
@@ -44,7 +44,7 @@ def test_non_optimal_nnls_point_is_re_solved(monkeypatch, mode):
     state = bell_state()
     va, vb = deleted_phase_point_spaces(mode)
     reference = bvls_residual(state, va, vb, mode)
-    monkeypatch.setattr(feasibility, "nnls", uniform_nnls)
+    monkeypatch.setattr(scipy.optimize, "nnls", uniform_nnls)
     result = separable_feasible(state, va, vb)
     assert abs(result.residual - reference) <= 1e-9
     assert np.all(result.weights >= 0)
@@ -54,7 +54,7 @@ def test_optimal_nnls_point_is_kept(monkeypatch):
     def no_bvls(*args, **kwargs):
         raise AssertionError("BVLS re-solve ran on an optimal nnls point")
 
-    monkeypatch.setattr(feasibility, "lsq_linear", no_bvls)
+    monkeypatch.setattr(scipy.optimize, "lsq_linear", no_bvls)
     state = random_density(4, 2, 2)
     for mode in ("conic", "convex"):
         va, vb = deleted_phase_point_spaces(mode)
