@@ -35,6 +35,7 @@ from .decompositions import (
     equal_norm_decomposition,
     equal_norm_weights,
     hermitian_decomposition,
+    normalized_form,
     random_orthogonal,
     random_row_isometry,
     random_unitary,
@@ -57,7 +58,7 @@ from .lhv import (
     lhv_probability,
     povm_scan,
 )
-from .schmidt import OperatorSchmidt, normalized_form, operator_schmidt, reconstruct
+from .schmidt import OperatorSchmidt, operator_schmidt, reconstruct
 from .states import (
     BipartiteState,
     Povm,

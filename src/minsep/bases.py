@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, combine, frozen, stack
+from .core import as_matrix, combine, family, stack
 from .tolerances import ATOL
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -34,11 +34,8 @@ class OperatorBasis:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        ops = tuple(frozen(as_matrix(op, f"ops[{k}]")) for k, op in enumerate(self.ops))
+        ops = family(self.ops, "ops", self.dim)
         object.__setattr__(self, "ops", ops)
-        for k, op in enumerate(ops):
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(f"ops[{k}] has shape {op.shape}, expected {(self.dim, self.dim)}")
         if len(ops) > self.dim**2:
             raise ValueError(f"{len(ops)} operators exceed d^2 = {self.dim**2}")
         gram = self.gram()
@@ -67,7 +64,7 @@ class OperatorBasis:
     def rescaled(self, kappa: float) -> "OperatorBasis":
         """The same basis rescaled to a different normalisation constant."""
         factor = np.sqrt(kappa / self.normalization)
-        return OperatorBasis(self.dim, tuple(factor * op for op in self.ops), kappa)
+        return OperatorBasis(self.dim, factor * stack(self.ops, self.dim), kappa)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of x in this basis: x = sum_i c_i C_i."""

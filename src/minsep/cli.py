@@ -108,6 +108,10 @@ def _load_wrapped(path: str, marker: str, field: str):
     return obj
 
 
+def _load_decomposition(path: str):
+    return serialize.decode_decomposition(_load_wrapped(path, "p", "decomposition"), "decomposition")
+
+
 def parse_povm(spec: str, transpose_of=None):
     if spec in ("x", "y", "z"):
         return projective_povm(spec)
@@ -242,9 +246,7 @@ def cmd_verify_minimal(args) -> tuple[dict, list]:
     if not np.isfinite(args.threshold):
         raise CliInputError(f"--threshold must be finite, got {args.threshold}")
     state = parse_state(args.state)
-    dec = serialize.decode_decomposition(
-        _load_wrapped(args.decomposition, "p", "decomposition"), "decomposition"
-    )
+    dec = _load_decomposition(args.decomposition)
     va = StateSpace(state.dA, dec.A, args.mode)
     vb = StateSpace(state.dB, dec.B, args.mode)
     # The decomposition's own point q_ij = p_i delta_ij certifies membership in
@@ -313,9 +315,7 @@ def cmd_conditions(args) -> tuple[dict, list]:
 
 
 def cmd_lhv(args) -> tuple[dict, list]:
-    dec = serialize.decode_decomposition(
-        _load_wrapped(args.decomposition, "p", "decomposition"), "decomposition"
-    )
+    dec = _load_decomposition(args.decomposition)
     povm_a = parse_povm(args.povm_a)
     povm_b = parse_povm(args.povm_b, transpose_of=povm_a)
     try:
@@ -337,9 +337,7 @@ def cmd_lhv(args) -> tuple[dict, list]:
 
 
 def cmd_scan(args) -> tuple[dict, list]:
-    dec = serialize.decode_decomposition(
-        _load_wrapped(args.decomposition, "p", "decomposition"), "decomposition"
-    )
+    dec = _load_decomposition(args.decomposition)
     report = povm_scan(dec, family=args.family, budget=args.budget)
     rows = [
         {
@@ -426,10 +424,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         result, claims = COMMANDS[args.command](args)
-    except (CliInputError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # CliInputError and FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

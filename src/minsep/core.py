@@ -52,11 +52,31 @@ def frob_norm(m: np.ndarray) -> float:
     return math.sqrt(math.fsum((v * v).ravel().tolist()))
 
 
-def frozen(m) -> np.ndarray:
-    """A read-only complex128 copy of ``m``."""
-    out = np.array(m, dtype=complex)
+def frozen(m, dtype=complex) -> np.ndarray:
+    """A read-only copy of ``m``, complex128 unless ``dtype`` says otherwise."""
+    out = np.array(m, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def family(ops, name: str, d: int | None = None) -> tuple:
+    """Check that every member is a finite (d, d) matrix, ``d`` defaulting to
+    the first member's row count, and freeze the family as one read-only
+    complex (N, d, d) array; returns the tuple of its N views.  An error
+    names the first offending member: ``X[2] has shape (3, 3), expected (2, 2)``.
+    """
+    for k, op in enumerate(ops):
+        shape = np.shape(op)
+        if len(shape) != 2:
+            raise ValueError(f"{name}[{k}] must be two-dimensional, got shape {shape}")
+        d = shape[0] if d is None else d
+        if shape != (d, d):
+            raise ValueError(f"{name}[{k}] has shape {shape}, expected {(d, d)}")
+    arr = frozen(ops)
+    if not np.isfinite(arr).all():
+        k = np.argmin(np.isfinite(arr).all(axis=(1, 2)))
+        raise ValueError(f"{name}[{k}] contains non-finite entries")
+    return tuple(arr)
 
 
 def stack(ops, d: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import as_matrix, stack
+from .core import as_matrix, family, frozen, stack
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL
 
@@ -28,13 +28,11 @@ class DiagonalScaling:
     r: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
+        r = frozen(self.r, float)
         if r.ndim != 1 or len(r) == 0:
             raise ValueError("r must be a nonempty 1-d array")
         if np.any(r <= 0) or not np.all(np.isfinite(r)):
             raise ValueError("diagonal entries must be strictly positive and finite")
-        r = r.copy()
-        r.setflags(write=False)
         object.__setattr__(self, "r", r)
 
     @property
@@ -115,8 +113,8 @@ def operator_coefficients(ops, frame, conjugate: bool = False) -> list[np.ndarra
     B = sum_i conj(b_i) Y_i).  Raises if any operator has a component
     outside the span of the frame.
     """
-    ops = [as_matrix(op, f"ops[{k}]") for k, op in enumerate(ops)]
     d = np.shape(frame[0])[0]
+    ops = family(ops, "ops", d)
     vo = stack(ops, d).reshape(len(ops), d * d)
     vf = stack(frame, d).reshape(len(frame), -1)
     c = vo @ vf.conj().T  # row k: tr(F_i^dag O_k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import as_matrix, combine, frob_norm, frozen, is_hermitian, product_sum, stack
+from .core import combine, family, frob_norm, frozen, is_hermitian, product_sum, stack
 from .crossnorm import DiagonalScaling, operator_coefficients
 from .schmidt import OperatorSchmidt, reconstruct
 from .tolerances import ATOL, MIN_WEIGHT, RECON_TOL
@@ -90,24 +90,22 @@ class SeparableDecomposition:
     meta: DecompositionMeta | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = frozen(self.p, float)
         if p.ndim != 1 or len(p) == 0:
             raise ValueError("p must be a nonempty 1-d array")
         if np.any(p < MIN_WEIGHT):
             raise ValueError(f"weights below {MIN_WEIGHT:.0e} are rejected")
         if len(self.A) != len(p) or len(self.B) != len(p):
             raise ValueError("A and B must match the number of weights")
-        A = tuple(frozen(as_matrix(a, f"A[{k}]")) for k, a in enumerate(self.A))
-        B = tuple(frozen(as_matrix(b, f"B[{k}]")) for k, b in enumerate(self.B))
-        p = p.copy()
-        p.setflags(write=False)
+        A = family(self.A, "A")
+        B = family(self.B, "B")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         if self.a_coeff is not None:
-            object.__setattr__(self, "a_coeff", tuple(frozen(v) for v in self.a_coeff))
+            object.__setattr__(self, "a_coeff", tuple(frozen(self.a_coeff)))
         if self.b_coeff is not None:
-            object.__setattr__(self, "b_coeff", tuple(frozen(v) for v in self.b_coeff))
+            object.__setattr__(self, "b_coeff", tuple(frozen(self.b_coeff)))
 
     @property
     def terms(self) -> int:
@@ -175,6 +173,9 @@ def cross_norm_decomposition(
     c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
     if p.shape != (n,):
         raise ValueError(f"p must have length {n}")
+    for name, v in (("p", p), ("c", c)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     if np.any(p < MIN_WEIGHT):
         raise ValueError(f"weights must be at least {MIN_WEIGHT:.0e}")
     if np.any(c <= 0):
@@ -217,6 +218,18 @@ def equal_norm_decomposition(
     p = equal_norm_weights(os, u)
     dec = cross_norm_decomposition(os, scaling, u, p, np.full(os.D, c))
     return replace(dec, meta=replace(dec.meta, kind="equal-norm"))
+
+
+def normalized_form(os: OperatorSchmidt) -> SeparableDecomposition:
+    """The Schmidt form rewritten as a convex combination.
+
+    With lam = sum_i s_i the terms become weights p_i = s_i / lam on the
+    rescaled operators sqrt(lam) X_i and sqrt(lam) Y_i; the weights are a
+    probability distribution and the product is unchanged.
+    """
+    return equal_norm_decomposition(
+        os, DiagonalScaling.identity(os.D), np.eye(os.D, dtype=complex), 1.0
+    )
 
 
 def hermitian_decomposition(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, frozen, realign, stack
+from .core import family, frozen, realign, stack
 from .states import BipartiteState, haar_projectors
 from .tolerances import ATOL, FEAS_TOL, INFEAS_THRESHOLD
 
@@ -60,12 +60,9 @@ class StateSpace:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        gens = tuple(frozen(as_matrix(g, f"generators[{k}]")) for k, g in enumerate(self.generators))
-        for k, g in enumerate(gens):
-            if g.shape != (self.dim, self.dim):
-                raise ValueError(f"generators[{k}] has shape {g.shape}, expected {(self.dim, self.dim)}")
-            if self.include_quantum:
-                tr = complex(np.trace(g))
+        gens = family(self.generators, "generators", self.dim)
+        if self.include_quantum:
+            for k, tr in enumerate(np.trace(stack(gens, self.dim), axis1=1, axis2=2)):
                 if abs(tr.imag) > ATOL:
                     raise ValueError(f"generators[{k}] has complex trace {tr:.6g}")
                 if self.mode == "convex" and abs(tr - 1.0) > ATOL:
@@ -93,10 +90,7 @@ class FeasibilityResult:
     constraint_violation: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", frozen(self.weights, float))
 
 
 def _product_columns(gens_a, gens_b, dA, dB):
@@ -326,9 +320,6 @@ def quantum_augmented_feasible(
     rng = np.random.default_rng(seed)
     spaces = []
     for space in (va, vb):
-        if space.include_quantum:
-            gens = space.generators + _pure_projector_samples(space.dim, sample_budget, rng)
-            spaces.append(StateSpace(space.dim, gens, space.mode, include_quantum=False))
-        else:
-            spaces.append(StateSpace(space.dim, space.generators, space.mode, include_quantum=False))
-    return separable_feasible(rho, spaces[0], spaces[1], eps_feas=eps_feas)
+        extra = _pure_projector_samples(space.dim, sample_budget, rng) if space.include_quantum else ()
+        spaces.append(StateSpace(space.dim, space.generators + extra, space.mode))
+    return separable_feasible(rho, *spaces, eps_feas=eps_feas)

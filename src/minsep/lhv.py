@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, kron, stack
+from .core import as_matrix, frozen, kron, stack
 from .decompositions import SeparableDecomposition
 from .states import BipartiteState, Povm, identity_povm, magic_povm, projective_povm
 from .tolerances import ATOL
@@ -52,9 +52,7 @@ class LhvModel:
     born_deviation: float = 0.0
 
     def __post_init__(self):
-        p = np.asarray(self.hidden_weights, dtype=float)
-        ra = np.asarray(self.response_a, dtype=float)
-        rb = np.asarray(self.response_b, dtype=float)
+        p, ra, rb = (frozen(x, float) for x in (self.hidden_weights, self.response_a, self.response_b))
         if np.any(p < 0):
             raise ValueError("hidden weights must be nonnegative")
         if abs(float(np.sum(p)) - 1.0) > 1e-6:
@@ -67,8 +65,6 @@ class LhvModel:
                     continue
                 if np.any(row < 0) or abs(float(np.sum(row)) - 1.0) > 1e-9:
                     raise ValueError(f"{name} row {i} is not a probability distribution")
-        for arr in (p, ra, rb):
-            arr.setflags(write=False)
         object.__setattr__(self, "hidden_weights", p)
         object.__setattr__(self, "response_a", ra)
         object.__setattr__(self, "response_b", rb)
@@ -241,6 +237,40 @@ def pauli_pairs() -> list[tuple[str, Povm, Povm]]:
     return pairs
 
 
+def _magic_threshold(dec: SeparableDecomposition) -> float:
+    """The largest c in (0, 1] at which :func:`build_lhv` succeeds on
+    ``magic_povm(c)`` and its transpose, or 0.0 if there is none.
+
+    Proof that the strengths that succeed form (0, c*].  For a side operator
+    O let t = tr(O) and mu = tr(O m) (m^T on B): its responses c mu and
+    t - c mu are affine in c.  Read |x| <= ATOL as 0, as ``build_lhv`` does.
+    A complex response (Im mu or Im t nonzero), a traceless side that
+    responds (t = 0, mu != 0), a trace t < 0, hidden weights q_k tr(A_k)
+    tr(B_k) that do not sum to 1, or a response c mu < 0 (mu < 0) fails at
+    every c > 0 if it fails at c = 1: then c* = 0.  Otherwise c mu >= 0, a
+    side that does not respond drops its term at every c, and t - c mu < 0
+    iff mu > t and c > t / mu; so every response is real and nonnegative iff
+    c <= c* = min(1, min t / mu over the sides with t - mu < 0), where the
+    model is an exact identity and the Born check holds.  As ``build_lhv``
+    accepts responses down to -ATOL, it succeeds up to ATOL / mu past c*.
+    """
+    povm = magic_povm(1.0)
+    resp = np.stack([_responses(dec.A, povm), _responses(dec.B, povm.transpose())])
+    mu, rest, tr = resp.real[..., 0], resp.real[..., 1], resp.real.sum(axis=2)
+    traceless = np.abs(tr) <= ATOL  # [side, term]
+    kept = ~traceless.any(axis=0)
+    if (
+        np.any(np.abs(resp.imag) > ATOL)
+        or np.any(traceless[..., None] & (np.abs(resp.real) > ATOL))
+        or np.any(mu[:, kept] < -ATOL)
+        or np.any(tr[:, kept] <= ATOL)
+        or abs(float(np.sum(dec.p[kept] * tr[0, kept] * tr[1, kept])) - 1.0) > 1e-6
+    ):
+        return 0.0
+    over = kept & (rest < -ATOL)
+    return float(np.min(tr[over] / mu[over], initial=1.0))
+
+
 def povm_scan(
     dec: SeparableDecomposition,
     family: str = "pauli",
@@ -251,9 +281,10 @@ def povm_scan(
     ``family="pauli"`` scans the identity pair and the nine projective Pauli
     pairs.  ``family="magic"`` scans the two-effect family built from the
     magic-state projector at ``budget`` strengths (the B side measures the
-    transposed effects) and locates, by bisection to 1e-6, the largest
-    strength for which the construction still succeeds.  A custom iterable
-    of (label, povm_a, povm_b) triples is also accepted.  The scan is
+    transposed effects).  Its threshold is the largest strength at which the
+    construction succeeds, in closed form (:func:`_magic_threshold`), verified
+    by one ``build_lhv`` call, which raises if the Born check fails.  A custom
+    iterable of (label, povm_a, povm_b) triples is also accepted.  The scan is
     deterministic for fixed inputs.
     """
     if isinstance(family, str):
@@ -266,17 +297,11 @@ def povm_scan(
                 return _attempt(dec, f"magic:{c:.8f}", povm, povm.transpose())
 
             rows = tuple(attempt((i + 1) / budget) for i in range(budget))
-            lo, hi = 0.0, 1.0
-            if attempt(1.0).success:
-                lo = 1.0
-            else:
-                while hi - lo > 1e-6:
-                    mid = 0.5 * (lo + hi)
-                    if attempt(mid).success:
-                        lo = mid
-                    else:
-                        hi = mid
-            return ScanReport("magic", rows, threshold=lo)
+            threshold = _magic_threshold(dec)
+            if threshold > 0:  # the Born verification; raises if it fails
+                povm = magic_povm(threshold)
+                build_lhv(dec, povm, povm.transpose())
+            return ScanReport("magic", rows, threshold=threshold)
         raise ValueError(f"unknown POVM family {family!r}")
     rows = tuple(_attempt(dec, label, pa, pb) for label, pa, pb in family)
     return ScanReport("custom", rows)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import as_matrix, dagger, frob_norm, frozen, is_hermitian, product_sum, realign, svd
+from .core import as_matrix, dagger, family, frob_norm, frozen, is_hermitian, product_sum, realign, svd
 from .states import BipartiteState
 from .tolerances import ATOL, RANK_CUTOFF, RECON_TOL
 
@@ -37,7 +37,7 @@ class OperatorSchmidt:
     hermitian: tuple = ()
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
+        s = frozen(self.s, float)
         if s.ndim != 1 or len(s) == 0:
             raise ValueError("s must be a nonempty 1-d array")
         if np.any(s <= 0):
@@ -48,19 +48,9 @@ class OperatorSchmidt:
             raise ValueError("X and Y must match the number of coefficients")
         if len(s) > min(self.dA**2, self.dB**2):
             raise ValueError("rank exceeds min(dA^2, dB^2)")
-        X = tuple(frozen(as_matrix(x, f"X[{i}]")) for i, x in enumerate(self.X))
-        Y = tuple(frozen(as_matrix(y, f"Y[{i}]")) for i, y in enumerate(self.Y))
-        for i, x in enumerate(X):
-            if x.shape != (self.dA, self.dA):
-                raise ValueError(f"X[{i}] has shape {x.shape}, expected {(self.dA, self.dA)}")
-        for i, y in enumerate(Y):
-            if y.shape != (self.dB, self.dB):
-                raise ValueError(f"Y[{i}] has shape {y.shape}, expected {(self.dB, self.dB)}")
-        hermitian = self.hermitian or tuple(
-            is_hermitian(x) and is_hermitian(y) for x, y in zip(X, Y)
-        )
-        s = s.copy()
-        s.setflags(write=False)
+        X = family(self.X, "X", self.dA)
+        Y = family(self.Y, "Y", self.dB)
+        hermitian = self.hermitian or [is_hermitian(x) and is_hermitian(y) for x, y in zip(X, Y)]
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -100,26 +90,24 @@ def _canonical_order(s, Xs, Ys, herm):
     """Deterministic ordering and sign convention for Schmidt pairs.
 
     Pairs are sorted by decreasing coefficient; ties are broken by the
-    lexicographic order of the (sign-fixed) vectorised X.  The sign of each
-    pair is fixed so the first significant entry of vec(X) has positive real
-    part (positive imaginary part if purely imaginary); Y flips with X.
+    lexicographic order of the (sign-fixed) vectorised X, entries compared as
+    (real, imaginary) rounded to 10 decimals.  The sign of each pair is fixed
+    so the first significant entry of vec(X) has positive real part (positive
+    imaginary part if purely imaginary); Y flips with X, by negation: a
+    product with -1.0 would turn an imaginary -0.0 into 0.0.
     """
-    fixed = []
-    for si, x, y, h in zip(s, Xs, Ys, herm):
-        v = x.reshape(-1)
-        idx = np.flatnonzero(np.abs(v) > 1e-8)
-        if len(idx):
-            lead = v[idx[0]]
-            flip = lead.real < -1e-12 or (abs(lead.real) <= 1e-12 and lead.imag < 0)
-            if flip:
-                x, y = -x, -y
-        key = tuple(
-            (round(c.real, 10), round(c.imag, 10)) for c in x.reshape(-1)
-        )
-        fixed.append((si, key, x, y, h))
-    fixed.sort(key=lambda t: (-round(t[0], 12), t[1]))
-    s_out = np.array([t[0] for t in fixed])
-    return s_out, [t[2] for t in fixed], [t[3] for t in fixed], [t[4] for t in fixed]
+    X, Y = np.asarray(Xs), np.asarray(Ys)
+    v = X.reshape(len(X), -1)
+    big = np.abs(v) > 1e-8
+    lead = v[np.arange(len(v)), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (
+        (lead.real < -1e-12) | ((np.abs(lead.real) <= 1e-12) & (lead.imag < 0))
+    )
+    X = np.where(flip[:, None, None], -X, X)
+    Y = np.where(flip[:, None, None], -Y, Y)
+    key = np.round(np.ascontiguousarray(X).reshape(len(X), -1).view(float), 10)  # re, im
+    order = np.lexsort(np.vstack([key.T[::-1], -np.round(s, 12)]))
+    return s[order], X[order], Y[order], tuple(herm[i] for i in order)
 
 
 def _schmidt_hermitian(rho, dA, dB, cutoff):
@@ -133,8 +121,8 @@ def _schmidt_hermitian(rho, dA, dB, cutoff):
         raise ValueError("coefficient matrix is not real; input not Hermitian")
     o1, s, o2t = np.linalg.svd(g.real)
     keep = np.flatnonzero(s > cutoff)  # o1, o2t are square, so index, not mask
-    xs = list((pa @ o1[:, keep]).T.reshape(-1, dA, dA))
-    ys = list((o2t[keep, :] @ pb.T).reshape(-1, dB, dB))
+    xs = (pa @ o1[:, keep]).T.reshape(-1, dA, dA)
+    ys = (o2t[keep, :] @ pb.T).reshape(-1, dB, dB)
     herm = [True] * len(xs)
     return s[keep], xs, ys, herm
 
@@ -143,15 +131,9 @@ def _schmidt_general(rho, dA, dB, cutoff):
     """Schmidt pairs of an arbitrary operator via the complex realignment SVD."""
     m = realign(rho, dA, dB)
     u, s, v = svd(m)
-    keep = s > cutoff
-    xs, ys, herm = [], [], []
-    for i in np.flatnonzero(keep):
-        x = u[:, i].reshape(dA, dA)
-        y = np.conj(v[:, i]).reshape(dB, dB)
-        x, y, ok = _phase_fix(x, y)
-        xs.append(x)
-        ys.append(y)
-        herm.append(ok)
+    keep = np.flatnonzero(s > cutoff)
+    pairs = [_phase_fix(u[:, i].reshape(dA, dA), np.conj(v[:, i]).reshape(dB, dB)) for i in keep]
+    xs, ys, herm = zip(*pairs) if pairs else ((), (), ())
     return s[keep], xs, ys, herm
 
 
@@ -179,7 +161,7 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
     if len(s) == 0:
         raise ValueError("operator is zero at the requested rank cutoff")
     s, xs, ys, herm = _canonical_order(s, xs, ys, herm)
-    out = OperatorSchmidt(dA, dB, s, tuple(xs), tuple(ys), tuple(herm))
+    out = OperatorSchmidt(dA, dB, s, xs, ys, herm)
 
     residual = frob_norm(rho - reconstruct(out)) / max(frob_norm(rho), 1e-300)
     if residual > RECON_TOL:
@@ -190,18 +172,3 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
 def reconstruct(os: OperatorSchmidt) -> np.ndarray:
     """Multiply the decomposition back out: sum_i s_i X_i tensor Y_i."""
     return product_sum(os.s, os.X, os.Y)
-
-
-def normalized_form(os: OperatorSchmidt):
-    """The Schmidt form rewritten as a convex combination.
-
-    With lam = sum_i s_i the terms become weights p_i = s_i / lam on the
-    rescaled operators sqrt(lam) X_i and sqrt(lam) Y_i; the weights are a
-    probability distribution and the product is unchanged.
-    """
-    from .crossnorm import DiagonalScaling
-    from .decompositions import equal_norm_decomposition
-
-    return equal_norm_decomposition(
-        os, DiagonalScaling.identity(os.D), np.eye(os.D, dtype=complex), 1.0
-    )

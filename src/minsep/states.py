@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, dagger, frozen, is_hermitian
+from .bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from .core import as_matrix, dagger, family, frozen, is_hermitian, stack
 from .tolerances import ATOL, PSD_TOL
 
 
@@ -59,20 +60,17 @@ class Povm:
     effects: tuple = field(repr=False)
 
     def __post_init__(self):
-        effects = tuple(
-            frozen(as_matrix(e, f"effects[{k}]")) for k, e in enumerate(self.effects)
-        )
+        effects = family(self.effects, "effects", self.dim)
         if not effects:
             raise ValueError("a POVM needs at least one effect")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, e in enumerate(effects):
-            if e.shape != (self.dim, self.dim):
-                raise ValueError(f"effects[{k}] has shape {e.shape}, expected {(self.dim, self.dim)}")
-            lo = float(np.linalg.eigvalsh(0.5 * (e + dagger(e)))[0])
-            if not is_hermitian(e, ATOL) or lo < -PSD_TOL:
-                raise ValueError(f"effects[{k}] is not positive semidefinite")
-            total = total + e
-        if np.max(np.abs(total - np.eye(self.dim))) > ATOL:
+        e = stack(effects, self.dim)
+        eh = np.conj(e.transpose(0, 2, 1))
+        skew = np.max(np.abs(e - eh), axis=(1, 2))
+        lo = np.linalg.eigvalsh(0.5 * (e + eh))[:, 0]
+        bad = np.flatnonzero((skew > ATOL) | (lo < -PSD_TOL))
+        if bad.size:
+            raise ValueError(f"effects[{bad[0]}] is not positive semidefinite")
+        if np.max(np.abs(e.sum(axis=0) - np.eye(self.dim))) > ATOL:
             raise ValueError("effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
 
@@ -81,7 +79,7 @@ class Povm:
 
     def transpose(self) -> "Povm":
         """The elementwise-transposed POVM (still a valid POVM)."""
-        return Povm(self.dim, tuple(e.T for e in self.effects))
+        return Povm(self.dim, stack(self.effects, self.dim).transpose(0, 2, 1))
 
 
 def max_entangled(d: int) -> BipartiteState:
@@ -135,15 +133,10 @@ def product_state(rho_a: np.ndarray, rho_b: np.ndarray) -> BipartiteState:
 
 def projective_povm(axis: str) -> Povm:
     """Qubit projective measurement along a Pauli axis ('x', 'y' or 'z')."""
-    from .bases import PAULI_X, PAULI_Y, PAULI_Z
-
     sigma = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
     if axis not in sigma:
         raise ValueError(f"unknown axis {axis!r}; expected 'x', 'y' or 'z'")
-    eye = np.eye(2, dtype=complex)
-    plus = 0.5 * (eye + sigma[axis])
-    minus = 0.5 * (eye - sigma[axis])
-    return Povm(2, (plus, minus))
+    return Povm(2, (0.5 * (PAULI_I + sigma[axis]), 0.5 * (PAULI_I - sigma[axis])))
 
 
 def identity_povm(d: int) -> Povm:
@@ -154,8 +147,6 @@ def identity_povm(d: int) -> Povm:
 def magic_povm(c: float) -> Povm:
     """The two-effect qubit POVM {c |m><m|, I - c |m><m|}, with |m> the
     magic state of Bloch vector (1, 1, 1)/sqrt(3).  Requires 0 < c <= 1."""
-    from .bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-
     if not 0 < c <= 1:
         raise ValueError("magic_povm requires 0 < c <= 1")
     m = 0.5 * (PAULI_I + (PAULI_X + PAULI_Y + PAULI_Z) / np.sqrt(3))

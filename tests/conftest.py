@@ -1,10 +1,22 @@
 """Shared helpers for building non-optimal decompositions and measuring how
 far a decomposition sits from the proportionality structure of the optimal
-family."""
+family, and seeded near-maximally-entangled states."""
 
 import numpy as np
 
-from minsep.decompositions import SeparableDecomposition
+from minsep.decompositions import SeparableDecomposition, random_unitary
+from minsep.states import BipartiteState
+
+
+def near_max_entangled(seed, d):
+    """(U tensor V) sum_i sqrt(lam_i) |ii> with lam within 20% of uniform, so
+    min lam > 1/d^2 and both conditions of the transported construction hold."""
+    rng = np.random.default_rng(seed)
+    lam = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, d)
+    lam /= lam.sum()
+    psi = random_unitary(d, seed + 1) @ np.diag(np.sqrt(lam)) @ random_unitary(d, seed + 2).T
+    v = psi.reshape(-1)
+    return BipartiteState(d, d, np.outer(v, v.conj()))
 
 
 def random_mixed_decomposition(os, seed):

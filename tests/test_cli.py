@@ -1,6 +1,10 @@
 """Command line interface: reports, claims, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +14,8 @@ from minsep.cli import main
 from minsep.decompositions import SeparableDecomposition
 from minsep.feasibility import StateSpace, separable_feasible
 from minsep.states import random_density
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -264,6 +270,33 @@ class TestErrors:
     def test_bad_fixture_exits_1(self, capsys):
         code = main(["schmidt", "--state", "random:1:2"])
         assert code == 1
+
+
+    def test_non_finite_c_is_one_error_line(self):
+        # A fresh interpreter, so any numpy warning would reach stderr.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for theorem, c in (("2", "nan"), ("2", "inf"), ("1", "nan")):
+            argv = ["decompose", "--theorem", theorem, "--state", "bell", "--c", c]
+            proc = subprocess.run(
+                [sys.executable, "-m", "minsep.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr == "error: c must be finite\n"
+
+    def test_mixed_shape_decomposition_file_exits_1(self, capsys, tmp_path):
+        eye2, eye3 = np.eye(2), np.eye(3)
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({
+            "p": [0.5, 0.5],
+            "A": [serialize.encode_matrix(eye2), serialize.encode_matrix(eye3)],
+            "B": [serialize.encode_matrix(eye2), serialize.encode_matrix(eye2)],
+            "meta": None,
+        }))
+        code = main(["lhv", "--decomposition", str(path), "--povm-a", "z"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: decomposition: A[1] has shape (3, 3), expected (2, 2)\n"
 
 
 class TestDeterminism:

@@ -1,13 +1,17 @@
-"""Matrix arithmetic: Kronecker products, realignment, SVD."""
+"""Matrix arithmetic: Kronecker products, realignment, SVD, operator families."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from minsep.core import check_svd, frob_norm, kron, realign, svd, svd_residual, unrealign
-from minsep.states import bell_state, random_density
+from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, pauli_basis
+from minsep.core import check_svd, family, frob_norm, kron, realign, svd, svd_residual, unrealign
+from minsep.crossnorm import operator_coefficients
+from minsep.decompositions import SeparableDecomposition
+from minsep.feasibility import StateSpace
+from minsep.schmidt import OperatorSchmidt
+from minsep.states import Povm, bell_state, random_density
 
 
 def singular_values_charpoly(m: np.ndarray) -> np.ndarray:
@@ -143,3 +147,89 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
+
+
+class TestFamily:
+    """One validator for every tuple of d x d operators; a single fault is
+    reported with the message the per-member checks gave."""
+
+    def test_returns_read_only_complex_views(self):
+        ops = family(([[1, 0], [0, 1]], PAULI_X, PAULI_Y), "ops", 2)
+        assert isinstance(ops, tuple) and len(ops) == 3
+        for op, ref in zip(ops, (PAULI_I, PAULI_X, PAULI_Y)):
+            assert op.dtype == complex and op.shape == (2, 2)
+            assert not op.flags.writeable
+            np.testing.assert_array_equal(op, ref)
+        assert ops[0].base is ops[1].base  # one stacked array
+
+    def test_copies_its_input(self):
+        src = np.eye(2, dtype=complex)
+        ops = family((src,), "ops")
+        src[0, 0] = 5.0
+        assert ops[0][0, 0] == 1.0
+
+    def test_empty_family(self):
+        assert family((), "ops", 3) == ()
+        assert family((), "ops") == ()
+
+    @pytest.mark.parametrize(
+        "ops, d, message",
+        [
+            ((np.eye(2), np.eye(2), np.eye(3)), 2, "X[2] has shape (3, 3), expected (2, 2)"),
+            ((np.eye(2), np.eye(3)), None, "X[1] has shape (3, 3), expected (2, 2)"),
+            ((np.ones((2, 3)),), None, "X[0] has shape (2, 3), expected (2, 2)"),
+            ((np.eye(2), np.ones(4)), 2, "X[1] must be two-dimensional, got shape (4,)"),
+            ((np.eye(2), np.diag([1.0, np.nan])), 2, "X[1] contains non-finite entries"),
+            ((np.diag([1j * np.inf, 0.0]), np.eye(2)), 2, "X[0] contains non-finite entries"),
+        ],
+    )
+    def test_single_fault_message(self, ops, d, message):
+        with pytest.raises(ValueError) as info:
+            family(ops, "X", d)
+        assert str(info.value) == message
+
+    def test_every_family_type_uses_it(self):
+        bad = (np.eye(2), np.eye(3))
+        cases = [
+            (
+                lambda: SeparableDecomposition(np.full(2, 0.5), bad, bad),
+                "A[1] has shape (3, 3), expected (2, 2)",
+            ),
+            (
+                lambda: StateSpace(2, (np.eye(2), np.full((2, 2), np.inf))),
+                "generators[1] contains non-finite entries",
+            ),
+            (lambda: OperatorBasis(2, bad, 2.0), "ops[1] has shape (3, 3), expected (2, 2)"),
+            (
+                lambda: Povm(2, (np.eye(2), np.ones(2))),
+                "effects[1] must be two-dimensional, got shape (2,)",
+            ),
+            (
+                lambda: Povm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0]))),
+                "effects[1] is not positive semidefinite",
+            ),
+            (
+                lambda: Povm(2, (PAULI_I + 0.1j * PAULI_X, -0.1j * PAULI_X)),
+                "effects[0] is not positive semidefinite",
+            ),
+            (
+                lambda: operator_coefficients(bad, pauli_basis().ops),
+                "ops[1] has shape (3, 3), expected (2, 2)",
+            ),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_schmidt_frames(self):
+        X = (PAULI_I / np.sqrt(2), PAULI_Z / np.sqrt(2))
+        with pytest.raises(ValueError, match=r"^Y\[1\] has shape \(3, 3\), expected \(2, 2\)$"):
+            OperatorSchmidt(2, 2, np.array([1.0, 0.5]), X, (X[0], np.eye(3)))
+        with pytest.raises(ValueError, match=r"^X\[0\] contains non-finite entries$"):
+            OperatorSchmidt(2, 2, np.array([1.0]), (np.full((2, 2), np.nan),), X[:1])
+
+    def test_empty_spaces_and_bases_accepted(self):
+        assert len(StateSpace(3, ())) == 0
+        assert len(StateSpace(3, (), "conic", include_quantum=True)) == 0
+        assert len(OperatorBasis(3, (), 3.0)) == 0

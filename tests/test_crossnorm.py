@@ -13,8 +13,8 @@ from minsep.crossnorm import (
     operator_coefficients,
     scaled_vec_norm,
 )
-from minsep.decompositions import attach_coefficients, cross_norm_decomposition
-from minsep.schmidt import normalized_form, operator_schmidt
+from minsep.decompositions import attach_coefficients, cross_norm_decomposition, normalized_form
+from minsep.schmidt import operator_schmidt
 from minsep.states import bell_state, max_entangled, product_state, random_density
 
 

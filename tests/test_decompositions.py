@@ -1,5 +1,7 @@
 """Cross-norm-attaining and equal-norm decomposition constructions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import dft, hadamard
@@ -127,6 +129,29 @@ class TestCrossNormFamily:
             cross_norm_decomposition(os, DiagonalScaling.identity(3), eye, np.full(4, 0.25), np.ones(4))
         with pytest.raises(ValueError, match="positive"):
             cross_norm_decomposition(os, scaling, eye, np.full(4, 0.25), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_p_or_c_rejected_before_dividing(self, bad):
+        os = operator_schmidt(bell_state())
+        eye = np.eye(4, dtype=complex)
+        scaling = DiagonalScaling.identity(4)
+        p = np.array([0.25, bad, 0.25, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a divide warning would fail the test
+            with pytest.raises(ValueError, match="^p must be finite$"):
+                cross_norm_decomposition(os, scaling, eye, p, np.ones(4))
+            with pytest.raises(ValueError, match="^c must be finite$"):
+                cross_norm_decomposition(os, scaling, eye, np.full(4, 0.25), bad)
+            with pytest.raises(ValueError, match="^c must be finite$"):
+                equal_norm_decomposition(os, scaling, eye, bad)
+            with pytest.raises(ValueError, match="^c must be finite$"):
+                hermitian_decomposition(os, scaling, np.eye(4), bad)
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"^A\[1\] has shape \(3, 3\), expected \(2, 2\)$"):
+            SeparableDecomposition(np.full(2, 0.5), (np.eye(2), np.eye(3)), (np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match=r"^B\[0\] has shape \(2, 3\), expected \(2, 2\)$"):
+            SeparableDecomposition(np.ones(1), (np.eye(2),), (np.ones((2, 3)),))
 
 
 class TestEqualNormFamily:

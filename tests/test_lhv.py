@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import near_max_entangled
+from minsep import lhv
 from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_point_operators
 from minsep.decompositions import SeparableDecomposition
 from minsep.lhv import (
@@ -13,7 +15,15 @@ from minsep.lhv import (
     lhv_probability,
     povm_scan,
 )
+from minsep.schmidt import operator_schmidt
 from minsep.states import bell_state, identity_povm, magic_povm, projective_povm
+from minsep.transport import (
+    build_maps,
+    build_w_basis,
+    check_condition_a,
+    construct_alignment,
+    transported_decomposition,
+)
 
 
 def phase_point_decomposition():
@@ -200,3 +210,118 @@ class TestPovmScan:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             povm_scan(phase_point_decomposition(), family="nope")
+
+
+# The bisection povm_scan used to locate the magic threshold with, kept as
+# the oracle.
+def bisection_threshold(dec):
+    def succeeds(c):
+        povm = magic_povm(c)
+        try:
+            build_lhv(dec, povm, povm.transpose())
+            return True
+        except LhvConstructionError:
+            return False
+
+    lo, hi = 0.0, 1.0
+    if succeeds(1.0):
+        return 1.0
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if succeeds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# Seeds 0-15 give c* = 0; 38, 41, 42 and 106 (one of their two alignments
+# each) give 0 < c* < 1, the interval's upper end.
+MAGIC_SEEDS = (*range(16), 38, 41, 42, 106)
+
+
+def transported_qubit_decompositions(seeds=MAGIC_SEEDS):
+    for seed in seeds:
+        os = operator_schmidt(near_max_entangled(seed, 2))
+        cond_a = check_condition_a(os)
+        maps = build_maps(os)
+        for t_seed in (None, seed):
+            w = build_w_basis(maps, construct_alignment(cond_a, seed=t_seed))
+            yield transported_decomposition(maps, w)
+
+
+MAGIC_AXIS = (PAULI_X + PAULI_Y + PAULI_Z) / np.sqrt(3)
+
+
+def single_term(a, weight=1.0, b=PAULI_I / 2):
+    """The one-term decomposition weight * a tensor b."""
+    return SeparableDecomposition(np.full(1, weight), (a,), (b,))
+
+
+def bloch_operator(lam):
+    """(I + lam n.sigma) / 2 with n the magic axis: tr = 1 and tr(O m) = (1 + lam) / 2,
+    so c* = min(1, 2 / (1 + lam)) for lam >= -1, and 0 below."""
+    return (PAULI_I + lam * MAGIC_AXIS) / 2
+
+
+class TestMagicThresholdClosedForm:
+    @pytest.mark.parametrize("lam, expected", [(0.5, 1.0), (1.0002, 2 / 2.0002), (3.0, 0.5), (-2.0, 0.0)])
+    def test_single_term(self, lam, expected):
+        report = povm_scan(single_term(bloch_operator(lam)), family="magic")
+        assert abs(report.threshold - expected) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "dec",
+        [
+            single_term(PAULI_I / 2, weight=2.0),  # hidden weights sum to 2 at every c
+            single_term((PAULI_I + 0.3j * PAULI_Z) / 2),  # complex response at every c
+            single_term(-bloch_operator(-3.0), b=-bloch_operator(-3.0).T),  # traces -1, responses 1
+            stabiliser_decomposition(),  # traceless terms that respond
+        ],
+        ids=["unnormalised", "complex", "negative-trace", "pauli-frame"],
+    )
+    def test_failing_at_every_strength_gives_zero(self, dec):
+        report = povm_scan(dec, family="magic", budget=8)
+        assert report.threshold == 0.0
+        assert not any(row.success for row in report.rows)
+
+    def test_phase_point_is_sqrt3_minus_1(self):
+        report = povm_scan(phase_point_decomposition(), family="magic")
+        assert abs(report.threshold - (np.sqrt(3) - 1)) <= 1e-15
+
+    def test_agrees_with_bisection(self):
+        inside = 0
+        edges = [single_term(bloch_operator(lam)) for lam in (0.5, 1.0002, 1.5, -2.0)]
+        edges += [
+            single_term(PAULI_I / 2, weight=2.0),
+            single_term((PAULI_I + 0.3j * PAULI_Z) / 2),
+            single_term(-bloch_operator(-3.0), b=-bloch_operator(-3.0).T),
+        ]
+        for dec in [phase_point_decomposition(), *edges, *transported_qubit_decompositions()]:
+            report = povm_scan(dec, family="magic")
+            c_star = report.threshold
+            lo = bisection_threshold(dec)
+            assert lo <= c_star <= lo + 1e-6
+            for row in report.rows:
+                assert row.success == (float(row.label.split(":")[1]) <= c_star), row.label
+            if 0.0 < c_star < 1.0:
+                inside += 1
+                povm = magic_povm(c_star * (1 + 1e-6))
+                with pytest.raises(LhvConstructionError):
+                    build_lhv(dec, povm, povm.transpose())
+        assert inside >= 5  # the interval's upper end is exercised, not only 0 and 1
+
+    @pytest.mark.parametrize("budget", [1, 4, 16])
+    def test_at_most_budget_plus_one_build_lhv_calls(self, monkeypatch, budget):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_lhv(*args, **kwargs)
+
+        monkeypatch.setattr(lhv, "build_lhv", counting)
+        decs = [phase_point_decomposition(), *transported_qubit_decompositions((0, 106))]
+        for dec in decs:
+            calls.clear()
+            povm_scan(dec, family="magic", budget=budget)
+            assert 0 < len(calls) <= budget + 1

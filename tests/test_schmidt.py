@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from minsep import schmidt
 from minsep.bases import pauli_basis
-from minsep.core import realign
-from minsep.schmidt import OperatorSchmidt, normalized_form, operator_schmidt, reconstruct
+from minsep.core import is_hermitian, realign
+from minsep.decompositions import normalized_form
+from minsep.schmidt import OperatorSchmidt, operator_schmidt, reconstruct
 from minsep.states import bell_state, max_entangled, product_state, random_density
+from minsep.tolerances import ATOL, RANK_CUTOFF
 
+from conftest import near_max_entangled
 from test_core import singular_values_gram
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
@@ -168,3 +172,58 @@ class TestValidation:
             os.s[0] = 1.0
         with pytest.raises(ValueError):
             os.X[0][0, 0] = 1.0
+
+
+# The tuple-key sort _canonical_order used to be, kept as the oracle.
+def tuple_key_order(s, Xs, Ys, herm):
+    fixed = []
+    for si, x, y, h in zip(s, Xs, Ys, herm):
+        v = x.reshape(-1)
+        idx = np.flatnonzero(np.abs(v) > 1e-8)
+        if len(idx):
+            lead = v[idx[0]]
+            flip = lead.real < -1e-12 or (abs(lead.real) <= 1e-12 and lead.imag < 0)
+            if flip:
+                x, y = -x, -y
+        key = tuple((round(c.real, 10), round(c.imag, 10)) for c in x.reshape(-1))
+        fixed.append((si, key, x, y, h))
+    fixed.sort(key=lambda t: (-round(t[0], 12), t[1]))
+    s_out = np.array([t[0] for t in fixed])
+    return s_out, [t[2] for t in fixed], [t[3] for t in fixed], [t[4] for t in fixed]
+
+
+def random_operator(seed, dA, dB):
+    rng = np.random.default_rng(seed)
+    n = dA * dB
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+ORDER_CASES = (
+    [("bell", bell_state().rho, 2, 2)]
+    + [(f"max-entangled-{d}", max_entangled(d).rho, d, d) for d in range(2, 9)]
+    + [
+        (f"near-max-{d}/{seed}", near_max_entangled(seed, d).rho, d, d)
+        for d in (2, 3, 4, 6, 8)
+        for seed in (7, 8)
+    ]
+    + [
+        (f"random-{dA}x{dB}/{seed}", random_density(seed, dA, dB).rho, dA, dB)
+        for dA, dB in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
+        for seed in (5, 6)
+    ]
+    + [(f"general-{dA}x{dB}", random_operator(9, dA, dB), dA, dB) for dA, dB in ((2, 2), (2, 3))]
+)
+
+
+@pytest.mark.parametrize("name, rho, dA, dB", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
+def test_lexsort_order_matches_tuple_key_sort(name, rho, dA, dB):
+    """The array sort gives bit-identical s, X and Y, signed zeros included,
+    on degenerate (Bell, max_entangled) and generic spectra alike."""
+    raw = schmidt._schmidt_hermitian if is_hermitian(rho, ATOL) else schmidt._schmidt_general
+    s, xs, ys, herm = raw(rho, dA, dB, RANK_CUTOFF)
+    s_ref, xs_ref, ys_ref, herm_ref = tuple_key_order(s, xs, ys, herm)
+    os = operator_schmidt(rho, dims=(dA, dB))
+    assert os.s.tobytes() == s_ref.tobytes()
+    assert np.array(os.X).tobytes() == np.array(xs_ref).tobytes()
+    assert np.array(os.Y).tobytes() == np.array(ys_ref).tobytes()
+    assert os.hermitian == tuple(bool(h) for h in herm_ref)
