@@ -8,6 +8,7 @@ partial collections (used as fixtures) are allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -122,11 +123,13 @@ def phase_point_operators() -> OperatorBasis:
     return OperatorBasis(2, ops, 2.0)
 
 
+@cache
 def hermitian_basis(d: int) -> OperatorBasis:
     """A complete Hermitian basis with kappa = d: identity plus generalised
     Gell-Mann matrices scaled to tr(G_i G_j) = d delta_ij.
 
-    The identity comes first; at d = 2 this reproduces the Pauli basis.
+    The identity comes first; at d = 2 this reproduces the Pauli basis.  The
+    basis is immutable, so one instance per d is built and shared.
     """
     if d < 1:
         raise ValueError("hermitian_basis requires d >= 1")

@@ -143,14 +143,14 @@ def _check_spaces(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> None:
         raise ValueError("the two state spaces must share a mode")
 
 
-def _verdict(rho, va, vb, cols, q, eps_feas) -> FeasibilityResult:
+def _verdict(rho, va, vb, cols, q) -> FeasibilityResult:
     """Residual, simplex violation and verdict of the weights q on the columns
     vec(A_i tensor B_j); a negative weight is outside the hull."""
     residual = float(np.linalg.norm(rho.rho.reshape(-1) - cols @ q))
     violation = abs(float(np.sum(q)) - 1.0) if va.mode == "convex" else 0.0
     feasible = (
         bool(np.all(q >= 0))
-        and residual <= eps_feas
+        and residual <= FEAS_TOL
         and (va.mode == "conic" or violation <= 1e-6)
     )
     return FeasibilityResult(feasible, q.reshape(len(va), len(vb)), residual, violation)
@@ -160,7 +160,6 @@ def separable_feasible(
     rho: BipartiteState,
     va: StateSpace,
     vb: StateSpace,
-    eps_feas: float = FEAS_TOL,
     maxiter: int | None = None,
 ) -> FeasibilityResult:
     """Best nonnegative fit of rho by products of generators of va and vb.
@@ -174,7 +173,7 @@ def separable_feasible(
     ncols = len(va) * len(vb)
     cols = _product_columns(va.generators, vb.generators, rho.dA, rho.dB)
     if ncols == 0:
-        return _verdict(rho, va, vb, cols, np.zeros(0), eps_feas)
+        return _verdict(rho, va, vb, cols, np.zeros(0))
 
     design = np.vstack([cols.real, cols.imag])
     target = np.concatenate([rho.rho.reshape(-1).real, rho.rho.reshape(-1).imag])
@@ -185,7 +184,7 @@ def separable_feasible(
         target = np.concatenate([target, [w]])
 
     q = _nnls(design, target, maxiter)
-    return _verdict(rho, va, vb, cols, q, eps_feas)
+    return _verdict(rho, va, vb, cols, q)
 
 
 def weights_feasible(
@@ -204,7 +203,7 @@ def weights_feasible(
     if q.shape != (len(va), len(vb)):
         raise ValueError(f"weights have shape {q.shape}, expected {(len(va), len(vb))}")
     cols = _product_columns(va.generators, vb.generators, rho.dA, rho.dB)
-    return _verdict(rho, va, vb, cols, q.reshape(-1), FEAS_TOL)
+    return _verdict(rho, va, vb, cols, q.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -302,7 +301,6 @@ def quantum_augmented_feasible(
     vb: StateSpace,
     sample_budget: int,
     seed: int,
-    eps_feas: float = FEAS_TOL,
 ) -> FeasibilityResult:
     """Separable fit against spaces augmented with sampled quantum states.
 
@@ -322,4 +320,4 @@ def quantum_augmented_feasible(
     for space in (va, vb):
         extra = _pure_projector_samples(space.dim, sample_budget, rng) if space.include_quantum else ()
         spaces.append(StateSpace(space.dim, space.generators + extra, space.mode))
-    return separable_feasible(rho, *spaces, eps_feas=eps_feas)
+    return separable_feasible(rho, *spaces)

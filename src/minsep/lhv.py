@@ -9,13 +9,18 @@ contribute nothing -- but only if that side's responses all vanish; a
 traceless operator that still responds to some effect carries correlation no
 classical weight can represent, and the construction fails.
 
-The resulting model is an exact identity, not an approximation: the maximum
-deviation from the Born probabilities is verified at build time.
+The resulting model is an exact identity, not an approximation, and it is
+verified at build time from the two response tables T_a = [tr(A^k M_i)] and
+T_b = [tr(B^k N_j)] alone: the Born probabilities tr(rho M_i tensor N_j) are
+Re(T_a^T diag(q) T_b), the model's are (p r_a)^T r_b, and the largest
+entrywise difference must stay within ``BORN_TOL``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,18 +62,18 @@ class LhvModel:
             raise ValueError("hidden weights must be nonnegative")
         if abs(float(np.sum(p)) - 1.0) > 1e-6:
             raise ValueError(f"hidden weights sum to {np.sum(p):.9g}, expected 1")
+        dropped = tuple(int(i) for i in self.dropped)
+        live = ~np.isin(np.arange(len(p)), dropped)
         for name, table in (("response_a", ra), ("response_b", rb)):
-            if table.shape[0] != len(p):
+            if table.ndim != 2 or len(table) != len(p):
                 raise ValueError(f"{name} must have one row per term")
-            for i, row in enumerate(table):
-                if i in self.dropped:
-                    continue
-                if np.any(row < 0) or abs(float(np.sum(row)) - 1.0) > 1e-9:
-                    raise ValueError(f"{name} row {i} is not a probability distribution")
+            bad = live & (np.any(table < 0, axis=1) | (np.abs(table.sum(axis=1) - 1.0) > 1e-9))
+            if bad.any():
+                raise ValueError(f"{name} row {np.argmax(bad)} is not a probability distribution")
         object.__setattr__(self, "hidden_weights", p)
         object.__setattr__(self, "response_a", ra)
         object.__setattr__(self, "response_b", rb)
-        object.__setattr__(self, "dropped", tuple(int(i) for i in self.dropped))
+        object.__setattr__(self, "dropped", dropped)
 
 
 def _responses(ops, povm: Povm) -> np.ndarray:
@@ -76,117 +81,115 @@ def _responses(ops, povm: Povm) -> np.ndarray:
 
     tr(O M) = vec(O) . vec(M^T), so the table is one matrix product.
     """
+    if len(ops[0]) != povm.dim:
+        raise ValueError(f"POVM dimension {povm.dim} does not match operator dimension {len(ops[0])}")
     effects_t = stack(povm.effects, povm.dim).transpose(0, 2, 1).reshape(len(povm), -1)
     return stack(ops, povm.dim).reshape(len(ops), -1) @ effects_t.T
 
 
-def _real_responses(resp: np.ndarray, term: int) -> np.ndarray:
-    worst = int(np.argmax(np.abs(resp.imag)))
-    if np.abs(resp.imag[worst]) > ATOL:
-        raise LhvConstructionError(
-            f"term {term}: response to effect {worst} is complex "
-            f"({resp[worst]:.3e}); no classical model",
-            term=term,
-            effect=worst,
+# The classical-model rules, in the order a term's first failure is reported.
+_RULES = (("complex", "A"), ("complex", "B"), ("traceless", "A"), ("traceless", "B"),
+          ("negative", "A"), ("trace", "A"), ("negative", "B"), ("trace", "B"))
+_NEGATIVE = [i for i, (rule, _) in enumerate(_RULES) if rule == "negative"]
+_MESSAGES = {
+    "complex": "response to effect {i} is complex ({v:.3e}); no classical model",
+    "traceless": "side-{side} operator is traceless but responds to effect {i} with weight {v.real:.3e}",
+    "negative": "side-{side} response to effect {i} is negative ({v.real:.3e}); "
+    "operator is not generalised positive",
+    "trace": "side-{side} operator has nonpositive trace {t:.3e}",
+}
+
+
+class _Terms(NamedTuple):
+    """The classical-model rules applied to every term of a decomposition."""
+
+    tables: tuple  # responses tr(O_k M_i) of sides A and B, [term, effect]
+    tr: np.ndarray  # traces [side, term]: each table row sums to tr(O_k)
+    kept: np.ndarray  # the terms with no traceless side
+    weights: np.ndarray  # hidden weights q_k tr(A_k) tr(B_k), 0 on dropped terms
+    normalised: bool  # whether the hidden weights sum to 1
+    bad: np.ndarray  # [rule, term]: which of _RULES rejects which term
+    effect: np.ndarray  # [rule, term]: the effect a rejection names, -1 for none
+
+    def failure(self) -> LhvConstructionError | None:
+        """The first failing term's first failing rule, else the weight sum."""
+        failing = self.bad.any(axis=0)
+        if failing.any():
+            k = int(np.argmax(failing))
+            rule = int(np.argmax(self.bad[:, k]))
+            kind, side = _RULES[rule]
+            s, i = "AB".index(side), int(self.effect[rule, k])
+            text = _MESSAGES[kind].format(i=i, side=side, v=self.tables[s][k, i], t=self.tr[s, k])
+            return LhvConstructionError(f"term {k}: {text}", term=k, effect=None if i < 0 else i)
+        if self.normalised:
+            return None
+        return LhvConstructionError(
+            f"hidden weights sum to {np.sum(self.weights):.9g}; decomposition is not normalised"
         )
-    return resp.real
 
 
-def generalized_positive(x, povm: Povm, tol: float = ATOL) -> bool:
-    """Whether tr(x M) >= -tol for every effect M and tr(x) > tol.
+def _rules(p: np.ndarray, tables: tuple) -> _Terms:
+    """Apply the classical-model rules to all terms at once, as masks: a
+    response is complex, or a traceless side responds, past ATOL (a silent
+    traceless side drops its term); a kept side fails with a response below
+    -ATOL or a trace at most ATOL."""
+    real = [t.real for t in tables]
+    tr = np.array([r.sum(axis=1) for r in real])
+    traceless = np.abs(tr) <= ATOL
+    kept = ~traceless.any(axis=0)
+    imag, size = [np.abs(t.imag) for t in tables], [np.abs(r) for r in real]
+    rules = [(x.max(axis=1) > ATOL, x.argmax(axis=1)) for x in imag]
+    rules += [(t & (x.max(axis=1) > ATOL), x.argmax(axis=1)) for t, x in zip(traceless, size)]
+    none = np.full(len(p), -1)
+    for r, t in zip(real, tr):
+        rules += [(kept & (r.min(axis=1) < -ATOL), r.argmin(axis=1)), (kept & (t <= ATOL), none)]
+    bad, effect = (np.array(x) for x in zip(*rules))
+    weights = np.where(kept, p * tr[0] * tr[1], 0.0)
+    return _Terms(tables, tr, kept, weights, abs(float(np.sum(weights)) - 1.0) <= 1e-6, bad, effect)
+
+
+def generalized_positive(x, povm: Povm) -> bool:
+    """Whether tr(x M) >= -ATOL for every effect M and tr(x) > ATOL.
 
     This is positivity relative to the measurement class: a non-PSD operator
     can still behave as a valid state for every effect of this POVM.
     """
     x = as_matrix(x, "x")
-    tr = complex(np.trace(x))
-    if abs(tr.imag) > tol or tr.real <= tol:
-        return False
     resp = _responses([x], povm)[0]
-    if np.max(np.abs(resp.imag)) > tol:
+    tr = complex(np.trace(x))
+    if abs(tr.imag) > ATOL or tr.real <= ATOL:
         return False
-    return bool(np.min(resp.real) >= -tol)
+    if np.max(np.abs(resp.imag)) > ATOL:
+        return False
+    return bool(np.min(resp.real) >= -ATOL)
 
 
-def build_lhv(
-    dec: SeparableDecomposition,
-    povm_a: Povm,
-    povm_b: Povm,
-    verify_tol: float = BORN_TOL,
-) -> LhvModel:
+def build_lhv(dec: SeparableDecomposition, povm_a: Povm, povm_b: Povm) -> LhvModel:
     """Construct the classical model of a decomposition for one POVM pair.
 
     Raises :class:`LhvConstructionError` when a term violates generalised
     positivity, when a traceless term still responds to some effect, or when
     the assembled model fails to reproduce the Born probabilities (which
-    happens when dropped terms carried correlation).
+    happens when dropped terms carried correlation).  The Born check runs on
+    the response tables T_a and T_b: tr(rho M_i tensor N_j) for rho = sum_k
+    q_k A_k tensor B_k is Re(T_a^T diag(q) T_b), the model's (p r_a)^T r_b.
     """
-    n = dec.terms
-    ra = np.zeros((n, len(povm_a)))
-    rb = np.zeros((n, len(povm_b)))
-    weights = np.zeros(n)
-    dropped = []
-    table_a = _responses(dec.A, povm_a)
-    table_b = _responses(dec.B, povm_b)
-    for k, qk in enumerate(dec.p):
-        resp_a = _real_responses(table_a[k], k)
-        resp_b = _real_responses(table_b[k], k)
-        tr_a = float(np.sum(resp_a))  # completeness: responses sum to tr(op)
-        tr_b = float(np.sum(resp_b))
-        drop = False
-        for side, tr, resp in (("A", tr_a, resp_a), ("B", tr_b, resp_b)):
-            if abs(tr) <= ATOL:
-                worst = int(np.argmax(np.abs(resp)))
-                if abs(resp[worst]) > ATOL:
-                    raise LhvConstructionError(
-                        f"term {k}: side-{side} operator is traceless but responds "
-                        f"to effect {worst} with weight {resp[worst]:.3e}",
-                        term=k,
-                        effect=worst,
-                    )
-                drop = True
-        if drop:
-            dropped.append(k)
-            continue
-        for side, tr, resp, povm in (("A", tr_a, resp_a, povm_a), ("B", tr_b, resp_b, povm_b)):
-            worst = int(np.argmin(resp))
-            if resp[worst] < -ATOL:
-                raise LhvConstructionError(
-                    f"term {k}: side-{side} response to effect {worst} is negative "
-                    f"({resp[worst]:.3e}); operator is not generalised positive",
-                    term=k,
-                    effect=worst,
-                )
-            if tr <= ATOL:
-                raise LhvConstructionError(
-                    f"term {k}: side-{side} operator has nonpositive trace {tr:.3e}",
-                    term=k,
-                )
-        row_a = np.clip(resp_a, 0.0, None) / tr_a
-        row_b = np.clip(resp_b, 0.0, None) / tr_b
-        ra[k] = row_a / np.sum(row_a)
-        rb[k] = row_b / np.sum(row_b)
-        weights[k] = qk * tr_a * tr_b
-
-    total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-6:
-        raise LhvConstructionError(
-            f"hidden weights sum to {total:.9g}; decomposition is not normalised"
-        )
-
-    model = LhvModel(weights, ra, rb, tuple(dropped), 0.0)
-    rho = dec.reconstruct()
-    deviation = 0.0
-    for i in range(len(povm_a)):
-        for j in range(len(povm_b)):
-            born = born_probability(rho, povm_a, povm_b, i, j)
-            deviation = max(deviation, abs(lhv_probability(model, i, j) - born))
-    if deviation > verify_tol:
+    terms = _rules(dec.p, (_responses(dec.A, povm_a), _responses(dec.B, povm_b)))
+    if (error := terms.failure()) is not None:
+        raise error
+    kept = terms.kept
+    ra, rb = (np.zeros(t.shape) for t in terms.tables)
+    for table, t, tr in zip((ra, rb), terms.tables, terms.tr):
+        rows = np.clip(t.real[kept], 0.0, None) / tr[kept, None]
+        table[kept] = rows / rows.sum(axis=1, keepdims=True)
+    born = ((terms.tables[0].T * dec.p) @ terms.tables[1]).real
+    deviation = float(np.max(np.abs((terms.weights * ra.T) @ rb - born)))
+    if deviation > BORN_TOL:
         raise LhvConstructionError(
             f"model deviates from Born probabilities by {deviation:.3e}; "
             f"dropped terms carried correlation for this POVM pair"
         )
-    return LhvModel(weights, ra, rb, tuple(dropped), deviation)
+    return LhvModel(terms.weights, ra, rb, tuple(np.flatnonzero(~kept)), deviation)
 
 
 def lhv_probability(model: LhvModel, k: int, l: int) -> float:
@@ -228,13 +231,11 @@ def _attempt(dec, label, povm_a, povm_b) -> ScanRecord:
         return ScanRecord(label, False, None, str(exc))
 
 
-def pauli_pairs() -> list[tuple[str, Povm, Povm]]:
+@cache
+def pauli_pairs() -> tuple[tuple[str, Povm, Povm], ...]:
     """The trivial identity pair plus all nine projective Pauli pairs."""
-    pairs = [("identity|identity", identity_povm(2), identity_povm(2))]
-    for wa in "xyz":
-        for wb in "xyz":
-            pairs.append((f"{wa}|{wb}", projective_povm(wa), projective_povm(wb)))
-    return pairs
+    pauli = tuple((f"{a}|{b}", projective_povm(a), projective_povm(b)) for a in "xyz" for b in "xyz")
+    return (("identity|identity", identity_povm(2), identity_povm(2)), *pauli)
 
 
 def _magic_threshold(dec: SeparableDecomposition) -> float:
@@ -253,22 +254,19 @@ def _magic_threshold(dec: SeparableDecomposition) -> float:
     c <= c* = min(1, min t / mu over the sides with t - mu < 0), where the
     model is an exact identity and the Born check holds.  As ``build_lhv``
     accepts responses down to -ATOL, it succeeds up to ATOL / mu past c*.
+
+    Of the rules ``build_lhv`` applies at c = 1 only a smallest response
+    t - mu < 0 depends on c: if mu < 0 as well, t < 0 fails the trace rule.
     """
     povm = magic_povm(1.0)
-    resp = np.stack([_responses(dec.A, povm), _responses(dec.B, povm.transpose())])
-    mu, rest, tr = resp.real[..., 0], resp.real[..., 1], resp.real.sum(axis=2)
-    traceless = np.abs(tr) <= ATOL  # [side, term]
-    kept = ~traceless.any(axis=0)
-    if (
-        np.any(np.abs(resp.imag) > ATOL)
-        or np.any(traceless[..., None] & (np.abs(resp.real) > ATOL))
-        or np.any(mu[:, kept] < -ATOL)
-        or np.any(tr[:, kept] <= ATOL)
-        or abs(float(np.sum(dec.p[kept] * tr[0, kept] * tr[1, kept])) - 1.0) > 1e-6
-    ):
+    terms = _rules(dec.p, (_responses(dec.A, povm), _responses(dec.B, povm.transpose())))
+    bad = terms.bad.copy()
+    cut = bad[_NEGATIVE] & (terms.effect[_NEGATIVE] == 1)  # [side, term]: t - mu < -ATOL
+    bad[_NEGATIVE] &= ~cut
+    if bad.any() or not terms.normalised:
         return 0.0
-    over = kept & (rest < -ATOL)
-    return float(np.min(tr[over] / mu[over], initial=1.0))
+    mu = np.array([t[:, 0].real for t in terms.tables])
+    return float(np.min(terms.tr[cut] / mu[cut], initial=1.0))
 
 
 def povm_scan(
@@ -287,21 +285,21 @@ def povm_scan(
     iterable of (label, povm_a, povm_b) triples is also accepted.  The scan is
     deterministic for fixed inputs.
     """
-    if isinstance(family, str):
-        if family == "pauli":
-            rows = tuple(_attempt(dec, label, pa, pb) for label, pa, pb in pauli_pairs())
-            return ScanReport("pauli", rows)
-        if family == "magic":
-            def attempt(c: float) -> ScanRecord:
-                povm = magic_povm(c)
-                return _attempt(dec, f"magic:{c:.8f}", povm, povm.transpose())
-
-            rows = tuple(attempt((i + 1) / budget) for i in range(budget))
-            threshold = _magic_threshold(dec)
-            if threshold > 0:  # the Born verification; raises if it fails
-                povm = magic_povm(threshold)
-                build_lhv(dec, povm, povm.transpose())
-            return ScanReport("magic", rows, threshold=threshold)
+    if isinstance(family, str) and family not in ("pauli", "magic"):
         raise ValueError(f"unknown POVM family {family!r}")
-    rows = tuple(_attempt(dec, label, pa, pb) for label, pa, pb in family)
-    return ScanReport("custom", rows)
+    if family == "magic":
+        if budget < 1:
+            raise ValueError(f"the magic family needs a budget of at least 1, got {budget}")
+
+        def attempt(c: float) -> ScanRecord:
+            povm = magic_povm(c)
+            return _attempt(dec, f"magic:{c:.8f}", povm, povm.transpose())
+
+        rows = tuple(attempt((i + 1) / budget) for i in range(budget))
+        threshold = _magic_threshold(dec)
+        if threshold > 0:  # the Born verification; raises if it fails
+            povm = magic_povm(threshold)
+            build_lhv(dec, povm, povm.transpose())
+        return ScanReport("magic", rows, threshold=threshold)
+    name, pairs = ("pauli", pauli_pairs()) if family == "pauli" else ("custom", family)
+    return ScanReport(name, tuple(_attempt(dec, label, pa, pb) for label, pa, pb in pairs))

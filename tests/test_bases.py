@@ -90,6 +90,13 @@ class TestHermitianBasis:
         unit = basis.rescaled(1.0)
         np.testing.assert_allclose(gram(unit.ops), np.eye(9), atol=1e-12)
 
+    def test_built_once_per_dimension(self):
+        basis = hermitian_basis(3)
+        assert hermitian_basis(3) is basis
+        assert hermitian_basis(2) is not basis
+        for op in basis.ops:
+            assert not op.flags.writeable
+
 
 class TestCoefficients:
     def test_round_trip(self):

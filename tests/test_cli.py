@@ -246,6 +246,28 @@ class TestScan:
         assert abs(report["result"]["threshold"] - (np.sqrt(3) - 1)) < 1e-5
 
 
+    def test_magic_budget_below_one_exits_1(self, capsys, tmp_path):
+        dec = phase_point_file(tmp_path)
+        for budget in ("0", "-3"):
+            code = main(["scan", "--decomposition", dec, "--family", "magic", "--budget", budget])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == f"error: the magic family needs a budget of at least 1, got {budget}\n"
+
+
+class TestPovmDimension:
+    def test_qubit_povm_on_qutrit_decomposition_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "dec3.json"
+        assert main(["decompose", "--theorem", "3", "--state", "max-entangled:3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        for argv in (["lhv", "--povm-a", "z"], ["scan", "--family", "pauli"], ["scan", "--family", "magic"]):
+            code = main([*argv, "--decomposition", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == "error: POVM dimension 2 does not match operator dimension 3\n"
+
 class TestErrors:
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,7 +6,8 @@ import pytest
 from conftest import near_max_entangled
 from minsep import lhv
 from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_point_operators
-from minsep.decompositions import SeparableDecomposition
+from minsep.crossnorm import DiagonalScaling
+from minsep.decompositions import SeparableDecomposition, cross_norm_decomposition, random_row_isometry
 from minsep.lhv import (
     LhvConstructionError,
     born_probability,
@@ -16,7 +17,8 @@ from minsep.lhv import (
     povm_scan,
 )
 from minsep.schmidt import operator_schmidt
-from minsep.states import bell_state, identity_povm, magic_povm, projective_povm
+from minsep.states import bell_state, identity_povm, magic_povm, projective_povm, random_density
+from minsep.tolerances import ATOL
 from minsep.transport import (
     build_maps,
     build_w_basis,
@@ -212,6 +214,42 @@ class TestPovmScan:
             povm_scan(phase_point_decomposition(), family="nope")
 
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_magic_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget of at least 1"):
+            povm_scan(phase_point_decomposition(), family="magic", budget=budget)
+
+    def test_pauli_pairs_built_once(self):
+        pairs = lhv.pauli_pairs()
+        assert lhv.pauli_pairs() is pairs
+        assert isinstance(pairs, tuple) and len(pairs) == 10
+        for _, pa, pb in pairs:
+            for effect in (*pa.effects, *pb.effects):
+                assert not effect.flags.writeable
+
+
+class TestDimensionMismatch:
+    """A qubit POVM on qutrit operators is named, not a numpy reshape error."""
+
+    MESSAGE = "POVM dimension 2 does not match operator dimension 3"
+    DEC = SeparableDecomposition(np.ones(1), (np.eye(3) / 3,), (np.eye(3) / 3,))
+
+    def test_build_lhv(self):
+        with pytest.raises(ValueError, match=self.MESSAGE) as info:
+            build_lhv(self.DEC, projective_povm("z"), identity_povm(3))
+        assert not isinstance(info.value, LhvConstructionError)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            build_lhv(self.DEC, identity_povm(3), projective_povm("z"))
+
+    def test_generalized_positive(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            generalized_positive(np.eye(3) / 3, projective_povm("z"))
+
+    @pytest.mark.parametrize("family", ["pauli", "magic"])
+    def test_povm_scan(self, family):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            povm_scan(self.DEC, family=family)
+
 # The bisection povm_scan used to locate the magic threshold with, kept as
 # the oracle.
 def bisection_threshold(dec):
@@ -325,3 +363,189 @@ class TestMagicThresholdClosedForm:
             calls.clear()
             povm_scan(dec, family="magic", budget=budget)
             assert 0 < len(calls) <= budget + 1
+
+
+# The per-term loop build_lhv and the stacked _magic_threshold that the
+# single array pass replaced, kept as oracles.
+def oracle_responses(ops, povm):
+    effects_t = np.stack(povm.effects).transpose(0, 2, 1).reshape(len(povm), -1)
+    return np.stack(ops).reshape(len(ops), -1) @ effects_t.T
+
+
+def oracle_real_responses(resp, term):
+    worst = int(np.argmax(np.abs(resp.imag)))
+    if np.abs(resp.imag[worst]) > ATOL:
+        raise LhvConstructionError(
+            f"term {term}: response to effect {worst} is complex "
+            f"({resp[worst]:.3e}); no classical model",
+            term=term,
+            effect=worst,
+        )
+    return resp.real
+
+
+def oracle_build_lhv(dec, povm_a, povm_b):
+    """(hidden weights, response_a, response_b, dropped, born_deviation)."""
+    n = dec.terms
+    ra = np.zeros((n, len(povm_a)))
+    rb = np.zeros((n, len(povm_b)))
+    weights = np.zeros(n)
+    dropped = []
+    table_a = oracle_responses(dec.A, povm_a)
+    table_b = oracle_responses(dec.B, povm_b)
+    for k, qk in enumerate(dec.p):
+        resp_a = oracle_real_responses(table_a[k], k)
+        resp_b = oracle_real_responses(table_b[k], k)
+        tr_a = float(np.sum(resp_a))
+        tr_b = float(np.sum(resp_b))
+        drop = False
+        for side, tr, resp in (("A", tr_a, resp_a), ("B", tr_b, resp_b)):
+            if abs(tr) <= ATOL:
+                worst = int(np.argmax(np.abs(resp)))
+                if abs(resp[worst]) > ATOL:
+                    raise LhvConstructionError(
+                        f"term {k}: side-{side} operator is traceless but responds "
+                        f"to effect {worst} with weight {resp[worst]:.3e}",
+                        term=k,
+                        effect=worst,
+                    )
+                drop = True
+        if drop:
+            dropped.append(k)
+            continue
+        for side, tr, resp in (("A", tr_a, resp_a), ("B", tr_b, resp_b)):
+            worst = int(np.argmin(resp))
+            if resp[worst] < -ATOL:
+                raise LhvConstructionError(
+                    f"term {k}: side-{side} response to effect {worst} is negative "
+                    f"({resp[worst]:.3e}); operator is not generalised positive",
+                    term=k,
+                    effect=worst,
+                )
+            if tr <= ATOL:
+                raise LhvConstructionError(
+                    f"term {k}: side-{side} operator has nonpositive trace {tr:.3e}",
+                    term=k,
+                )
+        row_a = np.clip(resp_a, 0.0, None) / tr_a
+        row_b = np.clip(resp_b, 0.0, None) / tr_b
+        ra[k] = row_a / np.sum(row_a)
+        rb[k] = row_b / np.sum(row_b)
+        weights[k] = qk * tr_a * tr_b
+
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > 1e-6:
+        raise LhvConstructionError(
+            f"hidden weights sum to {total:.9g}; decomposition is not normalised"
+        )
+    rho = dec.reconstruct()
+    deviation = 0.0
+    for i in range(len(povm_a)):
+        for j in range(len(povm_b)):
+            born = born_probability(rho, povm_a, povm_b, i, j)
+            deviation = max(deviation, abs(float(np.sum(weights * ra[:, i] * rb[:, j])) - born))
+    if deviation > lhv.BORN_TOL:
+        raise LhvConstructionError(
+            f"model deviates from Born probabilities by {deviation:.3e}; "
+            f"dropped terms carried correlation for this POVM pair"
+        )
+    return weights, ra, rb, tuple(dropped), deviation
+
+
+def oracle_magic_threshold(dec):
+    povm = magic_povm(1.0)
+    resp = np.stack([oracle_responses(dec.A, povm), oracle_responses(dec.B, povm.transpose())])
+    mu, rest, tr = resp.real[..., 0], resp.real[..., 1], resp.real.sum(axis=2)
+    traceless = np.abs(tr) <= ATOL
+    kept = ~traceless.any(axis=0)
+    if (
+        np.any(np.abs(resp.imag) > ATOL)
+        or np.any(traceless[..., None] & (np.abs(resp.real) > ATOL))
+        or np.any(mu[:, kept] < -ATOL)
+        or np.any(tr[:, kept] <= ATOL)
+        or abs(float(np.sum(dec.p[kept] * tr[0, kept] * tr[1, kept])) - 1.0) > 1e-6
+    ):
+        return 0.0
+    over = kept & (rest < -ATOL)
+    return float(np.min(tr[over] / mu[over], initial=1.0))
+
+
+def cross_norm_decompositions():
+    """Cross-norm family members of random 2 x 2 states: Hermitian-frame ones
+    (identity mixing) and complex ones (a wide random isometry)."""
+    for seed in range(4):
+        os = operator_schmidt(random_density(900 + seed, 2, 2))
+        rng = np.random.default_rng(seed)
+        scaling = DiagonalScaling(np.exp(rng.normal(0.0, 0.4, os.D)))
+        for u in (np.eye(os.D, dtype=complex), random_row_isometry(os.D, os.D + 1, seed)):
+            n = u.shape[1]
+            yield cross_norm_decomposition(os, scaling, u, rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 2.0, n))
+
+
+ORACLE_DECOMPOSITIONS = {
+    "phase-point": [phase_point_decomposition()],
+    "stabiliser": [stabiliser_decomposition()],
+    "example-2": [example2_decomposition()],
+    "one-term": [
+        *(single_term(bloch_operator(lam)) for lam in (0.5, 1.0002, 1.5, 3.0, -2.0)),
+        single_term(PAULI_I / 2, weight=2.0),
+        single_term((PAULI_I + 0.3j * PAULI_Z) / 2),
+        single_term(-bloch_operator(-3.0), b=-bloch_operator(-3.0).T),
+        single_term(-0.8 * ATOL * PAULI_I),  # responses within -ATOL, trace below -ATOL
+    ],
+    "transported": list(transported_qubit_decompositions()),
+    "cross-norm": list(cross_norm_decompositions()),
+}
+
+
+def oracle_pairs():
+    yield from lhv.pauli_pairs()
+    for c in (0.25, 0.5, 0.7, 0.9, 1.0):
+        povm = magic_povm(c)
+        yield f"magic:{c}", povm, povm.transpose()
+    yield "identity|z", identity_povm(2), projective_povm("z")
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestArrayPassMatchesLoop:
+    @pytest.mark.parametrize("family", ORACLE_DECOMPOSITIONS)
+    def test_models_and_failures(self, family):
+        for dec in ORACLE_DECOMPOSITIONS[family]:
+            for label, pa, pb in oracle_pairs():
+                try:
+                    expected = oracle_build_lhv(dec, pa, pb)
+                except LhvConstructionError as exc:
+                    with pytest.raises(LhvConstructionError) as info:
+                        build_lhv(dec, pa, pb)
+                    assert type(info.value) is LhvConstructionError
+                    got = (str(info.value), info.value.term, info.value.effect)
+                    assert got == (str(exc), exc.term, exc.effect), label
+                    continue
+                model = build_lhv(dec, pa, pb)
+                weights, ra, rb, dropped, deviation = expected
+                assert bits(model.hidden_weights) == bits(weights), label
+                assert bits(model.response_a) == bits(ra), label
+                assert bits(model.response_b) == bits(rb), label
+                assert model.dropped == dropped, label
+                assert abs(model.born_deviation - deviation) <= 1e-15, label
+
+    @pytest.mark.parametrize("family", ORACLE_DECOMPOSITIONS)
+    def test_magic_thresholds(self, family):
+        for dec in ORACLE_DECOMPOSITIONS[family]:
+            assert lhv._magic_threshold(dec) == oracle_magic_threshold(dec)
+
+    def test_every_rule_is_exercised(self):
+        rules = ("complex", "traceless", "negative", "trace", "sum")
+        seen = set()
+        for decs in ORACLE_DECOMPOSITIONS.values():
+            for dec in decs:
+                for _, pa, pb in oracle_pairs():
+                    try:
+                        build_lhv(dec, pa, pb)
+                        seen.add("model")
+                    except LhvConstructionError as exc:
+                        seen.add(next((rule for rule in rules if rule in str(exc)), "born"))
+        assert seen == {"model", *rules}
