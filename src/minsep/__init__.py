@@ -22,7 +22,6 @@ from .crossnorm import (
     cross_norm_value,
     decomposition_cost,
     lambda_norm,
-    pair_cost,
     scaled_vec_norm,
 )
 from .decompositions import (

@@ -65,14 +65,17 @@ def family(ops, name: str, d: int | None = None) -> tuple:
     complex (N, d, d) array; returns the tuple of its N views.  An error
     names the first offending member: ``X[2] has shape (3, 3), expected (2, 2)``.
     """
-    for k, op in enumerate(ops):
+    try:
+        arr = frozen(ops)
+    except (TypeError, ValueError):  # members of differing shapes: the loop names one
+        arr = np.empty(0)
+    for k, op in enumerate(ops if arr.ndim != 3 or arr.shape[1:] != (d or arr.shape[1],) * 2 else ()):
         shape = np.shape(op)
         if len(shape) != 2:
             raise ValueError(f"{name}[{k}] must be two-dimensional, got shape {shape}")
         d = shape[0] if d is None else d
         if shape != (d, d):
             raise ValueError(f"{name}[{k}] has shape {shape}, expected {(d, d)}")
-    arr = frozen(ops)
     if not np.isfinite(arr).all():
         k = np.argmin(np.isfinite(arr).all(axis=(1, 2)))
         raise ValueError(f"{name}[{k}] contains non-finite entries")
@@ -89,21 +92,35 @@ def combine(coeffs, ops: np.ndarray) -> np.ndarray:
 
     ``coeffs`` of shape (M, N) gives the M sums, stacked (M, d, d).
     """
-    return np.tensordot(coeffs, ops, axes=1)
+    n, *rest = np.shape(ops)
+    return np.dot(coeffs, np.reshape(ops, (n, math.prod(rest)))).reshape(*np.shape(coeffs)[:-1], *rest)
+
+
+def realigned_sum(w, A, B) -> np.ndarray:
+    """The realignment sum_k w_k vec(A_k) vec(B_k)^T of sum_k w_k A_k tensor B_k."""
+    va = np.asarray(A, dtype=complex).reshape(len(A), -1)
+    vb = np.asarray(B, dtype=complex).reshape(len(B), -1)
+    return va.T @ (np.asarray(w)[:, None] * vb)
 
 
 def product_sum(w, A, B) -> np.ndarray:
-    """sum_k w_k A_k tensor B_k over nonempty families, as one matrix product:
-    its realignment is sum_k w_k vec(A_k) vec(B_k)^T.
-    """
-    dA, dB = np.shape(A[0])[0], np.shape(B[0])[0]
-    va = stack(A, dA).reshape(len(A), -1)
-    vb = stack(B, dB).reshape(len(B), -1)
-    return unrealign(va.T @ (np.asarray(w)[:, None] * vb), dA, dB)
+    """sum_k w_k A_k tensor B_k over nonempty families (:func:`realigned_sum`)."""
+    return unrealign(realigned_sum(w, A, B), np.shape(A[0])[0], np.shape(B[0])[0])
+
+
+def relative_residual(m, target) -> float:
+    """||m - target|| / ||target|| in the order-free 2-norm of :func:`frob_norm`."""
+    return frob_norm(m - target) / max(frob_norm(target), 1e-300)
 
 
 def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
+
+
+def hermitian_mask(ops, tol: float = ATOL) -> np.ndarray:
+    """:func:`is_hermitian` of every member of an (N, d, d) family, in one comparison."""
+    ops = np.asarray(ops)
+    return np.max(np.abs(ops - np.conj(ops.transpose(0, 2, 1))), axis=(1, 2)) <= tol
 
 
 def kron(a, b) -> np.ndarray:
@@ -156,9 +173,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def svd_residual(m: np.ndarray, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> float:
     """Relative reconstruction residual of an SVD triple."""
-    rec = (u * s) @ dagger(v)
-    denom = max(frob_norm(m), 1e-300)
-    return frob_norm(m - rec) / denom
+    return relative_residual((u * s) @ dagger(v), m)
 
 
 def check_svd(m: np.ndarray, rtol: float = SVD_RTOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -63,8 +63,15 @@ class DiagonalScaling:
 
 def scaled_vec_norm(v, scaling: DiagonalScaling, inverse: bool = False) -> float:
     """||R v||_2, or ||R^-1 v||_2 when ``inverse`` is set."""
-    w = scaling.apply_inverse(v) if inverse else scaling.apply(v)
-    return float(np.linalg.norm(w))
+    return float(_scaled_norms([v], scaling, inverse)[0])
+
+
+def _scaled_norms(coeffs, scaling: DiagonalScaling, inverse: bool = False) -> np.ndarray:
+    """:func:`scaled_vec_norm` of every row of a stacked (N, D) family at once."""
+    v = np.asarray(coeffs, dtype=complex)
+    if v.shape[1:] != (scaling.D,):
+        raise ValueError(f"vector has shape {v.shape[1:]}, expected ({scaling.D},)")
+    return np.linalg.norm(v / scaling.r if inverse else scaling.r * v, axis=1)
 
 
 def lambda_norm(x, lam, basis: OperatorBasis | None = None) -> float:
@@ -137,16 +144,5 @@ def decomposition_cost(dec, scaling: DiagonalScaling) -> float:
     """
     if dec.a_coeff is None or dec.b_coeff is None:
         raise ValueError("decomposition has no coefficient vectors; attach them first")
-    total = 0.0
-    for pk, a, b in zip(dec.p, dec.a_coeff, dec.b_coeff):
-        total += pk * scaled_vec_norm(a, scaling) * scaled_vec_norm(b, scaling, inverse=True)
-    return float(total)
-
-
-def pair_cost(dec, norm_a, norm_b) -> float:
-    """Cost sum_k p_k N_A(A^k) N_B(B^k) for arbitrary norm callables.
-
-    This evaluates general transformed-norm cost functionals (the two sides
-    need not be inverse to each other); no minimisation is attempted.
-    """
-    return float(sum(pk * norm_a(a) * norm_b(b) for pk, a, b in zip(dec.p, dec.A, dec.B)))
+    na, nb = _scaled_norms(dec.a_coeff, scaling), _scaled_norms(dec.b_coeff, scaling, inverse=True)
+    return float(np.sum(dec.p * na * nb))

@@ -12,13 +12,13 @@ the target operator separable over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import combine, family, frob_norm, frozen, is_hermitian, product_sum, stack
-from .crossnorm import DiagonalScaling, operator_coefficients
-from .schmidt import OperatorSchmidt, reconstruct
+from .core import combine, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual, stack
+from .crossnorm import DiagonalScaling, _scaled_norms, operator_coefficients
+from .schmidt import OperatorSchmidt
 from .tolerances import ATOL, MIN_WEIGHT, RECON_TOL
 
 
@@ -34,9 +34,8 @@ def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return is_row_isometry(u, tol) and bool(
-        np.max(np.abs(np.conj(u).T @ u - np.eye(u.shape[1]))) <= tol
-    )
+    eye, uh = np.eye(len(u)), np.conj(u).T
+    return bool(np.max(np.abs(u @ uh - eye)) <= tol and np.max(np.abs(uh @ u - eye)) <= tol)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -97,15 +96,12 @@ class SeparableDecomposition:
             raise ValueError(f"weights below {MIN_WEIGHT:.0e} are rejected")
         if len(self.A) != len(p) or len(self.B) != len(p):
             raise ValueError("A and B must match the number of weights")
-        A = family(self.A, "A")
-        B = family(self.B, "B")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        if self.a_coeff is not None:
-            object.__setattr__(self, "a_coeff", tuple(frozen(self.a_coeff)))
-        if self.b_coeff is not None:
-            object.__setattr__(self, "b_coeff", tuple(frozen(self.b_coeff)))
+        for name in ("A", "B"):
+            object.__setattr__(self, name, family(getattr(self, name), name))
+        for name in ("a_coeff", "b_coeff"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(frozen(getattr(self, name))))
 
     @property
     def terms(self) -> int:
@@ -127,24 +123,6 @@ def attach_coefficients(dec: SeparableDecomposition, os: OperatorSchmidt) -> Sep
     return SeparableDecomposition(dec.p, dec.A, dec.B, tuple(a), tuple(b), dec.meta)
 
 
-def _build_terms(os, scaling, u, p, c):
-    sqrt_s = np.sqrt(os.s)
-    za = (sqrt_s / scaling.r)[:, None] * u  # sqrt(S) R^-1 U
-    zb = (sqrt_s * scaling.r)[:, None] * u  # sqrt(S) R U
-    a_coeff = za.T / np.sqrt(p * c)[:, None]  # row k: column k of za / sqrt(p_k c_k)
-    b_coeff = zb.T * np.sqrt(c / p)[:, None]
-    ops_a = combine(a_coeff, stack(os.X, os.dA))
-    ops_b = combine(np.conj(b_coeff), stack(os.Y, os.dB))
-    return tuple(a_coeff), tuple(b_coeff), tuple(ops_a), tuple(ops_b)
-
-
-def _check_reconstruction(dec, os):
-    target = reconstruct(os)
-    residual = frob_norm(dec.reconstruct() - target) / max(frob_norm(target), 1e-300)
-    if residual > RECON_TOL:
-        raise ValueError(f"decomposition residual {residual:.3e} exceeds {RECON_TOL:.1e}")
-
-
 def cross_norm_decomposition(
     os: OperatorSchmidt,
     scaling: DiagonalScaling,
@@ -161,13 +139,17 @@ def cross_norm_decomposition(
     convention, which makes the weighted sum collapse to the Schmidt form.
     """
     u = np.asarray(u, dtype=complex)
-    D = os.D
-    if u.ndim != 2 or u.shape[0] != D:
-        raise ValueError(f"U must have {D} rows, got shape {u.shape}")
+    if u.ndim != 2 or u.shape[0] != os.D:
+        raise ValueError(f"U must have {os.D} rows, got shape {u.shape}")
     if not is_row_isometry(u):
         raise ValueError("U is not a row isometry (U U^dag != I)")
-    if scaling.D != D:
-        raise ValueError(f"scaling has size {scaling.D}, expected {D}")
+    return _family_member(os, scaling, u, p, c, "cross-norm-family")
+
+
+def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
+    """The member for an already checked U, its reconstruction checked once on the realigned products."""
+    if scaling.D != os.D:
+        raise ValueError(f"scaling has size {scaling.D}, expected {os.D}")
     n = u.shape[1]
     p = np.asarray(p, dtype=float)
     c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
@@ -181,11 +163,18 @@ def cross_norm_decomposition(
     if np.any(c <= 0):
         raise ValueError("scale factors c must be strictly positive")
 
-    a_coeff, b_coeff, ops_a, ops_b = _build_terms(os, scaling, u, p, c)
-    meta = DecompositionMeta(kind="cross-norm-family", s=np.array(os.s), scaling=scaling, U=u, c=c)
-    dec = SeparableDecomposition(p, ops_a, ops_b, a_coeff, b_coeff, meta)
-    _check_reconstruction(dec, os)
-    return dec
+    sqrt_s = np.sqrt(os.s)
+    za = (sqrt_s / scaling.r)[:, None] * u  # sqrt(S) R^-1 U
+    zb = (sqrt_s * scaling.r)[:, None] * u  # sqrt(S) R U
+    a_coeff = za.T / np.sqrt(p * c)[:, None]  # row k: column k of za / sqrt(p_k c_k)
+    b_coeff = zb.T * np.sqrt(c / p)[:, None]
+    ops_a = combine(a_coeff, stack(os.X, os.dA))
+    ops_b = combine(np.conj(b_coeff), stack(os.Y, os.dB))
+    residual = relative_residual(realigned_sum(p, ops_a, ops_b), realigned_sum(os.s, os.X, os.Y))
+    if residual > RECON_TOL:
+        raise ValueError(f"decomposition residual {residual:.3e} exceeds {RECON_TOL:.1e}")
+    meta = DecompositionMeta(kind=kind, s=np.array(os.s), scaling=scaling, U=u, c=c)
+    return SeparableDecomposition(p, ops_a, ops_b, a_coeff, b_coeff, meta)
 
 
 def equal_norm_weights(os: OperatorSchmidt, u: np.ndarray) -> np.ndarray:
@@ -210,14 +199,17 @@ def equal_norm_decomposition(
     u = np.asarray(u, dtype=complex)
     if u.shape != (os.D, os.D) or not is_unitary(u):
         raise ValueError("U must be a square unitary of size D")
+    return _equal_norm(os, scaling, u, c)
+
+
+def _equal_norm(os, scaling, u, c) -> SeparableDecomposition:
+    """The equal-norm member of an already checked unitary U."""
     if not np.isscalar(c) and np.ndim(c) != 0:
         raise ValueError("c must be a single positive number")
     c = float(c)
     if c <= 0:
         raise ValueError("c must be strictly positive")
-    p = equal_norm_weights(os, u)
-    dec = cross_norm_decomposition(os, scaling, u, p, np.full(os.D, c))
-    return replace(dec, meta=replace(dec.meta, kind="equal-norm"))
+    return _family_member(os, scaling, u, equal_norm_weights(os, u), np.full(os.D, c), "equal-norm")
 
 
 def normalized_form(os: OperatorSchmidt) -> SeparableDecomposition:
@@ -251,10 +243,10 @@ def hermitian_decomposition(
     o = o.real.astype(float)
     if o.shape != (os.D, os.D) or not is_unitary(o):
         raise ValueError("O must be a square real orthogonal matrix of size D")
-    dec = equal_norm_decomposition(os, scaling, o.astype(complex), c)
-    for k, (a, b) in enumerate(zip(dec.A, dec.B)):
-        if not (is_hermitian(a) and is_hermitian(b)):
-            raise ValueError(f"term {k} failed to come out Hermitian")
+    dec = _equal_norm(os, scaling, o.astype(complex), c)
+    bad = np.flatnonzero(~(hermitian_mask(dec.A) & hermitian_mask(dec.B)))
+    if bad.size:
+        raise ValueError(f"term {bad[0]} failed to come out Hermitian")
     return dec
 
 
@@ -279,8 +271,8 @@ def equal_norm_check(dec: SeparableDecomposition, scaling: DiagonalScaling, tol:
     """
     if dec.a_coeff is None or dec.b_coeff is None:
         raise ValueError("decomposition has no coefficient vectors")
-    w_a = np.array([np.linalg.norm(scaling.apply(a)) ** 2 for a in dec.a_coeff])
-    w_b = np.array([np.linalg.norm(scaling.apply_inverse(b)) ** 2 for b in dec.b_coeff])
+    w_a = _scaled_norms(dec.a_coeff, scaling) ** 2
+    w_b = _scaled_norms(dec.b_coeff, scaling, inverse=True) ** 2
     dev_a = float(np.max(w_a) - np.min(w_a))
     dev_b = float(np.max(w_b) - np.min(w_b))
     expected = None

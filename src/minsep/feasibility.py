@@ -75,7 +75,9 @@ class StateSpace:
         return len(self.generators)
 
     def without(self, index: int) -> "StateSpace":
-        """The same space with one generator removed."""
+        """The same space with generator ``index``, 0 <= index < len, removed."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"generator index {index} is outside 0 <= k < {len(self)}")
         gens = self.generators[:index] + self.generators[index + 1:]
         return StateSpace(self.dim, gens, self.mode, self.include_quantum)
 

@@ -157,9 +157,7 @@ def generalized_positive(x, povm: Povm) -> bool:
     x = as_matrix(x, "x")
     resp = _responses([x], povm)[0]
     tr = complex(np.trace(x))
-    if abs(tr.imag) > ATOL or tr.real <= ATOL:
-        return False
-    if np.max(np.abs(resp.imag)) > ATOL:
+    if abs(tr.imag) > ATOL or tr.real <= ATOL or np.max(np.abs(resp.imag)) > ATOL:
         return False
     return bool(np.min(resp.real) >= -ATOL)
 
@@ -238,6 +236,14 @@ def pauli_pairs() -> tuple[tuple[str, Povm, Povm], ...]:
     return (("identity|identity", identity_povm(2), identity_povm(2)), *pauli)
 
 
+@cache
+def _magic_pairs(budget: int) -> tuple[tuple[str, Povm, Povm], ...]:
+    """The magic POVM and its transpose at the strengths k / budget, k = 1..budget,
+    built once per budget: the scan rows and the c = 1 threshold tables share them."""
+    povms = [magic_povm(k / budget) for k in range(1, budget + 1)]
+    return tuple((f"magic:{k / budget:.8f}", m, m.transpose()) for k, m in enumerate(povms, 1))
+
+
 def _magic_threshold(dec: SeparableDecomposition) -> float:
     """The largest c in (0, 1] at which :func:`build_lhv` succeeds on
     ``magic_povm(c)`` and its transpose, or 0.0 if there is none.
@@ -258,8 +264,8 @@ def _magic_threshold(dec: SeparableDecomposition) -> float:
     Of the rules ``build_lhv`` applies at c = 1 only a smallest response
     t - mu < 0 depends on c: if mu < 0 as well, t < 0 fails the trace rule.
     """
-    povm = magic_povm(1.0)
-    terms = _rules(dec.p, (_responses(dec.A, povm), _responses(dec.B, povm.transpose())))
+    _, povm, povm_t = _magic_pairs(1)[0]
+    terms = _rules(dec.p, (_responses(dec.A, povm), _responses(dec.B, povm_t)))
     bad = terms.bad.copy()
     cut = bad[_NEGATIVE] & (terms.effect[_NEGATIVE] == 1)  # [side, term]: t - mu < -ATOL
     bad[_NEGATIVE] &= ~cut
@@ -290,12 +296,7 @@ def povm_scan(
     if family == "magic":
         if budget < 1:
             raise ValueError(f"the magic family needs a budget of at least 1, got {budget}")
-
-        def attempt(c: float) -> ScanRecord:
-            povm = magic_povm(c)
-            return _attempt(dec, f"magic:{c:.8f}", povm, povm.transpose())
-
-        rows = tuple(attempt((i + 1) / budget) for i in range(budget))
+        rows = tuple(_attempt(dec, label, pa, pb) for label, pa, pb in _magic_pairs(budget))
         threshold = _magic_threshold(dec)
         if threshold > 0:  # the Born verification; raises if it fails
             povm = magic_povm(threshold)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import as_matrix, dagger, family, frob_norm, frozen, is_hermitian, product_sum, realign, svd
+from .core import (as_matrix, dagger, family, frozen, hermitian_mask, is_hermitian, product_sum, realign,
+                   realigned_sum, relative_residual, svd)
 from .states import BipartiteState
 from .tolerances import ATOL, RANK_CUTOFF, RECON_TOL
 
@@ -50,7 +51,7 @@ class OperatorSchmidt:
             raise ValueError("rank exceeds min(dA^2, dB^2)")
         X = family(self.X, "X", self.dA)
         Y = family(self.Y, "Y", self.dB)
-        hermitian = self.hermitian or [is_hermitian(x) and is_hermitian(y) for x, y in zip(X, Y)]
+        hermitian = self.hermitian or hermitian_mask(X) & hermitian_mask(Y)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -123,8 +124,7 @@ def _schmidt_hermitian(rho, dA, dB, cutoff):
     keep = np.flatnonzero(s > cutoff)  # o1, o2t are square, so index, not mask
     xs = (pa @ o1[:, keep]).T.reshape(-1, dA, dA)
     ys = (o2t[keep, :] @ pb.T).reshape(-1, dB, dB)
-    herm = [True] * len(xs)
-    return s[keep], xs, ys, herm
+    return s[keep], xs, ys, [True] * len(xs)
 
 
 def _schmidt_general(rho, dA, dB, cutoff):
@@ -163,7 +163,7 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
     s, xs, ys, herm = _canonical_order(s, xs, ys, herm)
     out = OperatorSchmidt(dA, dB, s, xs, ys, herm)
 
-    residual = frob_norm(rho - reconstruct(out)) / max(frob_norm(rho), 1e-300)
+    residual = relative_residual(realigned_sum(out.s, out.X, out.Y), realign(rho, dA, dB))
     if residual > RECON_TOL:
         raise ValueError(f"Schmidt reconstruction residual {residual:.3e} too large")
     return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .core import as_matrix, dagger, family, frozen, is_hermitian, stack
+from .core import as_matrix, dagger, family, frozen, hermitian_mask, is_hermitian, stack
 from .tolerances import ATOL, PSD_TOL
 
 
@@ -64,10 +64,8 @@ class Povm:
         if not effects:
             raise ValueError("a POVM needs at least one effect")
         e = stack(effects, self.dim)
-        eh = np.conj(e.transpose(0, 2, 1))
-        skew = np.max(np.abs(e - eh), axis=(1, 2))
-        lo = np.linalg.eigvalsh(0.5 * (e + eh))[:, 0]
-        bad = np.flatnonzero((skew > ATOL) | (lo < -PSD_TOL))
+        lo = np.linalg.eigvalsh(0.5 * (e + np.conj(e.transpose(0, 2, 1))))[:, 0]
+        bad = np.flatnonzero(~hermitian_mask(e) | (lo < -PSD_TOL))
         if bad.size:
             raise ValueError(f"effects[{bad[0]}] is not positive semidefinite")
         if np.max(np.abs(e.sum(axis=0) - np.eye(self.dim))) > ATOL:

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import as_matrix, combine, frob_norm, product_sum, realign, stack, unrealign
-from .crossnorm import pair_cost
+from .core import as_matrix, combine, realign, realigned_sum, relative_residual, stack, unrealign
 from .decompositions import DecompositionMeta, SeparableDecomposition, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
@@ -184,19 +183,21 @@ def check_condition_b(
 
     The spectral criterion is min_k s_k > 1/d^2 (strict); a seeded batch of
     pure-state projectors is also pushed through the inverse map as a direct
-    check.  The exactly-critical case is reported as marginal, not passed.
+    check, skipped for ``sample_count=0``.  Exactly critical is marginal, not passed.
     """
+    if sample_count < 0:
+        raise ValueError("sample_count must be nonnegative")
     d = maps.d
     min_s = float(np.min(maps.s))
-    bound = 1.0 / (d * min_s)
-    ceiling = float(np.sqrt(d))
-    proj = haar_projectors(np.random.default_rng(seed), d, sample_count).reshape(sample_count, d * d)
-    images = np.concatenate([proj @ maps.inv_a.T, proj @ maps.inv_b.T])
-    sampled = np.max(np.linalg.norm(images, axis=1), initial=0.0)
+    sampled = 0.0
+    if sample_count:
+        proj = haar_projectors(np.random.default_rng(seed), d, sample_count).reshape(sample_count, d * d)
+        images = np.concatenate([proj @ maps.inv_a.T, proj @ maps.inv_b.T])
+        sampled = float(np.max(np.linalg.norm(images, axis=1)))
     threshold = 1.0 / d**2
     marginal = abs(min_s - threshold) <= 1e-12
-    passed = (min_s - threshold) > 1e-12 and not marginal
-    return ConditionBReport(min_s, bound, ceiling, float(sampled), marginal, bool(passed))
+    passed = min_s - threshold > 1e-12  # never marginal
+    return ConditionBReport(min_s, 1.0 / (d * min_s), float(np.sqrt(d)), sampled, marginal, passed)
 
 
 @dataclass(frozen=True)
@@ -274,10 +275,9 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     ops_b = combine(a, stack(maps.Y, d))
     p = np.full(d * d, 1.0 / d**2)
     meta = DecompositionMeta(kind="transported", s=np.array(maps.s))
-    dec = SeparableDecomposition(p, tuple(ops_a), tuple(ops_b), tuple(a), tuple(np.conj(a)), meta)
+    dec = SeparableDecomposition(p, ops_a, ops_b, a, np.conj(a), meta)
 
-    target = product_sum(maps.s, maps.X, maps.Y)
-    residual = frob_norm(dec.reconstruct() - target) / max(frob_norm(target), 1e-300)
+    residual = relative_residual(realigned_sum(p, ops_a, ops_b), realigned_sum(maps.s, maps.X, maps.Y))
     if residual > RECON_TOL:
         raise ValueError(f"transported decomposition residual {residual:.3e}; inconsistent inputs")
     return dec
@@ -287,13 +287,12 @@ def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
     """Cost of a decomposition under the inverse-map norms on each side.
 
     For the transported decomposition itself every term has both norms equal
-    to sqrt(d), so the total is d.
+    to sqrt(d), so the total is d.  Each side's norms are one stacked product.
     """
-    return pair_cost(
-        dec,
-        lambda a: frob_norm(maps.inverse_a(a)),
-        lambda b: frob_norm(maps.inverse_b(b)),
-    )
+    d, n = maps.d, dec.terms
+    na = np.linalg.norm(stack(dec.A, d).reshape(n, -1) @ maps.inv_a.T, axis=1)
+    nb = np.linalg.norm(stack(dec.B, d).reshape(n, -1) @ maps.inv_b.T, axis=1)
+    return float(np.sum(dec.p * na * nb))
 
 
 def minimal_quantum_spaces(
@@ -305,7 +304,7 @@ def minimal_quantum_spaces(
     the positive-trace conic hulls.  Both conditions of the construction
     must hold; the unit traces of the images are re-verified directly.
     """
-    cond_b = check_condition_b(maps)
+    cond_b = check_condition_b(maps, sample_count=0)  # the spectral verdict, no sampling
     if not cond_b.passed:
         raise ValueError(
             f"condition B fails: min Schmidt coefficient {cond_b.min_s:.6g} "
@@ -318,6 +317,4 @@ def minimal_quantum_spaces(
     traces = np.trace(np.concatenate([gens_a, gens_b]), axis1=1, axis2=2)
     if np.max(np.abs(traces - 1.0)) > 1e-6:
         raise ValueError("image operators are not unit trace; condition A alignment missing")
-    va = StateSpace(d, tuple(gens_a), mode, include_quantum=True)
-    vb = StateSpace(d, tuple(gens_b), mode, include_quantum=True)
-    return va, vb
+    return StateSpace(d, gens_a, mode, include_quantum=True), StateSpace(d, gens_b, mode, include_quantum=True)

@@ -287,3 +287,16 @@ class TestStateSpaceValidation:
     def test_traceless_generators_fine_without_quantum(self):
         space = StateSpace(2, (PAULI_X, PAULI_Y), "convex")
         assert len(space) == 2
+
+    def test_without_keeps_order(self):
+        space = StateSpace(2, (PAULI_I, PAULI_X, PAULI_Y), "convex")
+        for k in range(3):
+            kept = [g for i, g in enumerate((PAULI_I, PAULI_X, PAULI_Y)) if i != k]
+            assert all(np.array_equal(a, b) for a, b in zip(space.without(k).generators, kept))
+
+    @pytest.mark.parametrize("index", [-1, -3, 3, 5])
+    def test_without_rejects_index_outside_range(self, index):
+        # Slicing would drop the last generator for -1, or none for 3 and 5.
+        space = StateSpace(2, (PAULI_I, PAULI_X, PAULI_Y), "convex")
+        with pytest.raises(IndexError, match=r"0 <= k < 3"):
+            space.without(index)

@@ -1,0 +1,299 @@
+"""The stacked construction paths against the per-term code they replaced.
+
+The costs, the equal-norm check, the magic scan and the Hermiticity checks
+once looped over terms in Python.  The loops are kept here as oracles and
+run over seeded decompositions with d = 2..4, dA != dB included.  A second
+group of tests counts the checks and constructions that the stacked paths
+must not repeat.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from conftest import near_max_entangled, random_mixed_decomposition
+from minsep import core, decompositions, lhv, transport
+from minsep.bases import phase_point_operators
+from minsep.core import frob_norm, is_hermitian
+from minsep.crossnorm import DiagonalScaling, decomposition_cost
+from minsep.decompositions import (
+    SeparableDecomposition,
+    cross_norm_decomposition,
+    equal_norm_check,
+    equal_norm_decomposition,
+    hermitian_decomposition,
+    normalized_form,
+    random_orthogonal,
+    random_row_isometry,
+    random_unitary,
+)
+from minsep.lhv import LhvConstructionError, ScanRecord, build_lhv, povm_scan
+from minsep.schmidt import OperatorSchmidt, operator_schmidt
+from minsep.states import Povm, bell_state, magic_povm, random_density
+from minsep.transport import (
+    build_maps,
+    build_w_basis,
+    check_condition_a,
+    construct_alignment,
+    minimal_quantum_spaces,
+    transported_cost,
+    transported_decomposition,
+)
+
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)]
+COST_RTOL = 1e-15
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def oracle_transported_cost(dec, maps):
+    """The per-term form: one inverse-map application and one frob_norm per side and term."""
+    terms = zip(dec.p, dec.A, dec.B)
+    return float(sum(pk * frob_norm(maps.inverse_a(a)) * frob_norm(maps.inverse_b(b)) for pk, a, b in terms))
+
+
+def oracle_decomposition_cost(dec, scaling):
+    total = 0.0
+    for pk, a, b in zip(dec.p, dec.a_coeff, dec.b_coeff):
+        total += pk * float(np.linalg.norm(scaling.apply(a))) * float(np.linalg.norm(scaling.apply_inverse(b)))
+    return float(total)
+
+
+def oracle_equal_norm_weights(dec, scaling):
+    w_a = np.array([np.linalg.norm(scaling.apply(a)) ** 2 for a in dec.a_coeff])
+    w_b = np.array([np.linalg.norm(scaling.apply_inverse(b)) ** 2 for b in dec.b_coeff])
+    return w_a, w_b
+
+
+def oracle_magic_rows(dec, budget):
+    """One freshly built magic POVM and transpose per row."""
+    rows = []
+    for i in range(budget):
+        c = (i + 1) / budget
+        povm = magic_povm(c)
+        label = f"magic:{c:.8f}"
+        try:
+            rows.append(ScanRecord(label, True, build_lhv(dec, povm, povm.transpose()).born_deviation))
+        except LhvConstructionError as exc:
+            rows.append(ScanRecord(label, False, None, str(exc)))
+    return tuple(rows)
+
+
+def oracle_magic_threshold(dec):
+    """The closed-form threshold on a freshly built c = 1 POVM."""
+    povm = magic_povm(1.0)
+    terms = lhv._rules(dec.p, (lhv._responses(dec.A, povm), lhv._responses(dec.B, povm.transpose())))
+    bad = terms.bad.copy()
+    cut = bad[lhv._NEGATIVE] & (terms.effect[lhv._NEGATIVE] == 1)
+    bad[lhv._NEGATIVE] &= ~cut
+    if bad.any() or not terms.normalised:
+        return 0.0
+    mu = np.array([t[:, 0].real for t in terms.tables])
+    return float(np.min(terms.tr[cut] / mu[cut], initial=1.0))
+
+
+def oracle_hermitian_terms(A, B):
+    return tuple(is_hermitian(a) and is_hermitian(b) for a, b in zip(A, B))
+
+
+# ----------------------------------------------------------------- inputs
+
+
+def seeded_decompositions(dA, dB, seed):
+    """Cross-norm (wide isometry), equal-norm, Hermitian equal-norm and a
+    non-optimal decomposition of one random density, with their scaling."""
+    os = operator_schmidt(random_density(600 + seed, dA, dB))
+    rng = np.random.default_rng(seed)
+    D = os.D
+    scaling = DiagonalScaling(np.exp(rng.normal(0.0, 0.4, D)))
+    n = D + 2
+    iso = random_row_isometry(D, n, seed)
+    decs = [
+        cross_norm_decomposition(os, scaling, iso, rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 2.0, n)),
+        equal_norm_decomposition(os, scaling, random_unitary(D, seed), float(rng.uniform(0.5, 2.0))),
+        hermitian_decomposition(os, scaling, random_orthogonal(D, seed), float(rng.uniform(0.5, 2.0))),
+        random_mixed_decomposition(os, seed),
+    ]
+    return os, scaling, decs
+
+
+def transported_parts(seed, d, t_seed=None):
+    os = operator_schmidt(near_max_entangled(seed, d))
+    maps = build_maps(os)
+    w = build_w_basis(maps, construct_alignment(check_condition_a(os), seed=t_seed))
+    return os, maps, transported_decomposition(maps, w)
+
+
+def qubit_decompositions():
+    """Phase-point, transported (thresholds 0 and strictly inside (0, 1)),
+    cross-norm and Hermitian qubit decompositions."""
+    ws = phase_point_operators().ops
+    yield SeparableDecomposition(np.full(4, 0.25), ws, tuple(w.T for w in ws))
+    for seed in (0, 3, 38, 41, 42, 106):
+        for t_seed in (None, seed):
+            yield transported_parts(seed, 2, t_seed)[2]
+    for seed in range(3):
+        yield from seeded_decompositions(2, 2, seed)[2][:3]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStackedMatchesPerTerm:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_transported_cost(self, d):
+        for seed in range(3):
+            os, maps, dec = transported_parts(seed, d, t_seed=seed if seed else None)
+            others = seeded_decompositions(d, d, seed)[2]
+            for other in (dec, *others):
+                # The maps of one state measure decompositions of another just as well.
+                expected = oracle_transported_cost(other, maps)
+                assert abs(transported_cost(other, maps) - expected) <= COST_RTOL * expected
+            assert abs(transported_cost(dec, maps) - d) <= 1e-13
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_decomposition_cost(self, dims):
+        for seed in range(2):
+            os, scaling, decs = seeded_decompositions(*dims, seed)
+            for dec in decs:
+                expected = oracle_decomposition_cost(dec, scaling)
+                assert abs(decomposition_cost(dec, scaling) - expected) <= COST_RTOL * expected
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_equal_norm_check(self, dims):
+        for seed in range(2):
+            os, scaling, decs = seeded_decompositions(*dims, seed)
+            for dec in decs:
+                report = equal_norm_check(dec, scaling)
+                w_a, w_b = oracle_equal_norm_weights(dec, scaling)
+                for got, want in ((report.w_a, w_a), (report.w_b, w_b)):
+                    np.testing.assert_allclose(got, want, rtol=COST_RTOL, atol=0)
+                    assert got.shape == want.shape
+                assert abs(report.max_dev_a - (np.max(w_a) - np.min(w_a))) <= 4 * COST_RTOL * np.max(w_a)
+                assert abs(report.max_dev_b - (np.max(w_b) - np.min(w_b))) <= 4 * COST_RTOL * np.max(w_b)
+            assert [equal_norm_check(dec, scaling).passed for dec in decs] == [False, True, True, False]
+
+    @pytest.mark.parametrize("budget", [1, 5, 16])
+    def test_magic_scan_rows_and_thresholds(self, budget):
+        inside = 0
+        for dec in qubit_decompositions():
+            report = povm_scan(dec, family="magic", budget=budget)
+            assert report.rows == oracle_magic_rows(dec, budget)
+            threshold = oracle_magic_threshold(dec)
+            assert bits(report.threshold) == bits(threshold)
+            assert bits(lhv._magic_threshold(dec)) == bits(threshold)
+            inside += 0 < threshold < 1
+        assert inside >= 3  # thresholds strictly inside (0, 1) are exercised, not only 0 and 1
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_schmidt_hermitian_flags(self, dims):
+        dA, dB = dims
+        for seed in range(2):
+            os = operator_schmidt(random_density(700 + seed, dA, dB))
+            # Rotate one pair in three by opposite phases (the product is kept) and
+            # the Y of another by a phase alone: each rotated side stops being Hermitian.
+            k = (np.arange(os.D) + seed) % 3
+            phase_x, phase_y = np.where(k == 1, np.exp(0.7j), 1.0), np.where(k == 2, np.exp(-0.4j), 1.0)
+            X = tuple(ph * x for ph, x in zip(phase_x, os.X))
+            Y = tuple(np.conj(px) * py * y for px, py, y in zip(phase_x, phase_y, os.Y))
+            rotated = OperatorSchmidt(dA, dB, os.s, X, Y)
+            assert rotated.hermitian == oracle_hermitian_terms(X, Y)
+            assert OperatorSchmidt(dA, dB, os.s, os.X, os.Y).hermitian == oracle_hermitian_terms(os.X, os.Y)
+            assert not all(rotated.hermitian) and any(rotated.hermitian)
+
+    @pytest.mark.parametrize("side, bad", [("A", (2, 3)), ("B", (1,)), ("A", (1, 3))])
+    def test_non_hermitian_term_named_by_first_index(self, side, bad):
+        """Frames declared Hermitian that are not: the stacked check names the
+        first failing term, as the per-term loop did."""
+        os = operator_schmidt(random_density(11, 2, 3))
+        X, Y = list(os.X), list(os.Y)
+        frame = X if side == "A" else Y
+        for k in bad:
+            frame[k] = 1j * frame[k]
+        forged = OperatorSchmidt(2, 3, os.s, X, Y, hermitian=(True,) * os.D)
+        scaling = DiagonalScaling.identity(os.D)
+        for o in (np.eye(os.D), np.eye(os.D)[::-1]):
+            # equal_norm_decomposition does not check Hermiticity: the oracle's input.
+            plain = equal_norm_decomposition(forged, scaling, o, 1.0)
+            first = oracle_hermitian_terms(plain.A, plain.B).index(False)
+            with pytest.raises(ValueError, match=rf"^term {first} failed to come out Hermitian$"):
+                hermitian_decomposition(forged, scaling, o, 1.0)
+
+    @pytest.mark.parametrize("name", ["decomposition_cost", "equal_norm_check"])
+    def test_scaling_of_the_wrong_size_still_raises(self, name):
+        dec = normalized_form(operator_schmidt(bell_state()))  # 4 terms, coefficient vectors of size 4
+        small = DiagonalScaling(np.ones(1))
+        with pytest.raises(ValueError) as oracle:
+            oracle_decomposition_cost(dec, small)
+        fn = decomposition_cost if name == "decomposition_cost" else equal_norm_check
+        with pytest.raises(ValueError) as info:
+            fn(dec, small)
+        assert str(info.value) == str(oracle.value) == "vector has shape (4,), expected (1,)"
+
+
+# ------------------------------------------------------------ check once
+
+
+def count_calls(monkeypatch, owners, name):
+    """Replace ``name`` on every owner by one wrapper that records each call."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestCheckOnce:
+    def test_second_magic_scan_builds_no_povm(self, monkeypatch):
+        built = count_calls(monkeypatch, [Povm], "__post_init__")
+        lhv._magic_pairs.cache_clear()
+        zero = transported_parts(0, 2)[2]  # c* = 0
+        inside = next(dec for dec in qubit_decompositions())  # phase point, c* = sqrt(3) - 1
+        assert lhv._magic_threshold(zero) == 0.0 and 0 < lhv._magic_threshold(inside) < 1
+        budget = 12
+        povm_scan(zero, family="magic", budget=budget)
+        assert len(built) == 2 * budget + 2  # the grid and the c = 1 pair, built once
+        for dec, per_scan in ((zero, 0), (inside, 2)):
+            built.clear()
+            povm_scan(dec, family="magic", budget=budget)
+            # Only the Born verification at the decomposition's own c* builds a pair.
+            assert len(built) == per_scan
+
+    @pytest.mark.parametrize("builder", ["cross-norm", "equal-norm", "hermitian"])
+    def test_builders_check_once(self, monkeypatch, builder):
+        os = operator_schmidt(random_density(5, 2, 3))
+        scaling = DiagonalScaling(np.linspace(0.8, 1.2, os.D))
+        # core.family under every name a minsep module imported it as.
+        owners = [m for key, m in sys.modules.items() if key.startswith("minsep")]
+        owners = [m for m in owners if getattr(m, "family", None) is core.family]
+        family = count_calls(monkeypatch, owners, "family")
+        unitary = count_calls(monkeypatch, [decompositions], "is_unitary")
+        isometry = count_calls(monkeypatch, [decompositions], "is_row_isometry")
+        if builder == "cross-norm":
+            n = os.D + 1
+            cross_norm_decomposition(os, scaling, random_row_isometry(os.D, n, 2), np.ones(n), np.ones(n))
+        elif builder == "equal-norm":
+            equal_norm_decomposition(os, scaling, random_unitary(os.D, 2), 1.5)
+        else:
+            hermitian_decomposition(os, scaling, random_orthogonal(os.D, 2), 1.5)
+        assert len(family) == 2  # the A and B families of the one SeparableDecomposition
+        assert len(unitary) + len(isometry) == 1
+
+    def test_minimal_quantum_spaces_draws_no_samples(self, monkeypatch):
+        os, maps, dec = transported_parts(4, 3)
+        w = build_w_basis(maps, construct_alignment(check_condition_a(os)))
+        drawn = count_calls(monkeypatch, [transport], "haar_projectors")
+        for mode in ("convex", "conic"):
+            va, vb = minimal_quantum_spaces(maps, w, mode)
+            assert len(va) == len(vb) == 9
+        assert drawn == []
+        transport.check_condition_b(maps)
+        assert len(drawn) == 1  # the patch sees condition B's sampled check

@@ -240,6 +240,19 @@ class TestConditionB:
         assert report.sampled_max < report.ceiling
 
 
+    def test_negative_sample_count_rejected(self):
+        maps = build_maps(operator_schmidt(bell_state()))
+        with pytest.raises(ValueError, match="^sample_count must be nonnegative$"):
+            check_condition_b(maps, sample_count=-1)
+
+    def test_zero_samples_keep_the_spectral_verdict(self):
+        for state in (bell_state(), pure_theta(0.1), max_entangled(3)):
+            maps = build_maps(operator_schmidt(state))
+            sampled, spectral = check_condition_b(maps), check_condition_b(maps, sample_count=0)
+            assert (spectral.min_s, spectral.bound, spectral.passed) == (sampled.min_s, sampled.bound, sampled.passed)
+            assert spectral.sampled_max == 0.0
+
+
 class TestTransportedDecomposition:
     def test_max_entangled_with_reference_basis(self):
         # W = C reproduces the uniform reference decomposition of Psi.
