@@ -12,7 +12,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import as_matrix, combine, family, stack
+from .core import as_matrix, combine, family
 from .tolerances import ATOL
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -55,7 +55,7 @@ class OperatorBasis:
     @property
     def vecs(self) -> np.ndarray:
         """The operators as the rows vec(C_k) of an (N, d^2) array."""
-        return stack(self.ops, self.dim).reshape(len(self.ops), self.dim**2)
+        return np.asarray(self.ops).reshape(len(self.ops), self.dim**2)
 
     def gram(self) -> np.ndarray:
         """Gram matrix tr(C_i^dag C_j)."""
@@ -65,7 +65,7 @@ class OperatorBasis:
     def rescaled(self, kappa: float) -> "OperatorBasis":
         """The same basis rescaled to a different normalisation constant."""
         factor = np.sqrt(kappa / self.normalization)
-        return OperatorBasis(self.dim, factor * stack(self.ops, self.dim), kappa)
+        return OperatorBasis(self.dim, factor * np.asarray(self.ops), kappa)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of x in this basis: x = sum_i c_i C_i."""
@@ -77,7 +77,7 @@ class OperatorBasis:
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (len(self.ops),):
             raise ValueError(f"expected {len(self.ops)} coefficients, got {coeffs.shape}")
-        return combine(coeffs, stack(self.ops, self.dim))
+        return combine(coeffs, self.ops)
 
 
 def pauli_basis() -> OperatorBasis:
@@ -155,10 +155,10 @@ def hermitian_basis(d: int) -> OperatorBasis:
     return OperatorBasis(d, tuple(ops), float(d))
 
 
-def validate_basis(basis: OperatorBasis, tol: float = ATOL) -> float:
-    """Largest deviation of the Gram matrix from kappa * I."""
+def validate_basis(basis: OperatorBasis) -> float:
+    """Largest deviation of the Gram matrix from kappa * I, at most ``ATOL``."""
     gram = basis.gram()
     dev = float(np.max(np.abs(gram - basis.normalization * np.eye(len(basis)))))
-    if dev > tol:
-        raise ValueError(f"Gram deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > ATOL:
+        raise ValueError(f"Gram deviation {dev:.3e} exceeds {ATOL:.1e}")
     return dev

@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import serialize
-from .core import stack
 from .crossnorm import DiagonalScaling, cross_norm_value, decomposition_cost
 from .decompositions import (
     cross_norm_decomposition,
@@ -149,7 +148,7 @@ def _parse_unitary(spec: str, D: int, seed: int, orthogonal: bool) -> np.ndarray
 
 
 def _frame_report(os) -> dict:
-    v = stack(os.X, os.dA).reshape(os.D, -1)
+    v = np.asarray(os.X).reshape(os.D, -1)
     gram_x = np.max(np.abs(v.conj() @ v.T - np.eye(os.D)))
     return {"orthonormality_deviation": float(gram_x)}
 

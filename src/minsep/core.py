@@ -6,8 +6,8 @@ Everything here operates on plain ``numpy.ndarray`` objects with dtype
 * An operator sigma is identified with its row-major vectorisation
   vec(sigma) = ``sigma.reshape(-1)``, so tr(C^dag sigma) = vec(C)^dag vec(sigma)
   and a linear map on d x d operators is one d^2 x d^2 matrix acting on
-  vec(sigma).  A family of N operators stacks into one (N, d, d) array
-  (:func:`stack`), whose rows of vec(O_k) form an (N, d^2) matrix.
+  vec(sigma).  A family of N operators is one read-only (N, d, d) array
+  (:class:`Family`), whose rows of vec(O_k) form an (N, d^2) matrix.
 * The realignment map permutes a bipartite operator (acting on A tensor B)
   into the ``dA^2 x dB^2`` matrix whose singular value decomposition
   produces the operator-Schmidt form; it sends A tensor B to
@@ -41,15 +41,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def frob_norm(m: np.ndarray) -> float:
     """2-norm sqrt(tr(M^dag M)), i.e. the Frobenius norm.
 
-    The sum of the squared real and imaginary parts is correctly rounded
-    (``math.fsum``), so the result depends only on the multiset of entries,
-    not on their order: any entry permutation, such as :func:`realign`,
+    The squared real and imaginary parts are summed in sorted order, so the
+    result depends only on the multiset of entries, not on their order (it
+    is not correctly rounded): any entry permutation, such as :func:`realign`,
     :func:`unrealign` or a transpose, leaves it bit-for-bit unchanged.  A
     BLAS dot product, as in ``np.linalg.norm``, adds in an order set by its
     blocking and can differ in the last ulp.
     """
     v = np.ascontiguousarray(m, dtype=complex).view(float)
-    return math.sqrt(math.fsum((v * v).ravel().tolist()))
+    return math.sqrt(float(np.sum(np.sort(v * v, axis=None))))
 
 
 def frozen(m, dtype=complex) -> np.ndarray:
@@ -59,12 +59,28 @@ def frozen(m, dtype=complex) -> np.ndarray:
     return out
 
 
-def family(ops, name: str, d: int | None = None) -> tuple:
+class Family(tuple):
+    """A checked family (:func:`family`): the tuple of the read-only views of
+    one complex (N, d, d) array, which ``np.asarray`` returns without a copy."""
+
+    def __new__(cls, arr: np.ndarray):
+        fam = super().__new__(cls, arr)
+        fam._array = arr
+        return fam
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._array, dtype=dtype, copy=copy)
+
+
+def family(ops, name: str, d: int | None = None) -> Family:
     """Check that every member is a finite (d, d) matrix, ``d`` defaulting to
     the first member's row count, and freeze the family as one read-only
-    complex (N, d, d) array; returns the tuple of its N views.  An error
-    names the first offending member: ``X[2] has shape (3, 3), expected (2, 2)``.
+    complex (N, d, d) array (:class:`Family`), which a checked Family of this
+    ``d`` already is.  An error names the first offending member:
+    ``X[2] has shape (3, 3), expected (2, 2)``.
     """
+    if isinstance(ops, Family) and d in (None, ops._array.shape[1]):
+        return ops
     try:
         arr = frozen(ops)
     except (TypeError, ValueError):  # members of differing shapes: the loop names one
@@ -79,12 +95,7 @@ def family(ops, name: str, d: int | None = None) -> tuple:
     if not np.isfinite(arr).all():
         k = np.argmin(np.isfinite(arr).all(axis=(1, 2)))
         raise ValueError(f"{name}[{k}] contains non-finite entries")
-    return tuple(arr)
-
-
-def stack(ops, d: int) -> np.ndarray:
-    """A family of d x d operators as one (N, d, d) array; (0, d, d) if empty."""
-    return np.asarray(ops, dtype=complex).reshape(len(ops), d, d)
+    return Family(arr if len(arr) else arr.reshape(0, d or 0, d or 0))
 
 
 def combine(coeffs, ops: np.ndarray) -> np.ndarray:
@@ -117,10 +128,10 @@ def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
 
 
-def hermitian_mask(ops, tol: float = ATOL) -> np.ndarray:
+def hermitian_mask(ops) -> np.ndarray:
     """:func:`is_hermitian` of every member of an (N, d, d) family, in one comparison."""
     ops = np.asarray(ops)
-    return np.max(np.abs(ops - np.conj(ops.transpose(0, 2, 1))), axis=(1, 2)) <= tol
+    return np.max(np.abs(ops - np.conj(ops.transpose(0, 2, 1))), axis=(1, 2)) <= ATOL
 
 
 def kron(a, b) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import as_matrix, family, frozen, stack
+from .core import as_matrix, family, frozen
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL
 
@@ -122,8 +122,8 @@ def operator_coefficients(ops, frame, conjugate: bool = False) -> list[np.ndarra
     """
     d = np.shape(frame[0])[0]
     ops = family(ops, "ops", d)
-    vo = stack(ops, d).reshape(len(ops), d * d)
-    vf = stack(frame, d).reshape(len(frame), -1)
+    vo = np.asarray(ops).reshape(len(ops), d * d)
+    vf = np.asarray(frame).reshape(len(frame), -1)
     c = vo @ vf.conj().T  # row k: tr(F_i^dag O_k)
     res = np.linalg.norm(vo - c @ vf, axis=1)
     outside = np.flatnonzero(res > ATOL * np.maximum(1.0, np.linalg.norm(vo, axis=1)))

@@ -16,26 +16,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import combine, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual, stack
+from .core import combine, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
 from .crossnorm import DiagonalScaling, _scaled_norms, operator_coefficients
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL, MIN_WEIGHT, RECON_TOL
 
 
-def is_row_isometry(u: np.ndarray, tol: float = ATOL) -> bool:
-    """True when U U^dag = I (rows orthonormal; requires cols >= rows)."""
+def is_row_isometry(u: np.ndarray) -> bool:
+    """True when U U^dag = I within ``ATOL`` (rows orthonormal; requires cols >= rows)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[1] < u.shape[0]:
         return False
-    return bool(np.max(np.abs(u @ np.conj(u).T - np.eye(u.shape[0]))) <= tol)
+    return bool(np.max(np.abs(u @ np.conj(u).T - np.eye(u.shape[0]))) <= ATOL)
 
 
-def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     eye, uh = np.eye(len(u)), np.conj(u).T
-    return bool(np.max(np.abs(u @ uh - eye)) <= tol and np.max(np.abs(uh @ u - eye)) <= tol)
+    return bool(np.max(np.abs(u @ uh - eye)) <= ATOL and np.max(np.abs(uh @ u - eye)) <= ATOL)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -168,9 +168,9 @@ def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
     zb = (sqrt_s * scaling.r)[:, None] * u  # sqrt(S) R U
     a_coeff = za.T / np.sqrt(p * c)[:, None]  # row k: column k of za / sqrt(p_k c_k)
     b_coeff = zb.T * np.sqrt(c / p)[:, None]
-    ops_a = combine(a_coeff, stack(os.X, os.dA))
-    ops_b = combine(np.conj(b_coeff), stack(os.Y, os.dB))
-    residual = relative_residual(realigned_sum(p, ops_a, ops_b), realigned_sum(os.s, os.X, os.Y))
+    ops_a = combine(a_coeff, os.X)
+    ops_b = combine(np.conj(b_coeff), os.Y)
+    residual = relative_residual(realigned_sum(p, ops_a, ops_b), os.realigned)
     if residual > RECON_TOL:
         raise ValueError(f"decomposition residual {residual:.3e} exceeds {RECON_TOL:.1e}")
     meta = DecompositionMeta(kind=kind, s=np.array(os.s), scaling=scaling, U=u, c=c)
@@ -262,7 +262,7 @@ class EqualNormReport:
     passed: bool
 
 
-def equal_norm_check(dec: SeparableDecomposition, scaling: DiagonalScaling, tol: float = ATOL) -> EqualNormReport:
+def equal_norm_check(dec: SeparableDecomposition, scaling: DiagonalScaling) -> EqualNormReport:
     """Check that ||R a^k||^2 and ||R^-1 b^k||^2 are constant across terms.
 
     When the decomposition's metadata carries the Schmidt spectrum and scale
@@ -276,9 +276,9 @@ def equal_norm_check(dec: SeparableDecomposition, scaling: DiagonalScaling, tol:
     dev_a = float(np.max(w_a) - np.min(w_a))
     dev_b = float(np.max(w_b) - np.min(w_b))
     expected = None
-    passed = dev_a <= tol and dev_b <= tol
+    passed = dev_a <= ATOL and dev_b <= ATOL
     meta = dec.meta
     if meta is not None and meta.s is not None and meta.c is not None:
         expected = float(np.sum(meta.s) / np.sum(dec.p * meta.c))
-        passed = passed and abs(float(np.mean(w_a)) - expected) <= max(tol, tol * expected)
+        passed = passed and abs(float(np.mean(w_a)) - expected) <= max(ATOL, ATOL * expected)
     return EqualNormReport(w_a, w_b, dev_a, dev_b, expected, bool(passed))

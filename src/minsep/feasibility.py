@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import family, frozen, realign, stack
+from .core import family, frozen, realign
 from .states import BipartiteState, haar_projectors
 from .tolerances import ATOL, FEAS_TOL, INFEAS_THRESHOLD
 
@@ -62,7 +62,7 @@ class StateSpace:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         gens = family(self.generators, "generators", self.dim)
         if self.include_quantum:
-            for k, tr in enumerate(np.trace(stack(gens, self.dim), axis1=1, axis2=2)):
+            for k, tr in enumerate(np.trace(gens, axis1=1, axis2=2)):
                 if abs(tr.imag) > ATOL:
                     raise ValueError(f"generators[{k}] has complex trace {tr:.6g}")
                 if self.mode == "convex" and abs(tr - 1.0) > ATOL:
@@ -78,7 +78,7 @@ class StateSpace:
         """The same space with generator ``index``, 0 <= index < len, removed."""
         if not 0 <= index < len(self):
             raise IndexError(f"generator index {index} is outside 0 <= k < {len(self)}")
-        gens = self.generators[:index] + self.generators[index + 1:]
+        gens = np.delete(self.generators, index, axis=0)
         return StateSpace(self.dim, gens, self.mode, self.include_quantum)
 
 
@@ -95,16 +95,15 @@ class FeasibilityResult:
         object.__setattr__(self, "weights", frozen(self.weights, float))
 
 
-def _product_columns(gens_a, gens_b, dA, dB):
+def _product_columns(gens_a, gens_b):
     """Columns vec(A_i tensor B_j), i major, as one broadcast product.
 
     Each entry is the one complex multiply A_i[a, a'] B_j[b, b'] that
     ``np.kron`` makes too, so the columns match a ``np.kron`` build bit for bit.
     """
-    a = stack(gens_a, dA)
-    b = stack(gens_b, dB)
+    a, b = np.asarray(gens_a), np.asarray(gens_b)
     prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return np.ascontiguousarray(prod.reshape(len(a) * len(b), (dA * dB) ** 2).T)
+    return np.ascontiguousarray(prod.reshape(len(a) * len(b), (a.shape[1] * b.shape[1]) ** 2).T)
 
 
 def _nnls(design, target, maxiter):
@@ -173,7 +172,7 @@ def separable_feasible(
     """
     _check_spaces(rho, va, vb)
     ncols = len(va) * len(vb)
-    cols = _product_columns(va.generators, vb.generators, rho.dA, rho.dB)
+    cols = _product_columns(va.generators, vb.generators)
     if ncols == 0:
         return _verdict(rho, va, vb, cols, np.zeros(0))
 
@@ -204,7 +203,7 @@ def weights_feasible(
     q = np.asarray(weights, dtype=float)
     if q.shape != (len(va), len(vb)):
         raise ValueError(f"weights have shape {q.shape}, expected {(len(va), len(vb))}")
-    cols = _product_columns(va.generators, vb.generators, rho.dA, rho.dB)
+    cols = _product_columns(va.generators, vb.generators)
     return _verdict(rho, va, vb, cols, q.reshape(-1))
 
 
@@ -236,7 +235,7 @@ class MinimalityReport:
 
 def _vecs(space: StateSpace) -> np.ndarray:
     """The generators as the columns vec(A_i) of a dim^2 x n matrix."""
-    return stack(space.generators, space.dim).reshape(len(space), -1).T
+    return np.asarray(space.generators).reshape(len(space), space.dim**2).T
 
 
 def deletion_minimality(

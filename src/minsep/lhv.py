@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_matrix, frozen, kron, stack
+from .core import as_matrix, frozen, kron
 from .decompositions import SeparableDecomposition
 from .states import BipartiteState, Povm, identity_povm, magic_povm, projective_povm
 from .tolerances import ATOL
@@ -83,8 +83,8 @@ def _responses(ops, povm: Povm) -> np.ndarray:
     """
     if len(ops[0]) != povm.dim:
         raise ValueError(f"POVM dimension {povm.dim} does not match operator dimension {len(ops[0])}")
-    effects_t = stack(povm.effects, povm.dim).transpose(0, 2, 1).reshape(len(povm), -1)
-    return stack(ops, povm.dim).reshape(len(ops), -1) @ effects_t.T
+    effects_t = np.asarray(povm.effects).transpose(0, 2, 1).reshape(len(povm), -1)
+    return np.asarray(ops).reshape(len(ops), -1) @ effects_t.T
 
 
 # The classical-model rules, in the order a term's first failure is reported.

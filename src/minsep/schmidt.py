@@ -36,6 +36,7 @@ class OperatorSchmidt:
     X: tuple = field(repr=False)
     Y: tuple = field(repr=False)
     hermitian: tuple = ()
+    realigned: np.ndarray = field(init=False, repr=False, compare=False)  # sum_i s_i vec(X_i) vec(Y_i)^T
 
     def __post_init__(self):
         s = frozen(self.s, float)
@@ -56,6 +57,7 @@ class OperatorSchmidt:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "hermitian", tuple(bool(h) for h in hermitian))
+        object.__setattr__(self, "realigned", frozen(realigned_sum(s, X, Y)))
 
     @property
     def D(self) -> int:
@@ -163,7 +165,7 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
     s, xs, ys, herm = _canonical_order(s, xs, ys, herm)
     out = OperatorSchmidt(dA, dB, s, xs, ys, herm)
 
-    residual = relative_residual(realigned_sum(out.s, out.X, out.Y), realign(rho, dA, dB))
+    residual = relative_residual(out.realigned, realign(rho, dA, dB))
     if residual > RECON_TOL:
         raise ValueError(f"Schmidt reconstruction residual {residual:.3e} too large")
     return out

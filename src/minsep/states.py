@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .core import as_matrix, dagger, family, frozen, hermitian_mask, is_hermitian, stack
+from .core import as_matrix, dagger, family, frozen, hermitian_mask, is_hermitian
 from .tolerances import ATOL, PSD_TOL
 
 
@@ -63,7 +63,7 @@ class Povm:
         effects = family(self.effects, "effects", self.dim)
         if not effects:
             raise ValueError("a POVM needs at least one effect")
-        e = stack(effects, self.dim)
+        e = np.asarray(effects)
         lo = np.linalg.eigvalsh(0.5 * (e + np.conj(e.transpose(0, 2, 1))))[:, 0]
         bad = np.flatnonzero(~hermitian_mask(e) | (lo < -PSD_TOL))
         if bad.size:
@@ -77,7 +77,7 @@ class Povm:
 
     def transpose(self) -> "Povm":
         """The elementwise-transposed POVM (still a valid POVM)."""
-        return Povm(self.dim, stack(self.effects, self.dim).transpose(0, 2, 1))
+        return Povm(self.dim, np.asarray(self.effects).transpose(0, 2, 1))
 
 
 def max_entangled(d: int) -> BipartiteState:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import as_matrix, combine, realign, realigned_sum, relative_residual, stack, unrealign
+from .core import as_matrix, combine, realign, realigned_sum, relative_residual, unrealign
 from .decompositions import DecompositionMeta, SeparableDecomposition, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
@@ -68,10 +68,10 @@ class SchmidtMaps:
     def __post_init__(self):
         d, n = self.d, len(self.s)
         sqrt_s = np.sqrt(self.s)
-        x = stack(self.X, d).reshape(n, -1).T
-        y = stack(self.Y, d).reshape(n, -1).T
+        x = np.asarray(self.X).reshape(n, -1).T
+        y = np.asarray(self.Y).reshape(n, -1).T
         c = self.basis.vecs.T
-        ct = stack(self.basis.ops, d).transpose(0, 2, 1).reshape(n, -1).T
+        ct = np.asarray(self.basis.ops).transpose(0, 2, 1).reshape(n, -1).T
         object.__setattr__(self, "fwd_a", (x * sqrt_s) @ c.conj().T)
         object.__setattr__(self, "fwd_b", (y * sqrt_s) @ ct.conj().T)
         object.__setattr__(self, "inv_a", (c / (d * sqrt_s)) @ x.conj().T)
@@ -140,9 +140,9 @@ class ConditionAReport:
     passed: bool
 
 
-def check_condition_a(os: OperatorSchmidt, tol: float = ATOL) -> ConditionAReport:
+def check_condition_a(os: OperatorSchmidt) -> ConditionAReport:
     """Condition A: e_j = sqrt(s_j) tr(X_j) and f_j = sqrt(s_j) tr(Y_j) must
-    be identical unit vectors.
+    be identical unit vectors, within ``ATOL``.
 
     Holds iff tr(X_j) = tr(Y_j) for all j; for unit-trace inputs the inner
     product e . f equals 1 so the norms follow automatically whenever the
@@ -150,8 +150,8 @@ def check_condition_a(os: OperatorSchmidt, tol: float = ATOL) -> ConditionARepor
     """
     if os.dA != os.dB or os.D != os.dA**2:
         raise ValueError("condition A needs equal dimensions and full Schmidt rank")
-    tr_x = np.trace(stack(os.X, os.dA), axis1=1, axis2=2)
-    tr_y = np.trace(stack(os.Y, os.dB), axis1=1, axis2=2)
+    tr_x = np.trace(os.X, axis1=1, axis2=2)
+    tr_y = np.trace(os.Y, axis1=1, axis2=2)
     if max(np.max(np.abs(tr_x.imag)), np.max(np.abs(tr_y.imag))) > 1e-8:
         raise ValueError("frame traces are not real; Hermitian frames required")
     e = np.sqrt(os.s) * tr_x.real
@@ -159,7 +159,7 @@ def check_condition_a(os: OperatorSchmidt, tol: float = ATOL) -> ConditionARepor
     deviation = float(np.linalg.norm(e - f))
     norm_e = float(np.linalg.norm(e))
     norm_f = float(np.linalg.norm(f))
-    passed = deviation <= tol and abs(norm_e - 1.0) <= tol and abs(norm_f - 1.0) <= tol
+    passed = deviation <= ATOL and abs(norm_e - 1.0) <= ATOL and abs(norm_f - 1.0) <= ATOL
     return ConditionAReport(e, f, deviation, norm_e, norm_f, bool(passed))
 
 
@@ -252,8 +252,8 @@ def build_w_basis(maps: SchmidtMaps, alignment: TraceAlignment) -> OperatorBasis
     forward images of W_k (A side) and W_k^T (B side) all have unit trace.
     """
     d = maps.d
-    ws = combine(alignment.T, stack(maps.basis.ops, d))
-    return OperatorBasis(d, tuple(ws), float(d))
+    ws = combine(alignment.T, maps.basis.ops)
+    return OperatorBasis(d, ws, float(d))
 
 
 def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableDecomposition:
@@ -271,8 +271,8 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that forward_a(W_k) =
     # sum_j a^k_j X_j and forward_b(W_k^T) = sum_j a^k_j Y_j.
     a = (w.vecs @ maps.basis.vecs.conj().T) * np.sqrt(maps.s)
-    ops_a = combine(a, stack(maps.X, d))
-    ops_b = combine(a, stack(maps.Y, d))
+    ops_a = combine(a, maps.X)
+    ops_b = combine(a, maps.Y)
     p = np.full(d * d, 1.0 / d**2)
     meta = DecompositionMeta(kind="transported", s=np.array(maps.s))
     dec = SeparableDecomposition(p, ops_a, ops_b, a, np.conj(a), meta)
@@ -289,9 +289,9 @@ def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
     For the transported decomposition itself every term has both norms equal
     to sqrt(d), so the total is d.  Each side's norms are one stacked product.
     """
-    d, n = maps.d, dec.terms
-    na = np.linalg.norm(stack(dec.A, d).reshape(n, -1) @ maps.inv_a.T, axis=1)
-    nb = np.linalg.norm(stack(dec.B, d).reshape(n, -1) @ maps.inv_b.T, axis=1)
+    n = dec.terms
+    na = np.linalg.norm(np.asarray(dec.A).reshape(n, -1) @ maps.inv_a.T, axis=1)
+    nb = np.linalg.norm(np.asarray(dec.B).reshape(n, -1) @ maps.inv_b.T, axis=1)
     return float(np.sum(dec.p * na * nb))
 
 
@@ -311,9 +311,8 @@ def minimal_quantum_spaces(
             f"is not above 1/d^2 = {1.0 / maps.d**2:.6g}"
         )
     d, n = maps.d, len(w)
-    ws = stack(w.ops, d)
-    gens_a = (ws.reshape(n, -1) @ maps.fwd_a.T).reshape(n, d, d)
-    gens_b = (ws.transpose(0, 2, 1).reshape(n, -1) @ maps.fwd_b.T).reshape(n, d, d)
+    gens_a = (w.vecs @ maps.fwd_a.T).reshape(n, d, d)
+    gens_b = (np.asarray(w.ops).transpose(0, 2, 1).reshape(n, -1) @ maps.fwd_b.T).reshape(n, d, d)
     traces = np.trace(np.concatenate([gens_a, gens_b]), axis1=1, axis2=2)
     if np.max(np.abs(traces - 1.0)) > 1e-6:
         raise ValueError("image operators are not unit trace; condition A alignment missing")

@@ -4,9 +4,12 @@ The costs, the equal-norm check, the magic scan and the Hermiticity checks
 once looped over terms in Python.  The loops are kept here as oracles and
 run over seeded decompositions with d = 2..4, dA != dB included.  A second
 group of tests counts the checks and constructions that the stacked paths
-must not repeat.
+must not repeat.  The last groups pin the family format: every family is a
+``core.Family`` whose ``np.asarray`` is its one read-only (N, d, d) array.
 """
 
+import inspect
+import math
 import sys
 
 import numpy as np
@@ -14,8 +17,8 @@ import pytest
 
 from conftest import near_max_entangled, random_mixed_decomposition
 from minsep import core, decompositions, lhv, transport
-from minsep.bases import phase_point_operators
-from minsep.core import frob_norm, is_hermitian
+from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators, validate_basis
+from minsep.core import Family, frob_norm, is_hermitian
 from minsep.crossnorm import DiagonalScaling, decomposition_cost
 from minsep.decompositions import (
     SeparableDecomposition,
@@ -23,11 +26,14 @@ from minsep.decompositions import (
     equal_norm_check,
     equal_norm_decomposition,
     hermitian_decomposition,
+    is_row_isometry,
+    is_unitary,
     normalized_form,
     random_orthogonal,
     random_row_isometry,
     random_unitary,
 )
+from minsep.feasibility import StateSpace, quantum_augmented_feasible
 from minsep.lhv import LhvConstructionError, ScanRecord, build_lhv, povm_scan
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import Povm, bell_state, magic_povm, random_density
@@ -277,6 +283,7 @@ class TestCheckOnce:
         family = count_calls(monkeypatch, owners, "family")
         unitary = count_calls(monkeypatch, [decompositions], "is_unitary")
         isometry = count_calls(monkeypatch, [decompositions], "is_row_isometry")
+        sums = count_calls(monkeypatch, [decompositions], "realigned_sum")
         if builder == "cross-norm":
             n = os.D + 1
             cross_norm_decomposition(os, scaling, random_row_isometry(os.D, n, 2), np.ones(n), np.ones(n))
@@ -286,6 +293,7 @@ class TestCheckOnce:
             hermitian_decomposition(os, scaling, random_orthogonal(os.D, 2), 1.5)
         assert len(family) == 2  # the A and B families of the one SeparableDecomposition
         assert len(unitary) + len(isometry) == 1
+        assert len(sums) == 1  # the decomposition's products; the Schmidt target is os.realigned
 
     def test_minimal_quantum_spaces_draws_no_samples(self, monkeypatch):
         os, maps, dec = transported_parts(4, 3)
@@ -297,3 +305,109 @@ class TestCheckOnce:
         assert drawn == []
         transport.check_condition_b(maps)
         assert len(drawn) == 1  # the patch sees condition B's sampled check
+
+
+# ------------------------------------------------------------ family format
+
+
+def family_attributes(dA, dB, seed):
+    """Every family attribute the constructions produce, by owner and name."""
+    os, scaling, decs = seeded_decompositions(dA, dB, seed)
+    dec = decs[0]
+    yield "OperatorSchmidt.X", os.X, dA
+    yield "OperatorSchmidt.Y", os.Y, dB
+    yield "SeparableDecomposition.A", dec.A, dA
+    yield "SeparableDecomposition.B", dec.B, dB
+    yield "StateSpace.generators", StateSpace(dA, dec.A, "conic").generators, dA
+    yield "OperatorBasis.ops", hermitian_basis(dB).ops, dB
+    yield "Povm.effects", magic_povm(0.5).effects, 2
+
+
+class TestFamilyArray:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_attributes_share_one_read_only_array(self, dims):
+        for owner, fam, d in family_attributes(*dims, seed=1):
+            arr = np.asarray(fam)
+            assert isinstance(fam, Family), owner
+            assert arr is np.asarray(fam) is np.asarray(fam, dtype=complex), owner  # no copy
+            assert arr.shape == (len(fam), d, d) and arr.dtype == complex, owner
+            assert not arr.flags.writeable, owner
+            assert all(np.shares_memory(arr, member) for member in fam), owner
+            np.testing.assert_array_equal(arr, np.stack(list(fam)))
+
+    def test_array_copy_is_writable_and_dtype_is_honoured(self):
+        fam = operator_schmidt(random_density(3, 2, 3)).X
+        copy = np.array(fam)
+        assert copy.flags.writeable and not np.shares_memory(copy, np.asarray(fam))
+        copy[0, 0, 0] = 7.0
+        assert fam[0][0, 0] != 7.0
+        assert np.asarray(fam, dtype=np.complex64).dtype == np.complex64
+        with pytest.raises(ValueError):
+            np.array(fam, dtype=np.complex64, copy=False)
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_concatenation_joins_the_members(self, dims):
+        for dec in seeded_decompositions(*dims, seed=0)[2]:
+            both = dec.A + dec.B
+            assert len(both) == 2 * dec.terms
+            assert [m.shape for m in both] == [(dims[0],) * 2] * dec.terms + [(dims[1],) * 2] * dec.terms
+            assert all(x is y for x, y in zip(both, (*dec.A, *dec.B)))
+
+    def test_empty_family_keeps_its_dimension(self):
+        assert np.shape(StateSpace(3, ()).generators) == (0, 3, 3)
+        assert np.shape(OperatorBasis(3, (), 3.0).ops) == (0, 3, 3)
+        assert np.shape(core.family((), "ops", 2)) == (0, 2, 2)
+
+    def test_checked_family_passes_through(self):
+        dec = seeded_decompositions(2, 3, 0)[2][0]
+        assert core.family(dec.A, "A", 2) is dec.A
+        assert core.family(dec.B, "B") is dec.B
+        rebuilt = SeparableDecomposition(dec.p, dec.A, dec.B)
+        assert rebuilt.A is dec.A and rebuilt.B is dec.B
+        with pytest.raises(ValueError) as info:
+            core.family(dec.A, "X", 3)
+        assert str(info.value) == "X[0] has shape (2, 2), expected (3, 3)"
+        with pytest.raises(ValueError) as info:
+            StateSpace(3, dec.A)
+        assert str(info.value) == "generators[0] has shape (2, 2), expected (3, 3)"
+
+    def test_without_and_augmented_generator_counts(self):
+        st, dec = near_max_entangled(0, 3), transported_parts(0, 3)[2]
+        va, vb = StateSpace(3, dec.A), StateSpace(3, dec.B)
+        for k in range(len(va)):
+            smaller = va.without(k).generators
+            assert isinstance(smaller, Family) and np.shape(smaller) == (len(va) - 1, 3, 3)
+            np.testing.assert_array_equal(smaller, np.delete(np.asarray(va.generators), k, axis=0))
+        assert np.shape(StateSpace(3, dec.A[:1]).without(0).generators) == (0, 3, 3)
+        qa = StateSpace(3, dec.A[:2], include_quantum=True)
+        assert quantum_augmented_feasible(st, qa, vb, 4, seed=0).weights.shape == (2 + 3 + 4, len(vb))
+        qb = StateSpace(3, (), include_quantum=True)
+        assert quantum_augmented_feasible(st, va, qb, 2, seed=0).weights.shape == (len(va), 3 + 2)
+
+    def test_stack_is_gone(self):
+        assert not hasattr(core, "stack")
+
+    @pytest.mark.parametrize(
+        "fn", [is_row_isometry, is_unitary, core.hermitian_mask, check_condition_a, equal_norm_check, validate_basis]
+    )
+    def test_tolerance_is_fixed(self, fn):
+        assert "tol" not in inspect.signature(fn).parameters
+
+
+class TestSchmidtTarget:
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_realigned_target_is_built_once(self, dims):
+        os = operator_schmidt(random_density(800, *dims))
+        assert bits(os.realigned.view(float)) == bits(core.realigned_sum(os.s, os.X, os.Y).view(float))
+        assert not os.realigned.flags.writeable
+
+
+class TestFrobNorm:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 9), (16, 16), (64, 64)])
+    def test_close_to_correctly_rounded_and_order_free(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v = m.view(float).ravel()
+        exact = math.sqrt(math.fsum(v * v))
+        assert abs(frob_norm(m) - exact) <= 4e-16 * exact
+        assert bits(frob_norm(m.T)) == bits(frob_norm(m[::-1])) == bits(frob_norm(m))
