@@ -44,7 +44,7 @@ maps = build_maps(os)
 print("\njoint map reproduces Bell:",
       np.allclose(maps.apply_joint(max_entangled(2).rho), bell.rho, atol=1e-12))
 
-# Condition B: spectral criterion min_k s_k > 1/d^2 plus a sampled check.
+# Condition B: the spectral criterion min_k s_k > 1/d^2, exact, with no sampling.
 cond_b = check_condition_b(maps)
 print(f"condition B: min s = {cond_b.min_s}, worst inverse norm bound = {cond_b.bound},"
       f" ceiling = {cond_b.ceiling:.4f}, passed = {cond_b.passed}")

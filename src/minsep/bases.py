@@ -13,7 +13,6 @@ from functools import cache
 import numpy as np
 
 from .core import as_matrix, combine, family
-from .tolerances import ATOL
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -154,11 +153,3 @@ def hermitian_basis(d: int) -> OperatorBasis:
         ops.append(np.diag(diag).astype(complex))
     return OperatorBasis(d, tuple(ops), float(d))
 
-
-def validate_basis(basis: OperatorBasis) -> float:
-    """Largest deviation of the Gram matrix from kappa * I, at most ``ATOL``."""
-    gram = basis.gram()
-    dev = float(np.max(np.abs(gram - basis.normalization * np.eye(len(basis)))))
-    if dev > ATOL:
-        raise ValueError(f"Gram deviation {dev:.3e} exceeds {ATOL:.1e}")
-    return dev

@@ -61,12 +61,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _claim(claim_id: str, value, tolerance: float, passed: bool) -> dict:
+def _claim(claim_id: str, value, tolerance: float, passed: bool | None = None) -> dict:
+    """One report claim; ``passed`` defaults to ``value <= tolerance``."""
     return {
         "id": claim_id,
         "value": None if value is None else float(value),
         "tolerance": float(tolerance),
-        "pass": bool(passed),
+        "pass": bool(value <= tolerance if passed is None else passed),
     }
 
 
@@ -131,7 +132,7 @@ def _parse_scaling(spec: str, os) -> DiagonalScaling:
     if spec == "sqrtS":
         return DiagonalScaling.sqrt_s(os)
     data = serialize.load_json(spec, "R")
-    if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+    if not isinstance(data, list) or not all(serialize.is_number(x) for x in data):
         raise FormatError("R", "expected a JSON list of positive diagonal entries")
     return DiagonalScaling(np.asarray(data, dtype=float))
 
@@ -159,8 +160,8 @@ def cmd_schmidt(args) -> tuple[dict, list]:
     residual = float(np.linalg.norm(reconstruct(os) - state.rho))
     purity_dev = abs(float(np.sum(os.s**2)) - float(np.real(np.trace(state.rho @ state.rho))))
     claims = [
-        _claim("schmidt.reconstruction_residual", residual, RECON_TOL, residual <= RECON_TOL),
-        _claim("schmidt.two_norm_preserved", purity_dev, ATOL, purity_dev <= ATOL),
+        _claim("schmidt.reconstruction_residual", residual, RECON_TOL),
+        _claim("schmidt.two_norm_preserved", purity_dev, ATOL),
     ]
     result = serialize.encode_schmidt(os)
     result.update(_frame_report(os))
@@ -185,7 +186,7 @@ def cmd_crossnorm(args) -> tuple[dict, list]:
         cost = decomposition_cost(dec, scaling)
         worst = max(worst, abs(cost - value))
         per_r.append({"r": [float(x) for x in r], "cost": float(cost)})
-    claims = [_claim("crossnorm.invariant_under_R", worst, ATOL, worst <= ATOL)]
+    claims = [_claim("crossnorm.invariant_under_R", worst, ATOL)]
     return {"value": float(value), "per_r": per_r}, claims
 
 
@@ -203,9 +204,9 @@ def _decompose_transported(args, state):
     traces += [abs(complex(np.trace(b)) - 1.0) for b in dec.B]
     cost_dev = abs(transported_cost(dec, maps) - maps.d)
     claims = [
-        _claim("decompose.reconstruction_residual", residual, RECON_TOL, residual <= RECON_TOL),
-        _claim("decompose.unit_traces", max(traces), 1e-9, max(traces) <= 1e-9),
-        _claim("decompose.transported_cost", cost_dev, ATOL, cost_dev <= ATOL),
+        _claim("decompose.reconstruction_residual", residual, RECON_TOL),
+        _claim("decompose.unit_traces", max(traces), 1e-9),
+        _claim("decompose.transported_cost", cost_dev, ATOL),
     ]
     result = serialize.encode_decomposition(dec)
     result["T"] = serialize.encode_matrix(alignment.T)
@@ -231,8 +232,8 @@ def cmd_decompose(args) -> tuple[dict, list]:
     residual = float(np.linalg.norm(dec.reconstruct() - state.rho))
     cost_dev = abs(decomposition_cost(dec, scaling) - cross_norm_value(os))
     claims = [
-        _claim("decompose.reconstruction_residual", residual, RECON_TOL, residual <= RECON_TOL),
-        _claim("decompose.cost_attains_cross_norm", cost_dev, ATOL, cost_dev <= ATOL),
+        _claim("decompose.reconstruction_residual", residual, RECON_TOL),
+        _claim("decompose.cost_attains_cross_norm", cost_dev, ATOL),
     ]
     if args.theorem == 2:
         report = equal_norm_check(dec, scaling)
@@ -292,7 +293,7 @@ def cmd_conditions(args) -> tuple[dict, list]:
         return result, claims
     cond_a = check_condition_a(os)
     maps = build_maps(os)
-    cond_b = check_condition_b(maps, seed=args.seed)
+    cond_b = check_condition_b(maps)
     result["condition_a"] = {
         "passed": cond_a.passed,
         "e": [float(x) for x in cond_a.e],
@@ -304,7 +305,6 @@ def cmd_conditions(args) -> tuple[dict, list]:
         "min_s": cond_b.min_s,
         "bound": cond_b.bound,
         "ceiling": cond_b.ceiling,
-        "sampled_max_inverse_norm": cond_b.sampled_max,
         "marginal": cond_b.marginal,
     }
     claims.append(_claim("conditions.a", cond_a.deviation, ATOL, cond_a.passed))
@@ -329,9 +329,7 @@ def cmd_lhv(args) -> tuple[dict, list]:
         "dropped": list(model.dropped),
         "born_deviation": float(model.born_deviation),
     }
-    claims = [
-        _claim("lhv.born_match", model.born_deviation, 1e-10, model.born_deviation <= 1e-10)
-    ]
+    claims = [_claim("lhv.born_match", model.born_deviation, 1e-10)]
     return result, claims
 
 

@@ -1,7 +1,8 @@
 """Dense complex matrix arithmetic used throughout the package.
 
-Everything here operates on plain ``numpy.ndarray`` objects with dtype
-``complex128``.  Two conventions carry the rest of the package:
+Everything here operates on complex128 ``numpy.ndarray`` objects, checked
+against :mod:`minsep.tolerances` (one Hermiticity test, :func:`hermitian_mask`,
+for a matrix or a family).  Two conventions carry the rest of the package:
 
 * An operator sigma is identified with its row-major vectorisation
   vec(sigma) = ``sigma.reshape(-1)``, so tr(C^dag sigma) = vec(C)^dag vec(sigma)
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .tolerances import ATOL, SVD_RTOL
+from .tolerances import ATOL
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -83,7 +84,7 @@ def family(ops, name: str, d: int | None = None) -> Family:
         return ops
     try:
         arr = frozen(ops)
-    except (TypeError, ValueError):  # members of differing shapes: the loop names one
+    except (TypeError, ValueError):  # differing shapes or non-numbers: the loop names a member
         arr = np.empty(0)
     for k, op in enumerate(ops if arr.ndim != 3 or arr.shape[1:] != (d or arr.shape[1],) * 2 else ()):
         shape = np.shape(op)
@@ -92,6 +93,10 @@ def family(ops, name: str, d: int | None = None) -> Family:
         d = shape[0] if d is None else d
         if shape != (d, d):
             raise ValueError(f"{name}[{k}] has shape {shape}, expected {(d, d)}")
+        try:
+            np.asarray(op, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}[{k}] has entries that are not numbers") from exc
     if not np.isfinite(arr).all():
         k = np.argmin(np.isfinite(arr).all(axis=(1, 2)))
         raise ValueError(f"{name}[{k}] contains non-finite entries")
@@ -124,14 +129,10 @@ def relative_residual(m, target) -> float:
     return frob_norm(m - target) / max(frob_norm(target), 1e-300)
 
 
-def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
 def hermitian_mask(ops) -> np.ndarray:
-    """:func:`is_hermitian` of every member of an (N, d, d) family, in one comparison."""
+    """M = M^dag within ``ATOL``: one bool for a (d, d) matrix, one per member of a family."""
     ops = np.asarray(ops)
-    return np.max(np.abs(ops - np.conj(ops.transpose(0, 2, 1))), axis=(1, 2)) <= ATOL
+    return np.max(np.abs(ops - np.conj(np.swapaxes(ops, -1, -2))), axis=(-2, -1)) <= ATOL
 
 
 def kron(a, b) -> np.ndarray:
@@ -181,18 +182,3 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return u, s, dagger(vh)
 
-
-def svd_residual(m: np.ndarray, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> float:
-    """Relative reconstruction residual of an SVD triple."""
-    return relative_residual((u * s) @ dagger(v), m)
-
-
-def check_svd(m: np.ndarray, rtol: float = SVD_RTOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD with the reconstruction residual verified against ``rtol``."""
-    u, s, v = svd(m)
-    res = svd_residual(m, u, s, v)
-    if res > rtol:
-        raise np.linalg.LinAlgError(
-            f"SVD residual {res:.3e} exceeds relative tolerance {rtol:.1e}"
-        )
-    return u, s, v

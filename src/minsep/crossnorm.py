@@ -100,15 +100,13 @@ def lambda_norm(x, lam, basis: OperatorBasis | None = None) -> float:
     return float(np.linalg.norm(lam @ coeffs))
 
 
-def cross_norm_value(os: OperatorSchmidt, scaling: DiagonalScaling | None = None) -> float:
+def cross_norm_value(os: OperatorSchmidt) -> float:
     """Value of the (R, R^-1) cross norm: the sum of Schmidt coefficients.
 
     The lower bound sum_i s_i holds for every product decomposition and is
     attained, for every positive diagonal R, by the constructions in
     :mod:`minsep.decompositions`; the value is therefore independent of R.
     """
-    if scaling is not None and scaling.D != os.D:
-        raise ValueError(f"scaling has size {scaling.D}, expected {os.D}")
     return os.lambda_total
 
 

@@ -70,7 +70,6 @@ class DecompositionMeta:
     scaling: DiagonalScaling | None = None
     U: np.ndarray | None = field(default=None, repr=False)
     c: np.ndarray | None = None
-    T: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

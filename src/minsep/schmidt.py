@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import (as_matrix, dagger, family, frozen, hermitian_mask, is_hermitian, product_sum, realign,
+from .core import (as_matrix, dagger, family, frozen, hermitian_mask, product_sum, realign,
                    realigned_sum, relative_residual, svd)
 from .states import BipartiteState
-from .tolerances import ATOL, RANK_CUTOFF, RECON_TOL
+from .tolerances import RANK_CUTOFF, RECON_TOL
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def _phase_fix(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
         phase = np.exp(-0.5j * np.angle(t))
         x = phase * x
         y = np.conj(phase) * y
-    ok = is_hermitian(x) and is_hermitian(y)
+    ok = bool(hermitian_mask(x) and hermitian_mask(y))
     return x, y, ok
 
 
@@ -156,7 +156,7 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
     if rank_cutoff < 0:
         raise ValueError("rank_cutoff must be nonnegative")
 
-    if is_hermitian(rho, ATOL):
+    if hermitian_mask(rho):
         s, xs, ys, herm = _schmidt_hermitian(rho, dA, dB, rank_cutoff)
     else:
         s, xs, ys, herm = _schmidt_general(rho, dA, dB, rank_cutoff)

@@ -34,6 +34,11 @@ def _require(obj, key, field):
     return obj[key]
 
 
+def is_number(x, kind=(int, float)) -> bool:
+    """Whether a JSON value is a ``kind`` number, not a true/false (Python bools are ints)."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
@@ -47,7 +52,7 @@ def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
     rows = _require(obj, "rows", field)
     cols = _require(obj, "cols", field)
     entries = _require(obj, "entries", field)
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not is_number(rows, int) or not is_number(cols, int) or rows < 1 or cols < 1:
         raise FormatError(f"{field}.rows", "rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise FormatError(
@@ -59,7 +64,7 @@ def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(is_number(x) for x in pair)
         ):
             raise FormatError(f"{field}.entries[{i}]", "expected [re, im]")
         out[i] = complex(pair[0], pair[1])
@@ -73,14 +78,14 @@ def encode_state(state: BipartiteState) -> dict:
     return out
 
 
-def decode_state(obj, field: str = "state", check_psd: bool = True) -> BipartiteState:
+def decode_state(obj, field: str = "state") -> BipartiteState:
     dA = _require(obj, "dA", field)
     dB = _require(obj, "dB", field)
-    if not isinstance(dA, int) or not isinstance(dB, int):
+    if not is_number(dA, int) or not is_number(dB, int):
         raise FormatError(f"{field}.dA", "dA and dB must be integers")
     rho = decode_matrix(obj, field)
     try:
-        return BipartiteState(dA, dB, rho, check_psd=check_psd)
+        return BipartiteState(dA, dB, rho)
     except ValueError as exc:
         raise FormatError(field, str(exc)) from exc
 
@@ -102,7 +107,7 @@ def encode_povm(povm: Povm) -> dict:
 def decode_povm(obj, field: str = "povm") -> Povm:
     dim = _require(obj, "dim", field)
     effects = _require(obj, "effects", field)
-    if not isinstance(dim, int):
+    if not is_number(dim, int):
         raise FormatError(f"{field}.dim", "must be an integer")
     if not isinstance(effects, list) or not effects:
         raise FormatError(f"{field}.effects", "expected a nonempty list of matrices")
@@ -125,8 +130,6 @@ def encode_meta(meta: DecompositionMeta | None) -> dict | None:
         out["U"] = encode_matrix(meta.U)
     if meta.c is not None:
         out["c"] = [float(v) for v in meta.c]
-    if meta.T is not None:
-        out["T"] = encode_matrix(meta.T)
     return out
 
 
@@ -138,8 +141,7 @@ def decode_meta(obj, field: str = "meta") -> DecompositionMeta | None:
     scaling = DiagonalScaling(np.asarray(obj["R"], dtype=float)) if "R" in obj else None
     u = decode_matrix(obj["U"], f"{field}.U") if "U" in obj else None
     c = np.asarray(obj["c"], dtype=float) if "c" in obj else None
-    t = decode_matrix(obj["T"], f"{field}.T") if "T" in obj else None
-    return DecompositionMeta(kind=kind, s=s, scaling=scaling, U=u, c=c, T=t)
+    return DecompositionMeta(kind=kind, s=s, scaling=scaling, U=u, c=c)
 
 
 def encode_decomposition(dec: SeparableDecomposition) -> dict:
@@ -155,7 +157,7 @@ def decode_decomposition(obj, field: str = "decomposition") -> SeparableDecompos
     p = _require(obj, "p", field)
     terms_a = _require(obj, "A", field)
     terms_b = _require(obj, "B", field)
-    if not isinstance(p, list) or not all(isinstance(x, (int, float)) for x in p):
+    if not isinstance(p, list) or not all(is_number(x) for x in p):
         raise FormatError(f"{field}.p", "expected a list of numbers")
     if not isinstance(terms_a, list) or not isinstance(terms_b, list):
         raise FormatError(f"{field}.A", "A and B must be lists of matrices")

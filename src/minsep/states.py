@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .core import as_matrix, dagger, family, frozen, hermitian_mask, is_hermitian
+from .core import as_matrix, dagger, family, frozen, hermitian_mask
 from .tolerances import ATOL, PSD_TOL
 
 
@@ -36,7 +36,7 @@ class BipartiteState:
         n = self.dA * self.dB
         if rho.shape != (n, n):
             raise ValueError(f"rho has shape {rho.shape}, expected {(n, n)}")
-        if not is_hermitian(rho, ATOL):
+        if not hermitian_mask(rho):
             raise ValueError("rho is not Hermitian within tolerance")
         tr = complex(np.trace(rho))
         if abs(tr - 1.0) > ATOL:

@@ -11,9 +11,6 @@ ATOL = 1e-9
 # Eigenvalues of quantum states may dip this far below zero.
 PSD_TOL = 1e-9
 
-# Relative residual allowed for an SVD reconstruction.
-SVD_RTOL = 1e-12
-
 # Singular values at or below this are treated as rank deficiency.
 RANK_CUTOFF = 1e-10
 
@@ -35,7 +32,6 @@ def tolerance_table() -> dict:
     return {
         "atol": ATOL,
         "psd_tol": PSD_TOL,
-        "svd_rtol": SVD_RTOL,
         "rank_cutoff": RANK_CUTOFF,
         "recon_tol": RECON_TOL,
         "feas_tol": FEAS_TOL,

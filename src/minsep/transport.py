@@ -32,7 +32,6 @@ from .core import as_matrix, combine, realign, realigned_sum, relative_residual,
 from .decompositions import DecompositionMeta, SeparableDecomposition, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
-from .states import haar_projectors
 from .tolerances import ATOL, RECON_TOL
 
 
@@ -170,34 +169,24 @@ class ConditionBReport:
     min_s: float
     bound: float          # 1 / (d * min_s), the worst-case inverse-map norm
     ceiling: float        # sqrt(d), the norm the images attain
-    sampled_max: float
     marginal: bool
     passed: bool
 
 
-def check_condition_b(
-    maps: SchmidtMaps, sample_count: int = 100, seed: int = 0
-) -> ConditionBReport:
+def check_condition_b(maps: SchmidtMaps) -> ConditionBReport:
     """Condition B: the inverse maps keep every quantum state strictly below
     2-norm sqrt(d).
 
-    The spectral criterion is min_k s_k > 1/d^2 (strict); a seeded batch of
-    pure-state projectors is also pushed through the inverse map as a direct
-    check, skipped for ``sample_count=0``.  Exactly critical is marginal, not passed.
+    The criterion is spectral and exact, so nothing is sampled: an inverse
+    map stretches 2-norms by at most 1/sqrt(d min_k s_k), below sqrt(d) iff
+    min_k s_k > 1/d^2 (strict).  Exactly critical is marginal, not passed.
     """
-    if sample_count < 0:
-        raise ValueError("sample_count must be nonnegative")
     d = maps.d
     min_s = float(np.min(maps.s))
-    sampled = 0.0
-    if sample_count:
-        proj = haar_projectors(np.random.default_rng(seed), d, sample_count).reshape(sample_count, d * d)
-        images = np.concatenate([proj @ maps.inv_a.T, proj @ maps.inv_b.T])
-        sampled = float(np.max(np.linalg.norm(images, axis=1)))
     threshold = 1.0 / d**2
     marginal = abs(min_s - threshold) <= 1e-12
     passed = min_s - threshold > 1e-12  # never marginal
-    return ConditionBReport(min_s, 1.0 / (d * min_s), float(np.sqrt(d)), sampled, marginal, passed)
+    return ConditionBReport(min_s, 1.0 / (d * min_s), float(np.sqrt(d)), marginal, passed)
 
 
 @dataclass(frozen=True)
@@ -304,7 +293,7 @@ def minimal_quantum_spaces(
     the positive-trace conic hulls.  Both conditions of the construction
     must hold; the unit traces of the images are re-verified directly.
     """
-    cond_b = check_condition_b(maps, sample_count=0)  # the spectral verdict, no sampling
+    cond_b = check_condition_b(maps)
     if not cond_b.passed:
         raise ValueError(
             f"condition B fails: min Schmidt coefficient {cond_b.min_s:.6g} "

@@ -181,7 +181,7 @@ def test_criterion_07_condition_b_threshold():
 
     def passes(theta):
         maps = build_maps(operator_schmidt(pure_theta(theta)))
-        return check_condition_b(maps, sample_count=10).passed
+        return check_condition_b(maps).passed
 
     ok = passes(np.pi / 4 - 0.01) and not passes(0.1)
     lo, hi = 0.1, np.pi / 4

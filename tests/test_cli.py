@@ -7,13 +7,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from minsep import serialize
 from minsep.bases import PAULI_I, phase_point_operators
 from minsep.cli import main
 from minsep.decompositions import SeparableDecomposition
 from minsep.feasibility import StateSpace, separable_feasible
-from minsep.states import random_density
+from minsep.states import projective_povm, random_density
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -189,6 +190,12 @@ class TestConditions:
         assert report["result"]["condition_b"]["passed"]
         assert abs(report["result"]["condition_b"]["min_s"] - 0.5) < 1e-10
 
+    def test_condition_b_reports_the_spectral_verdict_only(self, capsys):
+        code, report = run(capsys, "conditions", "--state", "max-entangled:3")
+        assert code == 0
+        assert set(report["result"]["condition_b"]) == {"passed", "min_s", "bound", "ceiling", "marginal"}
+        assert "svd_rtol" not in report["tolerances"]
+
     def test_rank_deficient_reports_failure(self, capsys, tmp_path):
         path = tmp_path / "product.json"
         rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
@@ -284,6 +291,43 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "dA" in err
+
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"rows": True, "cols": True}, "state.rows"),
+            ({"cols": True}, "state.rows"),
+            ({"dA": True}, "state.dA"),
+            ({"dB": True}, "state.dA"),
+            ({"entries": [[True, False]]}, "state.entries[0]"),
+        ],
+    )
+    def test_json_boolean_in_a_state_is_one_error_line(self, capsys, tmp_path, patch, field):
+        """JSON true/false decode to Python bools, which are ints; none of them is a number here."""
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dA": 1, "dB": 1, "rows": 1, "cols": 1, "entries": [[1.0, 0.0]], **patch}))
+        code = main(["schmidt", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ") and captured.err.count("\n") == 1
+
+    def test_json_boolean_in_p_dim_or_r_is_one_error_line(self, capsys, tmp_path):
+        dec = json.loads(Path(phase_point_file(tmp_path)).read_text())
+        dec["p"][0] = True
+        bad_dec, bad_povm, bad_r = tmp_path / "p.json", tmp_path / "povm.json", tmp_path / "r.json"
+        bad_dec.write_text(json.dumps(dec))
+        bad_povm.write_text(json.dumps({**serialize.encode_povm(projective_povm("z")), "dim": True}))
+        bad_r.write_text(json.dumps([1.0, True, 1.0, 1.0]))
+        cases = [
+            (["lhv", "--decomposition", str(bad_dec), "--povm-a", "z"], "decomposition.p"),
+            (["lhv", "--decomposition", phase_point_file(tmp_path), "--povm-a", str(bad_povm)], "povm.dim"),
+            (["decompose", "--theorem", "1", "--state", "bell", "--R", str(bad_r)], "R"),
+        ]
+        for argv, field in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith(f"error: {field}: ") and captured.err.count("\n") == 1
 
     def test_unknown_flag_exits_1(self, capsys):
         code = main(["schmidt", "--nonsense"])

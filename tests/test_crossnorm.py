@@ -89,8 +89,11 @@ class TestScaledVecNorm:
 class TestCrossNormValue:
     def test_bell_any_scaling(self):
         os = operator_schmidt(bell_state())
+        assert abs(cross_norm_value(os) - 2.0) < 1e-10
         for r in (np.ones(4), np.array([2.0, 1.0, 0.5, 3.0])):
-            assert abs(cross_norm_value(os, DiagonalScaling(r)) - 2.0) < 1e-10
+            scaling = DiagonalScaling(r)
+            dec = cross_norm_decomposition(os, scaling, np.eye(4, dtype=complex), np.full(4, 0.25), np.ones(4))
+            assert abs(decomposition_cost(dec, scaling) - 2.0) < 1e-10
 
     def test_max_entangled_3(self):
         assert abs(cross_norm_value(operator_schmidt(max_entangled(3))) - 3.0) < 1e-10
@@ -98,11 +101,6 @@ class TestCrossNormValue:
     def test_product_state(self):
         os = operator_schmidt(product_state(np.eye(2) / 2, np.eye(2) / 2))
         assert abs(cross_norm_value(os) - 0.5) < 1e-12
-
-    def test_size_mismatch(self):
-        os = operator_schmidt(bell_state())
-        with pytest.raises(ValueError, match="size"):
-            cross_norm_value(os, DiagonalScaling(np.ones(3)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_attained_cost_invariant_over_ten_scalings(self, seed):

@@ -1,0 +1,75 @@
+"""Nothing in the package goes unused: every import is read, and every
+top-level function and class is called from the package or exported.
+
+Both checks read the source with ``ast`` only.  A name counts as used
+wherever it appears as a bare name, as an attribute (``serialize.dumps``)
+or in a ``from ... import`` of another module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import minsep
+
+PACKAGE = Path(minsep.__file__).resolve().parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+# The encoders of the wire format, kept beside their decoders for writers of input files.
+UNREFERENCED_API = {("serialize", "encode_state"), ("serialize", "encode_povm")}
+
+
+def imported_names(tree):
+    """Each name a module binds by import, with the import's line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def read_names(tree):
+    """Every bare name and attribute name the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def top_level_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+EXPORTED = {name for name, _ in imported_names(MODULES["__init__"])}
+REFERENCED = {name for tree in MODULES.values() for name in read_names(tree)} | {
+    name for module, tree in MODULES.items() if module != "__init__" for name, _ in imported_names(tree)
+}
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_every_import_is_used(module):
+    used = set(read_names(MODULES[module]))
+    unused = [f"{name} (line {line})" for name, line in imported_names(MODULES[module]) if name not in used]
+    assert unused == [], f"minsep.{module} imports names it never uses"
+
+
+def test_every_definition_is_referenced_or_exported():
+    dead = [
+        f"{module}.{name}"
+        for module, tree in MODULES.items()
+        for name in top_level_definitions(tree)
+        if name not in REFERENCED | EXPORTED and (module, name) not in UNREFERENCED_API
+    ]
+    assert dead == [], "top-level definitions that nothing in minsep uses or exports"
+
+
+def test_the_allowlist_is_still_needed():
+    for module, name in UNREFERENCED_API:
+        assert name in set(top_level_definitions(MODULES[module]))
+        assert name not in REFERENCED | EXPORTED

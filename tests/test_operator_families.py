@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from minsep.bases import OperatorBasis, heisenberg_weyl_basis, hermitian_basis
-from minsep.core import combine, frob_norm, product_sum
+from minsep.core import combine, product_sum
 from minsep.decompositions import random_unitary
 from minsep.feasibility import _product_columns
 from minsep.schmidt import operator_schmidt, reconstruct
 from minsep.states import random_density
-from minsep.transport import build_maps, check_condition_b
+from minsep.transport import build_maps
 
 BASES = {"hermitian": hermitian_basis, "heisenberg-weyl": heisenberg_weyl_basis}
 
@@ -98,29 +98,6 @@ class TestSchmidtMapsAgainstLoops:
         eye = np.eye(d * d)
         np.testing.assert_allclose(maps.inv_a @ maps.fwd_a, eye, atol=1e-12)
         np.testing.assert_allclose(maps.inv_b @ maps.fwd_b, eye, atol=1e-12)
-
-
-@pytest.mark.parametrize("d, seed", [(2, 0), (3, 5), (4, 9)])
-def test_condition_b_sampled_max_matches_loop(d, seed):
-    maps = build_maps(operator_schmidt(random_density(3, d, d)))
-    rng = np.random.default_rng(seed)
-    sampled = 0.0
-    for _ in range(50):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        proj = np.outer(v, v.conj())
-        sampled = max(
-            sampled,
-            frob_norm(loop_inverse_a(maps, proj)),
-            frob_norm(loop_inverse_b(maps, proj)),
-        )
-    report = check_condition_b(maps, sample_count=50, seed=seed)
-    assert report.sampled_max == pytest.approx(sampled, rel=1e-12, abs=0)
-
-
-def test_condition_b_without_samples():
-    maps = build_maps(operator_schmidt(random_density(3, 2, 2)))
-    assert check_condition_b(maps, sample_count=0).sampled_max == 0.0
 
 
 def kron_columns(gens_a, gens_b):

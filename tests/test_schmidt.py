@@ -5,11 +5,11 @@ import pytest
 
 from minsep import schmidt
 from minsep.bases import pauli_basis
-from minsep.core import is_hermitian, realign
+from minsep.core import hermitian_mask, realign
 from minsep.decompositions import normalized_form
 from minsep.schmidt import OperatorSchmidt, operator_schmidt, reconstruct
 from minsep.states import bell_state, max_entangled, product_state, random_density
-from minsep.tolerances import ATOL, RANK_CUTOFF
+from minsep.tolerances import RANK_CUTOFF
 
 from conftest import near_max_entangled
 from test_core import singular_values_gram
@@ -219,7 +219,7 @@ ORDER_CASES = (
 def test_lexsort_order_matches_tuple_key_sort(name, rho, dA, dB):
     """The array sort gives bit-identical s, X and Y, signed zeros included,
     on degenerate (Bell, max_entangled) and generic spectra alike."""
-    raw = schmidt._schmidt_hermitian if is_hermitian(rho, ATOL) else schmidt._schmidt_general
+    raw = schmidt._schmidt_hermitian if hermitian_mask(rho) else schmidt._schmidt_general
     s, xs, ys, herm = raw(rho, dA, dB, RANK_CUTOFF)
     s_ref, xs_ref, ys_ref, herm_ref = tuple_key_order(s, xs, ys, herm)
     os = operator_schmidt(rho, dims=(dA, dB))

@@ -8,6 +8,7 @@ must not repeat.  The last groups pin the family format: every family is a
 ``core.Family`` whose ``np.asarray`` is its one read-only (N, d, d) array.
 """
 
+import dataclasses
 import inspect
 import math
 import sys
@@ -16,18 +17,17 @@ import numpy as np
 import pytest
 
 from conftest import near_max_entangled, random_mixed_decomposition
-from minsep import core, decompositions, lhv, transport
-from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators, validate_basis
-from minsep.core import Family, frob_norm, is_hermitian
+from minsep import bases, core, crossnorm, decompositions, lhv, serialize, tolerances, transport
+from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
+from minsep.core import Family, frob_norm
 from minsep.crossnorm import DiagonalScaling, decomposition_cost
 from minsep.decompositions import (
+    DecompositionMeta,
     SeparableDecomposition,
     cross_norm_decomposition,
     equal_norm_check,
     equal_norm_decomposition,
     hermitian_decomposition,
-    is_row_isometry,
-    is_unitary,
     normalized_form,
     random_orthogonal,
     random_row_isometry,
@@ -37,7 +37,9 @@ from minsep.feasibility import StateSpace, quantum_augmented_feasible
 from minsep.lhv import LhvConstructionError, ScanRecord, build_lhv, povm_scan
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import Povm, bell_state, magic_povm, random_density
+from minsep.tolerances import ATOL
 from minsep.transport import (
+    ConditionBReport,
     build_maps,
     build_w_basis,
     check_condition_a,
@@ -98,6 +100,11 @@ def oracle_magic_threshold(dec):
         return 0.0
     mu = np.array([t[:, 0].real for t in terms.tables])
     return float(np.min(terms.tr[cut] / mu[cut], initial=1.0))
+
+
+def is_hermitian(m):
+    """The per-matrix check the stacked ``core.hermitian_mask`` replaced."""
+    return bool(np.max(np.abs(m - np.conj(m).T)) <= ATOL)
 
 
 def oracle_hermitian_terms(A, B):
@@ -210,6 +217,18 @@ class TestStackedMatchesPerTerm:
             assert OperatorSchmidt(dA, dB, os.s, os.X, os.Y).hermitian == oracle_hermitian_terms(os.X, os.Y)
             assert not all(rotated.hermitian) and any(rotated.hermitian)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_hermitian_mask_of_one_matrix_and_of_a_family(self, d):
+        """One (d, d) matrix gives one bool, a family one per member, both as the per-matrix check."""
+        rng = np.random.default_rng(d)
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = h + h.conj().T
+        skew = 1j * np.eye(d)  # adds 2 t i I to M - M^dag
+        ops = np.stack([h, h + 0.4 * ATOL * skew, h + 4 * ATOL * skew, 1j * h])
+        assert core.hermitian_mask(ops).tolist() == [is_hermitian(m) for m in ops] == [True, True, False, False]
+        for m in ops:
+            assert core.hermitian_mask(m).shape == () and bool(core.hermitian_mask(m)) == is_hermitian(m)
+
     @pytest.mark.parametrize("side, bad", [("A", (2, 3)), ("B", (1,)), ("A", (1, 3))])
     def test_non_hermitian_term_named_by_first_index(self, side, bad):
         """Frames declared Hermitian that are not: the stacked check names the
@@ -296,15 +315,18 @@ class TestCheckOnce:
         assert len(sums) == 1  # the decomposition's products; the Schmidt target is os.realigned
 
     def test_minimal_quantum_spaces_draws_no_samples(self, monkeypatch):
+        """Condition B is spectral: neither it nor the spaces it guards draw a random number."""
         os, maps, dec = transported_parts(4, 3)
         w = build_w_basis(maps, construct_alignment(check_condition_a(os)))
-        drawn = count_calls(monkeypatch, [transport], "haar_projectors")
+        seeded = count_calls(monkeypatch, [np.random], "default_rng")
+        legacy = np.random.get_state()[1].copy()
         for mode in ("convex", "conic"):
             va, vb = minimal_quantum_spaces(maps, w, mode)
             assert len(va) == len(vb) == 9
-        assert drawn == []
-        transport.check_condition_b(maps)
-        assert len(drawn) == 1  # the patch sees condition B's sampled check
+        report = transport.check_condition_b(maps)
+        assert report.passed and not report.marginal
+        assert seeded == [] and np.array_equal(np.random.get_state()[1], legacy)
+        assert not hasattr(transport, "haar_projectors")
 
 
 # ------------------------------------------------------------ family format
@@ -388,10 +410,37 @@ class TestFamilyArray:
         assert not hasattr(core, "stack")
 
     @pytest.mark.parametrize(
-        "fn", [is_row_isometry, is_unitary, core.hermitian_mask, check_condition_a, equal_norm_check, validate_basis]
+        "owner, name, removed",
+        [
+            pytest.param(*case, id=case[1])
+            for case in [
+                (decompositions, "is_row_isometry", {"tol"}),
+                (decompositions, "is_unitary", {"tol"}),
+                (core, "hermitian_mask", {"tol"}),
+                (transport, "check_condition_a", {"tol"}),
+                (decompositions, "equal_norm_check", {"tol"}),
+                (transport, "check_condition_b", {"tol", "sample_count", "seed"}),
+                (crossnorm, "cross_norm_value", {"scaling"}),
+                (serialize, "decode_state", {"check_psd"}),
+                (bases, "validate_basis", None),
+                (core, "check_svd", None),
+                (core, "svd_residual", None),
+                (core, "is_hermitian", None),
+                (tolerances, "SVD_RTOL", None),
+            ]
+        ],
     )
-    def test_tolerance_is_fixed(self, fn):
-        assert "tol" not in inspect.signature(fn).parameters
+    def test_tolerance_is_fixed(self, owner, name, removed):
+        """Each removed tolerance, option and helper stays gone."""
+        if removed is None:
+            assert not hasattr(owner, name)
+        else:
+            assert not removed & set(inspect.signature(getattr(owner, name)).parameters)
+
+    def test_removed_fields_and_report_keys_are_gone(self):
+        assert "T" not in {f.name for f in dataclasses.fields(DecompositionMeta)}
+        assert "sampled_max" not in {f.name for f in dataclasses.fields(ConditionBReport)}
+        assert "svd_rtol" not in tolerances.tolerance_table()
 
 
 class TestSchmidtTarget:

@@ -8,7 +8,7 @@ from minsep.bases import hermitian_basis, pauli_basis, phase_point_operators
 from minsep.core import frob_norm, kron
 from minsep.feasibility import quantum_augmented_feasible
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
-from minsep.states import BipartiteState, bell_state, max_entangled, random_density, random_pure_state
+from minsep.states import BipartiteState, bell_state, haar_projectors, max_entangled, random_density, random_pure_state
 from minsep.transport import (
     ConditionAReport,
     build_maps,
@@ -38,6 +38,14 @@ def pure_theta(theta):
     psi[0] = np.cos(theta)
     psi[3] = np.sin(theta)
     return BipartiteState(2, 2, np.outer(psi, psi.conj()))
+
+
+def sampled_image_norm(maps, count, seed):
+    """Largest 2-norm of ``count`` seeded Haar pure-state projectors pushed
+    through either inverse map: a direct look at condition B's norm bound."""
+    proj = haar_projectors(np.random.default_rng(seed), maps.d, count).reshape(count, -1)
+    images = np.concatenate([proj @ maps.inv_a.T, proj @ maps.inv_b.T])
+    return float(np.max(np.linalg.norm(images, axis=1)))
 
 
 def damped_bell(gamma=0.5):
@@ -223,7 +231,7 @@ class TestConditionB:
         report = check_condition_b(maps)
         assert abs(report.bound - 1.0) < 1e-10
         assert report.bound < report.ceiling
-        assert report.sampled_max <= report.bound + 1e-9
+        assert sampled_image_norm(maps, 100, seed=0) <= report.bound + 1e-9
 
     def test_weakly_entangled_fails(self):
         maps = build_maps(operator_schmidt(pure_theta(0.1)))
@@ -234,23 +242,11 @@ class TestConditionB:
     def test_norm_ceiling_on_samples(self):
         state = pure_theta(np.pi / 4 - 0.15)
         maps = build_maps(operator_schmidt(state))
-        report = check_condition_b(maps, sample_count=500, seed=3)
+        report = check_condition_b(maps)
+        sampled = sampled_image_norm(maps, 500, seed=3)
         assert report.passed
-        assert report.sampled_max <= report.bound + 1e-9
-        assert report.sampled_max < report.ceiling
-
-
-    def test_negative_sample_count_rejected(self):
-        maps = build_maps(operator_schmidt(bell_state()))
-        with pytest.raises(ValueError, match="^sample_count must be nonnegative$"):
-            check_condition_b(maps, sample_count=-1)
-
-    def test_zero_samples_keep_the_spectral_verdict(self):
-        for state in (bell_state(), pure_theta(0.1), max_entangled(3)):
-            maps = build_maps(operator_schmidt(state))
-            sampled, spectral = check_condition_b(maps), check_condition_b(maps, sample_count=0)
-            assert (spectral.min_s, spectral.bound, spectral.passed) == (sampled.min_s, sampled.bound, sampled.passed)
-            assert spectral.sampled_max == 0.0
+        assert sampled <= report.bound + 1e-9
+        assert sampled < report.ceiling
 
 
 class TestTransportedDecomposition:
