@@ -46,7 +46,7 @@ print("\njoint map reproduces Bell:",
 
 # Condition B: the spectral criterion min_k s_k > 1/d^2, exact, with no sampling.
 cond_b = check_condition_b(maps)
-print(f"condition B: min s = {cond_b.min_s}, worst inverse norm bound = {cond_b.bound},"
+print(f"condition B: min s = {cond_b.min_s}, inverse-map spectral norm = {cond_b.bound},"
       f" ceiling = {cond_b.ceiling:.4f}, passed = {cond_b.passed}")
 
 # The alignment maps e to the uniform vector; the rotated basis W has

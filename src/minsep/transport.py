@@ -167,7 +167,7 @@ class ConditionBReport:
     """Norm-ceiling condition: min_k s_k must exceed 1/d^2."""
 
     min_s: float
-    bound: float          # 1 / (d * min_s), the worst-case inverse-map norm
+    bound: float          # 1 / sqrt(d * min_s), the inverse maps' spectral norm
     ceiling: float        # sqrt(d), the norm the images attain
     marginal: bool
     passed: bool
@@ -186,7 +186,7 @@ def check_condition_b(maps: SchmidtMaps) -> ConditionBReport:
     threshold = 1.0 / d**2
     marginal = abs(min_s - threshold) <= 1e-12
     passed = min_s - threshold > 1e-12  # never marginal
-    return ConditionBReport(min_s, 1.0 / (d * min_s), float(np.sqrt(d)), marginal, passed)
+    return ConditionBReport(min_s, float(1.0 / np.sqrt(d * min_s)), float(np.sqrt(d)), marginal, passed)
 
 
 @dataclass(frozen=True)

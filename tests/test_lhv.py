@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import near_max_entangled
 from minsep import lhv
@@ -17,7 +19,7 @@ from minsep.lhv import (
     povm_scan,
 )
 from minsep.schmidt import operator_schmidt
-from minsep.states import bell_state, identity_povm, magic_povm, projective_povm, random_density
+from minsep.states import Povm, bell_state, identity_povm, magic_povm, projective_povm, random_density
 from minsep.tolerances import ATOL
 from minsep.transport import (
     build_maps,
@@ -135,6 +137,30 @@ class TestBuildLhv:
                 assert np.all(table[i] >= 0)
                 assert abs(np.sum(table[i]) - 1.0) < 1e-12
         assert abs(np.sum(model.hidden_weights) - 1.0) < 1e-12
+
+
+class TestLhvModelChecks:
+    """LhvModel's own checks, which the scan applies to every pair in array form."""
+
+    @pytest.mark.parametrize(
+        "weights, ra, rb, dropped, message",
+        [
+            ([], np.zeros((0, 2)), np.zeros((0, 2)), (), "hidden weights sum to 0, expected 1"),
+            ([-0.5, 1.5], np.eye(2), np.eye(2), (), "hidden weights must be nonnegative"),
+            ([0.5, 0.4], np.eye(2), np.eye(2), (), "hidden weights sum to 0.9, expected 1"),
+            ([0.5, 0.5], [[1, 0], [0.5, 0.2]], np.eye(2), (), "response_a row 1 is not a probability distribution"),
+            ([0.5, 0.5], np.eye(2), [[1, 0], [-0.5, 1.5]], (), "response_b row 1 is not a probability distribution"),
+            ([0.5, 0.5], np.eye(2), np.eye(3)[:2], (0, 1, 7), None),  # dropped rows need not be distributions
+            ([1.0, 0.0], [[1, 0], [0, 0]], [[1, 0], [0, 0]], (1,), None),
+            ([1.0], np.eye(2), [[1.0]], (), "response_a must have one row per term"),
+        ],
+    )
+    def test_messages(self, weights, ra, rb, dropped, message):
+        if message is None:
+            assert lhv.LhvModel(np.array(weights, float), ra, rb, dropped).dropped == dropped
+            return
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lhv.LhvModel(np.array(weights, float), ra, rb, dropped)
 
 
 class TestProbabilities:
@@ -350,19 +376,26 @@ class TestMagicThresholdClosedForm:
         assert inside >= 5  # the interval's upper end is exercised, not only 0 and 1
 
     @pytest.mark.parametrize("budget", [1, 4, 16])
-    def test_at_most_budget_plus_one_build_lhv_calls(self, monkeypatch, budget):
-        calls = []
+    def test_one_table_product_per_side_at_every_budget(self, monkeypatch, budget):
+        """A magic scan applies the rules once, to one response table per side
+        over the whole grid, and once more, to one pair, in the Born
+        verification at c*: the number of table products does not grow with
+        the budget."""
+        rules, calls = lhv._rules, []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return build_lhv(*args, **kwargs)
+        def counting(p, tables):
+            calls.append([len(t) for t in tables])  # the pairs each product covers
+            return rules(p, tables)
 
-        monkeypatch.setattr(lhv, "build_lhv", counting)
+        monkeypatch.setattr(lhv, "_rules", counting)
         decs = [phase_point_decomposition(), *transported_qubit_decompositions((0, 106))]
+        verified = 0
         for dec in decs:
             calls.clear()
-            povm_scan(dec, family="magic", budget=budget)
-            assert 0 < len(calls) <= budget + 1
+            threshold = povm_scan(dec, family="magic", budget=budget).threshold
+            assert calls == [[budget, budget]] + [[1, 1]] * (threshold > 0)
+            verified += threshold > 0
+        assert 0 < verified < len(decs)  # scans with and without the verification
 
 
 # The per-term loop build_lhv and the stacked _magic_threshold that the
@@ -535,7 +568,7 @@ class TestArrayPassMatchesLoop:
     @pytest.mark.parametrize("family", ORACLE_DECOMPOSITIONS)
     def test_magic_thresholds(self, family):
         for dec in ORACLE_DECOMPOSITIONS[family]:
-            assert lhv._magic_threshold(dec) == oracle_magic_threshold(dec)
+            assert povm_scan(dec, family="magic", budget=1).threshold == oracle_magic_threshold(dec)
 
     def test_every_rule_is_exercised(self):
         rules = ("complex", "traceless", "negative", "trace", "sum")
@@ -549,3 +582,189 @@ class TestArrayPassMatchesLoop:
                     except LhvConstructionError as exc:
                         seen.add(next((rule for rule in rules if rule in str(exc)), "born"))
         assert seen == {"model", *rules}
+
+
+# ------------------------------------------------------- the one-pass scan
+
+
+def trine(theta):
+    """A three-outcome qubit POVM: (2/3)|v_k><v_k| for the real unit vectors
+    at angles theta + 2 pi k / 3."""
+    angles = theta + 2 * np.pi * np.arange(3) / 3
+    v = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return Povm(2, [2 / 3 * np.outer(x, x).astype(complex) for x in v])
+
+
+def mixed_pairs():
+    """A custom family of 1-, 2- and 3-effect qubit POVMs on either side."""
+    return [
+        ("identity|z", identity_povm(2), projective_povm("z")),
+        ("trine|x", trine(0.3), projective_povm("x")),
+        ("z|trine", projective_povm("z"), trine(1.1)),
+        ("trine|trine", trine(0.2), trine(0.7)),
+        ("identity|identity", identity_povm(2), identity_povm(2)),
+        ("magic|trine", magic_povm(0.6), trine(-0.4)),
+        ("trine|identity", trine(2.0), identity_povm(2)),
+        ("y|x", projective_povm("y"), projective_povm("x")),
+    ]
+
+
+def magic_grid(budget):
+    """The magic family as its scan labels it, with freshly built POVMs."""
+    povms = [magic_povm(k / budget) for k in range(1, budget + 1)]
+    return [(f"magic:{k / budget:.8f}", m, m.transpose()) for k, m in enumerate(povms, 1)]
+
+
+SCAN_FAMILIES = {
+    "pauli": ("pauli", 16, lhv.pauli_pairs),
+    **{f"magic-{b}": ("magic", b, lambda b=b: magic_grid(b)) for b in (1, 4, 5, 16)},
+    "custom": (None, 0, mixed_pairs),
+}
+
+
+def oracle_scan_rows(dec, pairs):
+    """The scan as a loop over pairs, each built by the per-term loop oracle."""
+    rows = []
+    for label, pa, pb in pairs:
+        try:
+            rows.append((label, True, oracle_build_lhv(dec, pa, pb)[-1], ""))
+        except LhvConstructionError as exc:
+            rows.append((label, False, None, str(exc)))
+    return rows
+
+
+def per_pair_rows(dec, pairs):
+    """The scan as a loop of build_lhv calls, one per pair."""
+    rows = []
+    for label, pa, pb in pairs:
+        try:
+            rows.append(lhv.ScanRecord(label, True, build_lhv(dec, pa, pb).born_deviation))
+        except LhvConstructionError as exc:
+            rows.append(lhv.ScanRecord(label, False, None, str(exc)))
+    return tuple(rows)
+
+
+def scan(dec, family):
+    name, budget, pairs = SCAN_FAMILIES[family]
+    if name is None:  # a custom iterable, read once
+        return povm_scan(dec, family=(pair for pair in pairs())), pairs()
+    return povm_scan(dec, family=name, budget=budget), pairs()
+
+
+# A term dropped as traceless and silent (its responses are within ATOL of 0)
+# whose other side is large still carries correlation past BORN_TOL.
+SCAN_DECOMPOSITIONS = {
+    **ORACLE_DECOMPOSITIONS,
+    "born-mismatch": [
+        SeparableDecomposition(np.ones(2), (PAULI_I / 2, 0.8 * ATOL * PAULI_Z), (PAULI_I / 2, 1e4 * PAULI_I))
+    ],
+}
+
+
+def failure_kind(detail):
+    kinds = ("complex", "traceless", "negative", "nonpositive trace", "not normalised", "Born")
+    return next(kind for kind in kinds if kind in detail)
+
+
+class TestOnePassScan:
+    """Every row of the one-pass scan is what a loop over the pairs gives."""
+
+    @pytest.mark.parametrize("family", SCAN_FAMILIES)
+    def test_rows_match_the_per_pair_oracles(self, family):
+        for name, decs in SCAN_DECOMPOSITIONS.items():
+            if name == "born-mismatch" and family.startswith("magic"):
+                continue  # its verification at c* raises (test_magic_verification_raises)
+            for dec in decs:
+                report, pairs = scan(dec, family)
+                assert report.rows == per_pair_rows(dec, pairs)
+                for row, (label, success, deviation, detail) in zip(report.rows, oracle_scan_rows(dec, pairs)):
+                    assert (row.label, row.success, row.detail) == (label, success, detail)
+                    if success:
+                        assert abs(row.born_deviation - deviation) <= 1e-15, label
+                if family.startswith("magic"):
+                    assert report.threshold == oracle_magic_threshold(dec)
+
+    def test_every_failure_branch_reaches_a_scan_row(self):
+        seen = set()
+        for decs in SCAN_DECOMPOSITIONS.values():
+            for dec in decs:
+                for family in ("pauli", "custom"):
+                    seen.update(failure_kind(r.detail) for r in scan(dec, family)[0].rows if not r.success)
+        assert seen == {"complex", "traceless", "negative", "nonpositive trace", "not normalised", "Born"}
+
+    def test_magic_verification_raises(self):
+        dec = SCAN_DECOMPOSITIONS["born-mismatch"][0]
+        assert oracle_magic_threshold(dec) == 1.0
+        with pytest.raises(LhvConstructionError, match="deviates from Born probabilities"):
+            povm_scan(dec, family="magic", budget=4)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_wrong_dimension_in_a_custom_family(self, side):
+        dec, z, qutrit = phase_point_decomposition(), projective_povm("z"), identity_povm(3)
+        bad = (z, qutrit) if side == "B" else (qutrit, z)
+        message = "^POVM dimension 3 does not match operator dimension 2$"
+        with pytest.raises(ValueError, match=message) as info:
+            povm_scan(dec, family=[("z|z", z, z), ("bad", *bad), ("trine|z", trine(0.1), z)])
+        assert not isinstance(info.value, LhvConstructionError)
+        with pytest.raises(ValueError, match=message):
+            build_lhv(dec, *bad)
+
+    def test_empty_custom_family(self):
+        report = povm_scan(phase_point_decomposition(), family=[])
+        assert report == lhv.ScanReport("custom", ())
+
+
+def random_povm(rng, outcomes):
+    """Random PSD effects G_k normalised to S^(-1/2) G_k S^(-1/2), S = sum G_k."""
+    g = rng.normal(size=(outcomes, 2, 2)) + 1j * rng.normal(size=(outcomes, 2, 2))
+    g = g @ g.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(g.sum(axis=0))
+    root = (v / np.sqrt(w)) @ v.conj().T
+    effects = root @ g @ root
+    return Povm(2, 0.5 * (effects + effects.conj().transpose(0, 2, 1)))
+
+
+TERM_KINDS = ("state", "bloch", "traceless", "complex")
+
+
+def random_term(rng, kind):
+    """A qubit operator: a density matrix, a unit-trace Hermitian one whose
+    Bloch vector may leave the ball, a traceless Hermitian one, or a complex one."""
+    r = rng.normal(size=3)
+    pauli = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+    if kind == "state":
+        r *= rng.uniform(0.0, 1.0) / np.linalg.norm(r)
+    elif kind == "bloch":
+        r *= rng.uniform(0.5, 2.0) / np.linalg.norm(r)
+    op = np.tensordot(r, pauli, axes=1) / 2
+    if kind == "traceless":
+        return op
+    op = op + PAULI_I / 2
+    return op + 0.3j * PAULI_Z if kind == "complex" else op
+
+
+@st.composite
+def decompositions_and_families(draw):
+    # Only states, with out-of-ball Bloch operators, with traceless ones, or any kind.
+    pool = draw(st.sampled_from([TERM_KINDS[:1], TERM_KINDS[:2], TERM_KINDS[::2], TERM_KINDS]))
+    kinds = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), min_size=1, max_size=5))
+    # 1 to 4 outcomes: stacked products of other shapes (a 1-effect POVM padded to 2, a 2-effect one to 4)
+    # would round differently from a pair's own pass.
+    counts = st.sampled_from((1, 2, 3, 4))
+    outcomes = draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(0.2, 1.0, len(kinds))
+    if draw(st.sampled_from((True, True, True, False))):
+        p /= p.sum()  # a normalised mixture of unit-trace terms
+    A, B = (tuple(random_term(rng, kind[side]) for kind in kinds) for side in (0, 1))
+    dec = SeparableDecomposition(p, A, B)
+    pairs = [(f"pair-{i}", random_povm(rng, na), random_povm(rng, nb)) for i, (na, nb) in enumerate(outcomes)]
+    return dec, pairs
+
+
+class TestScanProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions_and_families())
+    def test_scan_rows_are_per_pair_build_lhv(self, case):
+        dec, pairs = case
+        assert povm_scan(dec, family=pairs).rows == per_pair_rows(dec, pairs)

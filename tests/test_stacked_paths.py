@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import near_max_entangled, random_mixed_decomposition
+from test_lhv import oracle_magic_threshold  # the closed form from one table per side, written out
 from minsep import bases, core, crossnorm, decompositions, lhv, serialize, tolerances, transport
 from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
 from minsep.core import Family, frob_norm
@@ -87,19 +88,6 @@ def oracle_magic_rows(dec, budget):
         except LhvConstructionError as exc:
             rows.append(ScanRecord(label, False, None, str(exc)))
     return tuple(rows)
-
-
-def oracle_magic_threshold(dec):
-    """The closed-form threshold on a freshly built c = 1 POVM."""
-    povm = magic_povm(1.0)
-    terms = lhv._rules(dec.p, (lhv._responses(dec.A, povm), lhv._responses(dec.B, povm.transpose())))
-    bad = terms.bad.copy()
-    cut = bad[lhv._NEGATIVE] & (terms.effect[lhv._NEGATIVE] == 1)
-    bad[lhv._NEGATIVE] &= ~cut
-    if bad.any() or not terms.normalised:
-        return 0.0
-    mu = np.array([t[:, 0].real for t in terms.tables])
-    return float(np.min(terms.tr[cut] / mu[cut], initial=1.0))
 
 
 def is_hermitian(m):
@@ -197,7 +185,6 @@ class TestStackedMatchesPerTerm:
             assert report.rows == oracle_magic_rows(dec, budget)
             threshold = oracle_magic_threshold(dec)
             assert bits(report.threshold) == bits(threshold)
-            assert bits(lhv._magic_threshold(dec)) == bits(threshold)
             inside += 0 < threshold < 1
         assert inside >= 3  # thresholds strictly inside (0, 1) are exercised, not only 0 and 1
 
@@ -282,13 +269,13 @@ class TestCheckOnce:
         lhv._magic_pairs.cache_clear()
         zero = transported_parts(0, 2)[2]  # c* = 0
         inside = next(dec for dec in qubit_decompositions())  # phase point, c* = sqrt(3) - 1
-        assert lhv._magic_threshold(zero) == 0.0 and 0 < lhv._magic_threshold(inside) < 1
         budget = 12
         povm_scan(zero, family="magic", budget=budget)
-        assert len(built) == 2 * budget + 2  # the grid and the c = 1 pair, built once
+        assert len(built) == 2 * budget  # the grid, built once
         for dec, per_scan in ((zero, 0), (inside, 2)):
             built.clear()
-            povm_scan(dec, family="magic", budget=budget)
+            threshold = povm_scan(dec, family="magic", budget=budget).threshold
+            assert (threshold > 0) == (per_scan > 0) and threshold < 1
             # Only the Born verification at the decomposition's own c* builds a pair.
             assert len(built) == per_scan
 

@@ -4,6 +4,7 @@ decompositions."""
 import numpy as np
 import pytest
 
+from conftest import near_max_entangled
 from minsep.bases import hermitian_basis, pauli_basis, phase_point_operators
 from minsep.core import frob_norm, kron
 from minsep.feasibility import quantum_augmented_feasible
@@ -238,6 +239,26 @@ class TestConditionB:
         report = check_condition_b(maps)
         assert not report.passed
         assert report.min_s < 0.25
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            *(pure_theta(theta) for theta in (0.1, 0.5, np.pi / 4 - 0.15, np.pi / 4 - 0.05)),
+            *(near_max_entangled(seed, d) for d in range(2, 7) for seed in (0, 1)),
+        ],
+        ids=[*(f"theta-{k}" for k in range(4)), *(f"near-max-d{d}-{seed}" for d in range(2, 7) for seed in (0, 1))],
+    )
+    def test_bound_is_the_inverse_maps_spectral_norm(self, state):
+        maps = build_maps(operator_schmidt(state))
+        report = check_condition_b(maps)
+        norm = max(np.linalg.norm(maps.inv_a, 2), np.linalg.norm(maps.inv_b, 2))
+        assert abs(report.bound - norm) <= 1e-12 * norm
+        assert not report.passed or report.bound < report.ceiling
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_bound_at_max_entangled_is_one(self, d):
+        report = check_condition_b(build_maps(operator_schmidt(max_entangled(d))))
+        assert report.passed and abs(report.bound - 1.0) <= 4e-16
 
     def test_norm_ceiling_on_samples(self):
         state = pure_theta(np.pi / 4 - 0.15)
