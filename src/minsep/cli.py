@@ -27,7 +27,7 @@ from .decompositions import (
     random_unitary,
 )
 from .feasibility import StateSpace, deletion_minimality, separable_feasible, weights_feasible
-from .lhv import LhvConstructionError, build_lhv, povm_scan
+from .lhv import BORN_TOL, LhvConstructionError, build_lhv, povm_scan
 from .schmidt import operator_schmidt, reconstruct
 from .serialize import FormatError, dumps
 from .states import (
@@ -346,9 +346,13 @@ def cmd_scan(args) -> tuple[dict, list]:
         for r in report.rows
     ]
     result = {"family": report.family, "rows": rows}
+    claims = []
     if report.threshold is not None:
         result["threshold"] = float(report.threshold)
-    return result, []
+    if report.threshold:  # the model built at a threshold above 0 must match the Born rule
+        dev = report.threshold_deviation
+        claims.append(_claim("scan.threshold_born_match", dev, BORN_TOL, dev is not None and dev <= BORN_TOL))
+    return result, claims
 
 
 def build_parser() -> _Parser:

@@ -255,11 +255,14 @@ def deletion_minimality(
     Q ranges over a superset of the nonnegative (and simplex) weights, so
     this bound is at most every residual the fit can reach.  QR keeps every
     column, with no rank cutoff: extra numerical directions can only lower
-    the bound.  A deletion whose bound is at or above ``threshold`` and
-    above ``FEAS_TOL`` is infeasible without a solver call; any other
-    deletion runs :func:`separable_feasible` on the smaller space.  The
-    ``FEAS_TOL`` condition keeps a bound at rounding level, which a tiny
-    threshold would accept, from passing a deletion that is feasible.
+    the bound.  Each side takes one stacked QR of its n deleted generator
+    matrices and one stacked product for all n projections; each bound is
+    then one norm, the same floats a QR per deletion gives.  A deletion
+    whose bound is at or above ``threshold`` and above ``FEAS_TOL`` is
+    infeasible without a solver call; any other deletion runs
+    :func:`separable_feasible` on the smaller space.  The ``FEAS_TOL``
+    condition keeps a bound at rounding level, which a tiny threshold would
+    accept, from passing a deletion that is feasible.
     Deleting a side's only generator leaves the bound ||rho||.
 
     The claim "these spaces cannot be made smaller" passes when every
@@ -270,12 +273,13 @@ def deletion_minimality(
     realigned = realign(rho.rho, rho.dA, rho.dB)
     records = []
     for side, space, other, target in (("A", va, vb, realigned), ("B", vb, va, realigned.T)):
-        g = _vecs(space)
+        n, j = len(space), np.arange(len(space) - 1)
         q_other = np.linalg.qr(_vecs(other))[0]
-        fixed = target @ q_other.conj()
-        for k in range(len(space)):
-            q = np.linalg.qr(np.delete(g, k, axis=1))[0]
-            bound = float(np.linalg.norm(target - q @ (q.conj().T @ fixed) @ q_other.T))
+        # Row k of the stack is G without column k: its columns j + (j >= k).
+        q = np.linalg.qr(_vecs(space)[:, j + (j >= np.arange(n)[:, None])].transpose(1, 0, 2))[0]
+        fits = q @ (q.conj().swapaxes(1, 2) @ (target @ q_other.conj())) @ q_other.T
+        for k, fit in enumerate(fits):
+            bound = float(np.linalg.norm(target - fit))
             if bound >= threshold and bound > FEAS_TOL:
                 records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
                 continue

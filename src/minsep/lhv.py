@@ -278,6 +278,7 @@ class ScanReport:
     family: str
     rows: tuple
     threshold: float | None = None
+    threshold_deviation: float | None = None  # the Born deviation of the model at a threshold above 0
 
 
 @cache
@@ -343,8 +344,10 @@ def povm_scan(
     pairs.  ``family="magic"`` scans the two-effect family built from the
     magic-state projector at ``budget`` strengths (the B side measures the
     transposed effects).  Its threshold is the largest strength at which the
-    construction succeeds, in closed form (:func:`_magic_threshold`), verified
-    by one ``build_lhv`` call, which raises if the Born check fails.  A custom
+    construction succeeds, in closed form (:func:`_magic_threshold`).  A
+    threshold above 0 is verified by building the model at it:
+    ``threshold_deviation`` is that model's Born deviation, which a caller
+    compares with ``BORN_TOL``, or None if the model's rules fail.  A custom
     iterable of (label, povm_a, povm_b) triples is also accepted.  Each row is
     ``build_lhv``'s outcome for its pair.  The scan is deterministic.
     """
@@ -354,7 +357,7 @@ def povm_scan(
         raise ValueError(f"the magic family needs a budget of at least 1, got {budget}")
     name = family if isinstance(family, str) else "custom"
     labels, groups = _pauli_stack() if name == "pauli" else _magic_pairs(budget) if name == "magic" else _stack(family)
-    rows, threshold = [None] * len(labels), None
+    rows, threshold, threshold_deviation = [None] * len(labels), None, None
     for index, *stack in groups:
         terms, ra, rb, deviation, errors = _attempts(dec, *stack)
         if any(built := [error is None for error in errors]):  # the checks LhvModel makes in build_lhv
@@ -364,7 +367,7 @@ def povm_scan(
             rows[i] = ScanRecord(labels[i], ok, dev if ok else None, "" if ok else str(error))
         if name == "magic":  # the grid is one group
             threshold = _magic_threshold(terms)
-    if threshold:  # the Born verification at c* > 0; raises if it fails
+    if threshold:  # the Born verification at c* > 0, reported, not raised
         povm = magic_povm(threshold)
-        build_lhv(dec, povm, povm.transpose())
-    return ScanReport(name, tuple(rows), threshold)
+        threshold_deviation = _attempts(dec, (2, 2), *(_columns([m]) for m in (povm, povm.transpose())))[3][0]
+    return ScanReport(name, tuple(rows), threshold, threshold_deviation)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from minsep import serialize
-from minsep.bases import PAULI_I, phase_point_operators
+from minsep.bases import PAULI_I, PAULI_Z, phase_point_operators
 from minsep.cli import main
 from minsep.decompositions import SeparableDecomposition
 from minsep.feasibility import StateSpace, separable_feasible
+from minsep.lhv import povm_scan
 from minsep.states import projective_povm, random_density
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -251,6 +252,33 @@ class TestScan:
         code, report = run(capsys, "scan", "--decomposition", dec, "--family", "magic", "--budget", "4")
         assert code == 0
         assert abs(report["result"]["threshold"] - (np.sqrt(3) - 1)) < 1e-5
+        (claim,) = report["claims"]
+        assert claim["id"] == "scan.threshold_born_match"
+        assert claim["pass"] and claim["tolerance"] == 1e-10 and 0.0 <= claim["value"] <= 1e-10
+
+    def test_failed_threshold_check_exits_2_with_its_report(self, capsys, tmp_path):
+        # A traceless, silent term whose other side is large carries correlation
+        # past BORN_TOL: the model at c* = 1 misses the Born probabilities.
+        dec = SeparableDecomposition(np.ones(2), (PAULI_I / 2, 0.8e-9 * PAULI_Z), (PAULI_I / 2, 1e4 * PAULI_I))
+        path = tmp_path / "mismatch.json"
+        path.write_text(serialize.dumps(serialize.encode_decomposition(dec)))
+        code, report = run(capsys, "scan", "--decomposition", str(path), "--family", "pauli")
+        assert code == 0 and report["claims"] == []
+        code, report = run(capsys, "scan", "--decomposition", str(path), "--family", "magic")
+        assert code == 2
+        assert report["result"]["threshold"] == 1.0
+        (claim,) = report["claims"]
+        assert claim["id"] == "scan.threshold_born_match"
+        assert not claim["pass"] and claim["value"] > claim["tolerance"] == 1e-10
+        assert claim["value"] == povm_scan(dec, family="magic").threshold_deviation
+
+    def test_zero_threshold_makes_no_claim(self, capsys, tmp_path):
+        path = tmp_path / "dec3.json"
+        assert main(["decompose", "--theorem", "3", "--state", "bell", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, report = run(capsys, "scan", "--decomposition", str(path), "--family", "magic")
+        assert code == 0
+        assert report["result"]["threshold"] == 0.0 and report["claims"] == []
 
 
     def test_magic_budget_below_one_exits_1(self, capsys, tmp_path):

@@ -661,6 +661,20 @@ SCAN_DECOMPOSITIONS = {
 }
 
 
+def check_verification(dec, report):
+    """A magic scan's ``threshold_deviation`` is the Born deviation of
+    ``build_lhv`` at a threshold above 0: its model's, or the one its error
+    names.  There is none at a threshold of 0 or on other families."""
+    if not report.threshold:
+        assert report.threshold_deviation is None
+        return
+    povm = magic_povm(report.threshold)
+    try:
+        assert report.threshold_deviation == build_lhv(dec, povm, povm.transpose()).born_deviation
+    except LhvConstructionError as exc:
+        assert f"deviates from Born probabilities by {report.threshold_deviation:.3e};" in str(exc)
+
+
 def failure_kind(detail):
     kinds = ("complex", "traceless", "negative", "nonpositive trace", "not normalised", "Born")
     return next(kind for kind in kinds if kind in detail)
@@ -671,9 +685,7 @@ class TestOnePassScan:
 
     @pytest.mark.parametrize("family", SCAN_FAMILIES)
     def test_rows_match_the_per_pair_oracles(self, family):
-        for name, decs in SCAN_DECOMPOSITIONS.items():
-            if name == "born-mismatch" and family.startswith("magic"):
-                continue  # its verification at c* raises (test_magic_verification_raises)
+        for decs in SCAN_DECOMPOSITIONS.values():
             for dec in decs:
                 report, pairs = scan(dec, family)
                 assert report.rows == per_pair_rows(dec, pairs)
@@ -683,6 +695,7 @@ class TestOnePassScan:
                         assert abs(row.born_deviation - deviation) <= 1e-15, label
                 if family.startswith("magic"):
                     assert report.threshold == oracle_magic_threshold(dec)
+                check_verification(dec, report)
 
     def test_every_failure_branch_reaches_a_scan_row(self):
         seen = set()
@@ -692,11 +705,22 @@ class TestOnePassScan:
                     seen.update(failure_kind(r.detail) for r in scan(dec, family)[0].rows if not r.success)
         assert seen == {"complex", "traceless", "negative", "nonpositive trace", "not normalised", "Born"}
 
-    def test_magic_verification_raises(self):
+    def test_magic_verification_reports_the_deviation(self):
+        """A threshold whose model misses the Born probabilities is reported
+        with that model's deviation; the scan does not raise."""
         dec = SCAN_DECOMPOSITIONS["born-mismatch"][0]
         assert oracle_magic_threshold(dec) == 1.0
-        with pytest.raises(LhvConstructionError, match="deviates from Born probabilities"):
-            povm_scan(dec, family="magic", budget=4)
+        report = povm_scan(dec, family="magic", budget=4)
+        assert report.threshold == 1.0
+        assert report.threshold_deviation > lhv.BORN_TOL
+        check_verification(dec, report)
+        assert report.rows == per_pair_rows(dec, magic_grid(4))
+
+    def test_magic_verification_of_a_passing_threshold(self):
+        report = povm_scan(phase_point_decomposition(), family="magic")
+        assert abs(report.threshold - (np.sqrt(3) - 1)) <= 1e-15
+        assert report.threshold_deviation <= lhv.BORN_TOL
+        check_verification(phase_point_decomposition(), report)
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_wrong_dimension_in_a_custom_family(self, side):

@@ -220,7 +220,7 @@ class TestWBasis:
 
 
 class TestConditionB:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", range(2, 9))
     def test_max_entangled_passes(self, d):
         maps = build_maps(operator_schmidt(max_entangled(d)))
         report = check_condition_b(maps)
@@ -300,6 +300,26 @@ class TestTransportedDecomposition:
         np.testing.assert_allclose(dec.reconstruct(), state.rho, atol=1e-10)
         for op in (*dec.A, *dec.B):
             assert abs(np.trace(op) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("t_seed", [None, 17], ids=["reflection", "seeded"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_near_max_entangled_sweep(self, d, t_seed):
+        state = near_max_entangled(40 + d, d)
+        os = operator_schmidt(state)
+        maps = build_maps(os)
+        alignment = construct_alignment(check_condition_a(os), seed=t_seed)
+        w = build_w_basis(maps, alignment)
+        dec = transported_decomposition(maps, w)
+        assert dec.terms == d * d
+        assert np.linalg.norm(dec.reconstruct() - state.rho) <= 1e-9
+        traces = np.trace(np.concatenate([dec.A, dec.B]), axis1=1, axis2=2)
+        assert np.max(np.abs(traces - 1.0)) <= 1e-9
+        assert abs(transported_cost(dec, maps) - d) <= 1e-9
+        for mode in ("convex", "conic"):
+            va, vb = minimal_quantum_spaces(maps, w, mode=mode)
+            assert (va.mode, vb.mode, va.include_quantum, vb.include_quantum) == (mode, mode, True, True)
+            np.testing.assert_allclose(va.generators, dec.A, atol=1e-12)
+            np.testing.assert_allclose(vb.generators, dec.B, atol=1e-12)
 
     def test_transported_cost_equals_d(self):
         os = operator_schmidt(bell_state())
