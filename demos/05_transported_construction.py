@@ -25,6 +25,7 @@ from minsep import (
     transported_cost,
     transported_decomposition,
 )
+from minsep.core import realign, unrealign
 from minsep.states import BipartiteState
 
 np.set_printoptions(precision=4, suppress=True)
@@ -38,11 +39,13 @@ cond_a = check_condition_a(os)
 print("condition A on Bell: passed =", cond_a.passed)
 print("  e =", cond_a.e)
 
-# The maps send the reference basis into the Schmidt frames; the joint map
-# carries the maximally entangled state onto the target.
+# The maps send the reference basis into the Schmidt frames.  Each is one
+# d^2 x d^2 matrix over vec(sigma), and the joint map carries the maximally
+# entangled state onto the target: on the realignment it acts as
+# R -> F_A R F_B^T.
 maps = build_maps(os)
-print("\njoint map reproduces Bell:",
-      np.allclose(maps.apply_joint(max_entangled(2).rho), bell.rho, atol=1e-12))
+joint = unrealign(maps.fwd_a @ realign(max_entangled(2).rho, 2, 2) @ maps.fwd_b.T, 2, 2)
+print("\njoint map reproduces Bell:", np.allclose(joint, bell.rho, atol=1e-12))
 
 # Condition B: the spectral criterion min_k s_k > 1/d^2, exact, with no sampling.
 cond_b = check_condition_b(maps)
@@ -54,7 +57,8 @@ print(f"condition B: min s = {cond_b.min_s}, inverse-map spectral norm = {cond_b
 alignment = construct_alignment(cond_a)
 w = build_w_basis(maps, alignment)
 print("\nalignment T e =", alignment.T @ cond_a.e)
-print("trace of forward_a(W_1):", np.trace(maps.forward_a(w.ops[0])).real)
+image = (maps.fwd_a @ w.ops[0].reshape(-1)).reshape(2, 2)
+print("trace of F_A(W_1):", np.trace(image).real)
 
 # The transported decomposition: d^2 uniform terms, cost d under the
 # inverse-map norms.

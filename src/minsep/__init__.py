@@ -22,7 +22,6 @@ from .crossnorm import (
     cross_norm_value,
     decomposition_cost,
     lambda_norm,
-    scaled_vec_norm,
 )
 from .decompositions import (
     DecompositionMeta,
@@ -36,7 +35,6 @@ from .decompositions import (
     hermitian_decomposition,
     normalized_form,
     random_orthogonal,
-    random_row_isometry,
     random_unitary,
 )
 from .feasibility import (

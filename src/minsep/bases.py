@@ -12,7 +12,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import as_matrix, combine, family
+from .core import as_matrix, family
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,22 +61,10 @@ class OperatorBasis:
         v = self.vecs
         return v.conj() @ v.T
 
-    def rescaled(self, kappa: float) -> "OperatorBasis":
-        """The same basis rescaled to a different normalisation constant."""
-        factor = np.sqrt(kappa / self.normalization)
-        return OperatorBasis(self.dim, factor * np.asarray(self.ops), kappa)
-
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of x in this basis: x = sum_i c_i C_i."""
         x = as_matrix(x, "x")
         return self.vecs.conj() @ x.reshape(-1) / self.normalization
-
-    def assemble(self, coeffs) -> np.ndarray:
-        """Inverse of :meth:`coefficients`."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (len(self.ops),):
-            raise ValueError(f"expected {len(self.ops)} coefficients, got {coeffs.shape}")
-        return combine(coeffs, self.ops)
 
 
 def pauli_basis() -> OperatorBasis:

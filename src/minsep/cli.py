@@ -118,7 +118,11 @@ def parse_povm(spec: str, transpose_of=None):
     if spec == "identity":
         return identity_povm(2)
     if spec.startswith("magic:"):
-        return magic_povm(float(spec.split(":")[1]))
+        strength = spec[len("magic:"):]
+        try:
+            return magic_povm(float(strength))
+        except ValueError as exc:
+            raise FormatError("povm", f"expected magic:<strength in (0, 1]>, got {spec!r}") from exc
     if spec == "transpose-a":
         if transpose_of is None:
             raise FormatError("povm", "transpose-a needs --povm-a")

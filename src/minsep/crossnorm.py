@@ -48,26 +48,10 @@ class DiagonalScaling:
         """The scaling diag(sqrt(s_i)) built from a Schmidt spectrum."""
         return cls(np.sqrt(os.s))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.D,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.D},)")
-        return self.r * v
-
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.D,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.D},)")
-        return v / self.r
-
-
-def scaled_vec_norm(v, scaling: DiagonalScaling, inverse: bool = False) -> float:
-    """||R v||_2, or ||R^-1 v||_2 when ``inverse`` is set."""
-    return float(_scaled_norms([v], scaling, inverse)[0])
-
 
 def _scaled_norms(coeffs, scaling: DiagonalScaling, inverse: bool = False) -> np.ndarray:
-    """:func:`scaled_vec_norm` of every row of a stacked (N, D) family at once."""
+    """||R v||_2, or ||R^-1 v||_2 when ``inverse`` is set, of every row v of
+    a stacked (N, D) family at once."""
     v = np.asarray(coeffs, dtype=complex)
     if v.shape[1:] != (scaling.D,):
         raise ValueError(f"vector has shape {v.shape[1:]}, expected ({scaling.D},)")

@@ -54,13 +54,6 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diagonal(r))
 
 
-def random_row_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Random rows x cols matrix with orthonormal rows (cols >= rows)."""
-    if cols < rows:
-        raise ValueError("a row isometry needs cols >= rows")
-    return random_unitary(cols, seed)[:rows, :]
-
-
 @dataclass(frozen=True)
 class DecompositionMeta:
     """Construction parameters retained for later verification."""

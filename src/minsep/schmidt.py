@@ -153,8 +153,8 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
             raise ValueError("dims=(dA, dB) is required for raw operators")
         dA, dB = dims
         rho = as_matrix(state, "state")
-    if rank_cutoff < 0:
-        raise ValueError("rank_cutoff must be nonnegative")
+    if not 0 <= rank_cutoff < np.inf:  # nan fails both comparisons
+        raise ValueError(f"rank_cutoff must be finite and nonnegative, got {rank_cutoff}")
 
     if hermitian_mask(rho):
         s, xs, ys, herm = _schmidt_hermitian(rho, dA, dB, rank_cutoff)

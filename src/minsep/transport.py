@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import as_matrix, combine, realign, realigned_sum, relative_residual, unrealign
+from .core import combine, realigned_sum, relative_residual
 from .decompositions import DecompositionMeta, SeparableDecomposition, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
@@ -51,7 +51,8 @@ class SchmidtMaps:
     F_B = Y diag(sqrt(s)) C'^dag.  X and Y are orthonormal and C C^dag = d I,
     so the inverses are G_A = C diag(1 / (d sqrt(s))) X^dag and
     G_B = C' diag(1 / (d sqrt(s))) Y^dag, with no matrix inversion.  They
-    are built once, as ``fwd_a``, ``fwd_b``, ``inv_a`` and ``inv_b``.
+    are built once, as ``fwd_a``, ``fwd_b``, ``inv_a`` and ``inv_b``.  The
+    joint map F_A (x) F_B acts on a realigned operator as R -> F_A R F_B^T.
     """
 
     d: int
@@ -75,34 +76,6 @@ class SchmidtMaps:
         object.__setattr__(self, "fwd_b", (y * sqrt_s) @ ct.conj().T)
         object.__setattr__(self, "inv_a", (c / (d * sqrt_s)) @ x.conj().T)
         object.__setattr__(self, "inv_b", (ct / (d * sqrt_s)) @ y.conj().T)
-
-    def _apply(self, m: np.ndarray, sigma) -> np.ndarray:
-        sigma = as_matrix(sigma, "sigma")
-        return (m @ sigma.reshape(-1)).reshape(self.d, self.d)
-
-    def forward_a(self, sigma) -> np.ndarray:
-        return self._apply(self.fwd_a, sigma)
-
-    def forward_b(self, sigma) -> np.ndarray:
-        return self._apply(self.fwd_b, sigma)
-
-    def inverse_a(self, sigma) -> np.ndarray:
-        return self._apply(self.inv_a, sigma)
-
-    def inverse_b(self, sigma) -> np.ndarray:
-        return self._apply(self.inv_b, sigma)
-
-    def apply_joint(self, op) -> np.ndarray:
-        """Apply (forward_a tensor forward_b) to a bipartite operator.
-
-        Since realign(a tensor b) = vec(a) vec(b)^T, the joint map acts on
-        the realignment as R -> F_A R F_B^T.
-        """
-        op = as_matrix(op, "op")
-        d = self.d
-        if op.shape != (d * d, d * d):
-            raise ValueError(f"operator has shape {op.shape}, expected {(d * d, d * d)}")
-        return unrealign(self.fwd_a @ realign(op, d, d) @ self.fwd_b.T, d, d)
 
 
 def build_maps(os: OperatorSchmidt, basis: OperatorBasis | None = None) -> SchmidtMaps:
@@ -247,8 +220,8 @@ def build_w_basis(maps: SchmidtMaps, alignment: TraceAlignment) -> OperatorBasis
 
 def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableDecomposition:
     """Push the uniform decomposition of the maximally entangled state through
-    the maps: d^2 terms with weights 1/d^2 on forward_a(W_k) and
-    forward_b(W_k^T).
+    the maps: d^2 terms with weights 1/d^2 on the images F_A W_k and
+    F_B W_k^T.
 
     Accepts any complete basis with tr(W_i^dag W_j) = d delta_ij; unit
     traces of the local operators additionally require W to come from a
@@ -257,8 +230,8 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     d = maps.d
     if w.dim != d or not w.complete or abs(w.normalization - d) > 1e-12:
         raise ValueError("W must be a complete basis with normalisation d")
-    # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that forward_a(W_k) =
-    # sum_j a^k_j X_j and forward_b(W_k^T) = sum_j a^k_j Y_j.
+    # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that F_A W_k =
+    # sum_j a^k_j X_j and F_B W_k^T = sum_j a^k_j Y_j.
     a = (w.vecs @ maps.basis.vecs.conj().T) * np.sqrt(maps.s)
     ops_a = combine(a, maps.X)
     ops_b = combine(a, maps.Y)

@@ -1,11 +1,19 @@
 """Shared helpers for building non-optimal decompositions and measuring how
 far a decomposition sits from the proportionality structure of the optimal
-family, and seeded near-maximally-entangled states."""
+family, seeded near-maximally-entangled states, and local maps applied to
+one operator."""
 
 import numpy as np
 
 from minsep.decompositions import SeparableDecomposition, random_unitary
 from minsep.states import BipartiteState
+
+
+def apply_map(m, sigma):
+    """A local map held as a d^2 x d^2 matrix over row-major vec(sigma),
+    applied to one d x d operator."""
+    d = np.shape(sigma)[0]
+    return (m @ np.asarray(sigma).reshape(-1)).reshape(d, d)
 
 
 def near_max_entangled(seed, d):
@@ -51,8 +59,8 @@ def proportionality_violation(dec, scaling):
     """
     worst = 0.0
     for a, b in zip(dec.a_coeff, dec.b_coeff):
-        ra = scaling.apply(a)
-        rb = scaling.apply_inverse(b)
+        ra = scaling.r * a
+        rb = b / scaling.r
         c = max(0.0, float(np.real(np.vdot(ra, rb))) / float(np.vdot(ra, ra).real))
         worst = max(worst, float(np.linalg.norm(rb - c * ra)) / max(np.linalg.norm(rb), 1e-300))
     return worst

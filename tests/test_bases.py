@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from minsep.bases import (
+    OperatorBasis,
     hermitian_basis,
     heisenberg_weyl_basis,
     pauli_basis,
     phase_point_operators,
 )
-from minsep.core import kron
+from minsep.core import combine, kron
 from minsep.states import bell_state, max_entangled
 
 
@@ -86,7 +87,7 @@ class TestHermitianBasis:
     def test_validate_and_rescale(self):
         basis = hermitian_basis(3)
         np.testing.assert_allclose(gram(basis.ops), 3 * np.eye(9), atol=1e-12)
-        unit = basis.rescaled(1.0)
+        unit = OperatorBasis(3, np.asarray(basis.ops) / np.sqrt(3), 1.0)
         np.testing.assert_allclose(gram(unit.ops), np.eye(9), atol=1e-12)
 
     def test_built_once_per_dimension(self):
@@ -102,7 +103,7 @@ class TestCoefficients:
         basis = hermitian_basis(3)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        np.testing.assert_allclose(basis.assemble(basis.coefficients(x)), x, atol=1e-12)
+        np.testing.assert_allclose(combine(basis.coefficients(x), basis.ops), x, atol=1e-12)
 
     def test_maximally_entangled_expansion(self):
         # Psi = (1/d^2) sum_i C_i x C_i^T for a Hermitian reference basis.

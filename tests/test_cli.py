@@ -365,6 +365,21 @@ class TestErrors:
         code = main(["schmidt", "--state", "random:1:2"])
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rank_cutoff_exits_1(self, capsys, value):
+        code = main(["schmidt", "--state", "bell", "--rank-cutoff", value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: rank_cutoff must be finite and nonnegative, got {value}\n"
+
+    @pytest.mark.parametrize("spec", ["magic:abc", "magic:", "magic:0.5:3", "magic:2"])
+    def test_malformed_magic_strength_names_the_field(self, capsys, tmp_path, spec):
+        dec = phase_point_file(tmp_path)
+        code = main(["lhv", "--decomposition", dec, "--povm-a", spec, "--povm-b", "z"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: povm: expected magic:<strength in (0, 1]>, got {spec!r}\n"
+
 
     def test_non_finite_c_is_one_error_line(self):
         # A fresh interpreter, so any numpy warning would reach stderr.

@@ -10,8 +10,8 @@ from minsep.crossnorm import (
     cross_norm_value,
     decomposition_cost,
     lambda_norm,
+    _scaled_norms,
     operator_coefficients,
-    scaled_vec_norm,
 )
 from minsep.decompositions import attach_coefficients, cross_norm_decomposition, normalized_form
 from minsep.schmidt import operator_schmidt
@@ -64,22 +64,22 @@ class TestLambdaNorm:
         assert abs(gap) < 1e-9
 
 
-class TestScaledVecNorm:
+class TestScaledNorms:
     def test_identity(self):
         r = DiagonalScaling(np.ones(3))
-        assert abs(scaled_vec_norm(np.array([1.0, 0, 0]), r) - 1.0) < 1e-14
+        assert abs(_scaled_norms([[1.0, 0, 0]], r)[0] - 1.0) < 1e-14
 
     def test_forward(self):
         r = DiagonalScaling(np.array([2.0, 1.0]))
-        assert abs(scaled_vec_norm(np.array([1.0, 1.0]), r) - np.sqrt(5)) < 1e-14
+        assert abs(_scaled_norms([[1.0, 1.0]], r)[0] - np.sqrt(5)) < 1e-14
 
     def test_inverse(self):
         r = DiagonalScaling(np.array([2.0, 1.0]))
-        assert abs(scaled_vec_norm(np.array([1.0, 1.0]), r, inverse=True) - np.sqrt(1.25)) < 1e-14
+        assert abs(_scaled_norms([[1.0, 1.0]], r, inverse=True)[0] - np.sqrt(1.25)) < 1e-14
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            scaled_vec_norm(np.ones(3), DiagonalScaling(np.ones(2)))
+            _scaled_norms([np.ones(3)], DiagonalScaling(np.ones(2)))
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError, match="positive"):

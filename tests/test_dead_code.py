@@ -1,7 +1,8 @@
-"""Nothing in the package goes unused: every import is read, and every
-top-level function and class is called from the package or exported.
+"""Nothing in the package goes unused: every import is read, every
+top-level function and class is called from the package or exported, and
+every method and property of a class is read in the package.
 
-Both checks read the source with ``ast`` only.  A name counts as used
+The checks read the source with ``ast`` only.  A name counts as used
 wherever it appears as a bare name, as an attribute (``serialize.dumps``)
 or in a ``from ... import`` of another module.
 """
@@ -18,6 +19,9 @@ MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in so
 
 # The encoders of the wire format, kept beside their decoders for writers of input files.
 UNREFERENCED_API = {("serialize", "encode_state"), ("serialize", "encode_povm")}
+# Methods kept on purpose although nothing in the package reads them, as
+# (module, class, method); a method that only tests call does not belong here.
+UNREFERENCED_METHODS: set[tuple[str, str, str]] = set()
 
 
 def imported_names(tree):
@@ -46,6 +50,15 @@ def top_level_definitions(tree):
             yield node.name
 
 
+def method_definitions(tree):
+    """(class, name) of every non-dunder method and property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item.name
+
+
 EXPORTED = {name for name, _ in imported_names(MODULES["__init__"])}
 REFERENCED = {name for tree in MODULES.values() for name in read_names(tree)} | {
     name for module, tree in MODULES.items() if module != "__init__" for name, _ in imported_names(tree)
@@ -69,7 +82,20 @@ def test_every_definition_is_referenced_or_exported():
     assert dead == [], "top-level definitions that nothing in minsep uses or exports"
 
 
+def test_every_method_is_read():
+    dead = [
+        f"{module}.{cls}.{name}"
+        for module, tree in MODULES.items()
+        for cls, name in method_definitions(tree)
+        if name not in REFERENCED and (module, cls, name) not in UNREFERENCED_METHODS
+    ]
+    assert dead == [], "methods and properties that nothing in minsep reads"
+
+
 def test_the_allowlist_is_still_needed():
     for module, name in UNREFERENCED_API:
         assert name in set(top_level_definitions(MODULES[module]))
         assert name not in REFERENCED | EXPORTED
+    for module, cls, name in UNREFERENCED_METHODS:
+        assert (cls, name) in set(method_definitions(MODULES[module]))
+        assert name not in REFERENCED

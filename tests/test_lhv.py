@@ -9,7 +9,7 @@ from conftest import near_max_entangled
 from minsep import lhv
 from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_point_operators
 from minsep.crossnorm import DiagonalScaling
-from minsep.decompositions import SeparableDecomposition, cross_norm_decomposition, random_row_isometry
+from minsep.decompositions import SeparableDecomposition, cross_norm_decomposition, random_unitary
 from minsep.lhv import (
     LhvConstructionError,
     born_probability,
@@ -510,7 +510,7 @@ def cross_norm_decompositions():
         os = operator_schmidt(random_density(900 + seed, 2, 2))
         rng = np.random.default_rng(seed)
         scaling = DiagonalScaling(np.exp(rng.normal(0.0, 0.4, os.D)))
-        for u in (np.eye(os.D, dtype=complex), random_row_isometry(os.D, os.D + 1, seed)):
+        for u in (np.eye(os.D, dtype=complex), random_unitary(os.D + 1, seed)[: os.D]):
             n = u.shape[1]
             yield cross_norm_decomposition(os, scaling, u, rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 2.0, n))
 

@@ -4,8 +4,9 @@ per-matrix loop sums they replace."""
 import numpy as np
 import pytest
 
+from conftest import apply_map
 from minsep.bases import OperatorBasis, heisenberg_weyl_basis, hermitian_basis
-from minsep.core import combine, product_sum
+from minsep.core import combine, product_sum, realign, unrealign
 from minsep.decompositions import random_unitary
 from minsep.feasibility import _product_columns
 from minsep.schmidt import operator_schmidt, reconstruct
@@ -20,7 +21,7 @@ def inner(a, b):
     return complex(np.sum(np.conj(a) * b))
 
 
-# The loop sums the SchmidtMaps methods used to be, kept as the oracle.
+# The loop sums the SchmidtMaps matrices replaced, kept as the oracle.
 
 
 def loop_forward_a(maps, sigma):
@@ -80,18 +81,19 @@ class TestSchmidtMapsAgainstLoops:
         rng = np.random.default_rng(d)
         for _ in range(3):
             sigma = random_operator(rng, d)
-            for method, oracle in (
-                (maps.forward_a, loop_forward_a),
-                (maps.forward_b, loop_forward_b),
-                (maps.inverse_a, loop_inverse_a),
-                (maps.inverse_b, loop_inverse_b),
+            for m, oracle in (
+                (maps.fwd_a, loop_forward_a),
+                (maps.fwd_b, loop_forward_b),
+                (maps.inv_a, loop_inverse_a),
+                (maps.inv_b, loop_inverse_b),
             ):
-                np.testing.assert_allclose(method(sigma), oracle(maps, sigma), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(apply_map(m, sigma), oracle(maps, sigma), rtol=0, atol=1e-12)
 
     def test_apply_joint(self, d, basis_name):
         maps = maps_for(d, basis_name)
         op = random_operator(np.random.default_rng(100 + d), d * d)
-        np.testing.assert_allclose(maps.apply_joint(op), loop_apply_joint(maps, op), rtol=0, atol=1e-12)
+        joint = unrealign(maps.fwd_a @ realign(op, d, d) @ maps.fwd_b.T, d, d)
+        np.testing.assert_allclose(joint, loop_apply_joint(maps, op), rtol=0, atol=1e-12)
 
     def test_inverse_is_closed_form_inverse(self, d, basis_name):
         maps = maps_for(d, basis_name)
@@ -147,13 +149,12 @@ class TestOperatorBasisAgainstLoops:
         x = random_operator(np.random.default_rng(d), d)
         coeffs = np.array([inner(op, x) / basis.normalization for op in basis.ops])
         np.testing.assert_allclose(basis.coefficients(x), coeffs, atol=1e-14)
-        np.testing.assert_allclose(basis.assemble(coeffs), x, atol=1e-13)
+        np.testing.assert_allclose(combine(coeffs, basis.ops), x, atol=1e-13)
 
     def test_empty_basis(self):
         empty = OperatorBasis(3, (), 3.0)
         assert len(empty) == 0
         assert empty.gram().shape == (0, 0)
-        np.testing.assert_array_equal(empty.assemble([]), np.zeros((3, 3)))
 
     def test_unitary_rotation_of_basis_stays_orthogonal(self):
         basis = hermitian_basis(2)

@@ -9,7 +9,7 @@ from minsep.core import hermitian_mask, realign
 from minsep.decompositions import normalized_form
 from minsep.schmidt import OperatorSchmidt, operator_schmidt, reconstruct
 from minsep.states import bell_state, max_entangled, product_state, random_density
-from minsep.tolerances import RANK_CUTOFF
+from minsep.tolerances import RANK_CUTOFF, RECON_TOL
 
 from conftest import near_max_entangled
 from test_core import singular_values_gram
@@ -149,9 +149,10 @@ class TestNormalizedForm:
 
 
 class TestValidation:
-    def test_rejects_negative_cutoff(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            operator_schmidt(bell_state(), rank_cutoff=-1.0)
+    @pytest.mark.parametrize("cutoff", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            operator_schmidt(bell_state(), rank_cutoff=cutoff)
 
     def test_requires_dims_for_raw_operators(self):
         with pytest.raises(ValueError, match="dims"):
@@ -213,6 +214,11 @@ ORDER_CASES = (
     ]
     + [(f"general-{dA}x{dB}", random_operator(9, dA, dB), dA, dB) for dA, dB in ((2, 2), (2, 3))]
 )
+# Unequal local dimensions up to 8: four densities and one non-Hermitian operator.
+UNEQUAL_CASES = [
+    (f"random-{dA}x{dB}/5", random_density(5, dA, dB).rho, dA, dB) for dA, dB in ((2, 8), (8, 2), (6, 8), (8, 6))
+] + [("general-2x8", random_operator(9, 2, 8), 2, 8)]
+ORDER_CASES += UNEQUAL_CASES
 
 
 @pytest.mark.parametrize("name, rho, dA, dB", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
@@ -227,3 +233,17 @@ def test_lexsort_order_matches_tuple_key_sort(name, rho, dA, dB):
     assert np.array(os.X).tobytes() == np.array(xs_ref).tobytes()
     assert np.array(os.Y).tobytes() == np.array(ys_ref).tobytes()
     assert os.hermitian == tuple(bool(h) for h in herm_ref)
+
+
+@pytest.mark.parametrize("name, rho, dA, dB", UNEQUAL_CASES, ids=[c[0] for c in UNEQUAL_CASES])
+def test_unequal_dimensions_up_to_8(name, rho, dA, dB):
+    """Reconstruction, orthonormal frames and, for Hermitian input, Hermitian frames."""
+    os = operator_schmidt(rho, dims=(dA, dB))
+    assert os.D == min(dA, dB) ** 2
+    assert np.linalg.norm(reconstruct(os) - rho) <= RECON_TOL * np.linalg.norm(rho)
+    for frame in (os.X, os.Y):
+        v = np.asarray(frame).reshape(os.D, -1)
+        np.testing.assert_allclose(v.conj() @ v.T, np.eye(os.D), rtol=0, atol=1e-12)
+        if hermitian_mask(rho):
+            np.testing.assert_allclose(frame, np.conj(np.asarray(frame)).transpose(0, 2, 1), rtol=0, atol=1e-12)
+    assert os.hermitisable == bool(hermitian_mask(rho)) == name.startswith("random")

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import near_max_entangled, random_mixed_decomposition
+from conftest import apply_map, near_max_entangled, random_mixed_decomposition
 from test_lhv import oracle_magic_threshold  # the closed form from one table per side, written out
 from minsep import bases, core, crossnorm, decompositions, lhv, serialize, tolerances, transport
 from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
@@ -31,7 +31,6 @@ from minsep.decompositions import (
     hermitian_decomposition,
     normalized_form,
     random_orthogonal,
-    random_row_isometry,
     random_unitary,
 )
 from minsep.feasibility import StateSpace, quantum_augmented_feasible
@@ -60,19 +59,19 @@ COST_RTOL = 1e-15
 def oracle_transported_cost(dec, maps):
     """The per-term form: one inverse-map application and one frob_norm per side and term."""
     terms = zip(dec.p, dec.A, dec.B)
-    return float(sum(pk * frob_norm(maps.inverse_a(a)) * frob_norm(maps.inverse_b(b)) for pk, a, b in terms))
+    return float(sum(pk * frob_norm(apply_map(maps.inv_a, a)) * frob_norm(apply_map(maps.inv_b, b)) for pk, a, b in terms))
 
 
 def oracle_decomposition_cost(dec, scaling):
     total = 0.0
     for pk, a, b in zip(dec.p, dec.a_coeff, dec.b_coeff):
-        total += pk * float(np.linalg.norm(scaling.apply(a))) * float(np.linalg.norm(scaling.apply_inverse(b)))
+        total += pk * float(np.linalg.norm(scaling.r * a)) * float(np.linalg.norm(b / scaling.r))
     return float(total)
 
 
 def oracle_equal_norm_weights(dec, scaling):
-    w_a = np.array([np.linalg.norm(scaling.apply(a)) ** 2 for a in dec.a_coeff])
-    w_b = np.array([np.linalg.norm(scaling.apply_inverse(b)) ** 2 for b in dec.b_coeff])
+    w_a = np.array([np.linalg.norm(scaling.r * a) ** 2 for a in dec.a_coeff])
+    w_b = np.array([np.linalg.norm(b / scaling.r) ** 2 for b in dec.b_coeff])
     return w_a, w_b
 
 
@@ -110,7 +109,7 @@ def seeded_decompositions(dA, dB, seed):
     D = os.D
     scaling = DiagonalScaling(np.exp(rng.normal(0.0, 0.4, D)))
     n = D + 2
-    iso = random_row_isometry(D, n, seed)
+    iso = random_unitary(n, seed)[:D]
     decs = [
         cross_norm_decomposition(os, scaling, iso, rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 2.0, n)),
         equal_norm_decomposition(os, scaling, random_unitary(D, seed), float(rng.uniform(0.5, 2.0))),
@@ -238,12 +237,10 @@ class TestStackedMatchesPerTerm:
     def test_scaling_of_the_wrong_size_still_raises(self, name):
         dec = normalized_form(operator_schmidt(bell_state()))  # 4 terms, coefficient vectors of size 4
         small = DiagonalScaling(np.ones(1))
-        with pytest.raises(ValueError) as oracle:
-            oracle_decomposition_cost(dec, small)
         fn = decomposition_cost if name == "decomposition_cost" else equal_norm_check
         with pytest.raises(ValueError) as info:
             fn(dec, small)
-        assert str(info.value) == str(oracle.value) == "vector has shape (4,), expected (1,)"
+        assert str(info.value) == "vector has shape (4,), expected (1,)"
 
 
 # ------------------------------------------------------------ check once
@@ -292,7 +289,7 @@ class TestCheckOnce:
         sums = count_calls(monkeypatch, [decompositions], "realigned_sum")
         if builder == "cross-norm":
             n = os.D + 1
-            cross_norm_decomposition(os, scaling, random_row_isometry(os.D, n, 2), np.ones(n), np.ones(n))
+            cross_norm_decomposition(os, scaling, random_unitary(n, 2)[: os.D], np.ones(n), np.ones(n))
         elif builder == "equal-norm":
             equal_norm_decomposition(os, scaling, random_unitary(os.D, 2), 1.5)
         else:

@@ -4,9 +4,9 @@ decompositions."""
 import numpy as np
 import pytest
 
-from conftest import near_max_entangled
-from minsep.bases import hermitian_basis, pauli_basis, phase_point_operators
-from minsep.core import frob_norm, kron
+from conftest import apply_map, near_max_entangled
+from minsep.bases import OperatorBasis, hermitian_basis, pauli_basis, phase_point_operators
+from minsep.core import frob_norm, kron, realign, unrealign
 from minsep.feasibility import quantum_augmented_feasible
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import BipartiteState, bell_state, haar_projectors, max_entangled, random_density, random_pure_state
@@ -70,22 +70,21 @@ class TestBuildMaps:
         os = canonical_max_entangled_schmidt(d)
         maps = build_maps(os)
         for c, x in zip(maps.basis.ops, os.X):
-            np.testing.assert_allclose(maps.forward_a(c), np.sqrt(d) * x, atol=1e-12)
+            np.testing.assert_allclose(apply_map(maps.fwd_a, c), np.sqrt(d) * x, atol=1e-12)
 
     def test_bell_with_pauli_reference(self):
         os = operator_schmidt(bell_state())
         maps = build_maps(os, pauli_basis())
         for c, x in zip(maps.basis.ops, os.X):
-            np.testing.assert_allclose(maps.forward_a(c), np.sqrt(2) * x, atol=1e-12)
+            np.testing.assert_allclose(apply_map(maps.fwd_a, c), np.sqrt(2) * x, atol=1e-12)
             # 2 * sqrt(1/2) = sqrt(2)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_joint_map_carries_max_entangled_to_state(self, seed):
         state = random_density(seed, 2, 2)
         maps = build_maps(operator_schmidt(state))
-        np.testing.assert_allclose(
-            maps.apply_joint(max_entangled(2).rho), state.rho, atol=1e-9
-        )
+        joint = maps.fwd_a @ realign(max_entangled(2).rho, 2, 2) @ maps.fwd_b.T
+        np.testing.assert_allclose(unrealign(joint, 2, 2), state.rho, atol=1e-9)
 
     def test_rejects_rank_deficient(self):
         state = pure_theta(0.0)  # product state, rank 1
@@ -97,8 +96,8 @@ class TestBuildMaps:
         rng = np.random.default_rng(0)
         sigma = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         tau = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = maps.forward_a(2.0 * sigma + 3j * tau)
-        rhs = 2.0 * maps.forward_a(sigma) + 3j * maps.forward_a(tau)
+        lhs = apply_map(maps.fwd_a, 2.0 * sigma + 3j * tau)
+        rhs = 2.0 * apply_map(maps.fwd_a, sigma) + 3j * apply_map(maps.fwd_a, tau)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -109,8 +108,8 @@ class TestInverses:
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sigma = h + h.conj().T
-        np.testing.assert_allclose(maps.inverse_a(maps.forward_a(sigma)), sigma, atol=1e-9)
-        np.testing.assert_allclose(maps.inverse_b(maps.forward_b(sigma)), sigma, atol=1e-9)
+        np.testing.assert_allclose(apply_map(maps.inv_a, apply_map(maps.fwd_a, sigma)), sigma, atol=1e-9)
+        np.testing.assert_allclose(apply_map(maps.inv_b, apply_map(maps.fwd_b, sigma)), sigma, atol=1e-9)
 
     def test_w_images_have_norm_sqrt_d(self):
         os = operator_schmidt(bell_state())
@@ -118,8 +117,8 @@ class TestInverses:
         alignment = construct_alignment(check_condition_a(os))
         w = build_w_basis(maps, alignment)
         for wk in w.ops:
-            assert abs(frob_norm(maps.inverse_a(maps.forward_a(wk))) - np.sqrt(2)) < 1e-10
-            assert abs(frob_norm(maps.inverse_b(maps.forward_b(wk.T))) - np.sqrt(2)) < 1e-10
+            assert abs(frob_norm(apply_map(maps.inv_a, apply_map(maps.fwd_a, wk))) - np.sqrt(2)) < 1e-10
+            assert abs(frob_norm(apply_map(maps.inv_b, apply_map(maps.fwd_b, wk.T))) - np.sqrt(2)) < 1e-10
 
     def test_inverse_norm_formula(self):
         # ||inv(sigma)||^2 = sum_k |x_k|^2 / (d s_k) with x_k = tr(X_k^dag sigma).
@@ -128,7 +127,7 @@ class TestInverses:
         sigma = np.diag([1.0, 0.0]).astype(complex)
         xs = np.array([np.trace(x.conj().T @ sigma) for x in os.X])
         expected_sq = float(np.sum(np.abs(xs) ** 2 / (2 * np.asarray(os.s))))
-        assert abs(frob_norm(maps.inverse_a(sigma)) ** 2 - expected_sq) < 1e-10
+        assert abs(frob_norm(apply_map(maps.inv_a, sigma)) ** 2 - expected_sq) < 1e-10
 
 
 class TestConditionA:
@@ -193,8 +192,8 @@ class TestWBasis:
         )
         np.testing.assert_allclose(gram, 2 * np.eye(4), atol=1e-10)
         for wk in w.ops:
-            assert abs(np.trace(maps.forward_a(wk)) - 1.0) < 1e-10
-            assert abs(np.trace(maps.forward_b(wk.T)) - 1.0) < 1e-10
+            assert abs(np.trace(apply_map(maps.fwd_a, wk)) - 1.0) < 1e-10
+            assert abs(np.trace(apply_map(maps.fwd_b, wk.T)) - 1.0) < 1e-10
 
     def test_phase_point_rotation_recovers_phase_points(self):
         # For the canonical maximally entangled frame the alignment rows
@@ -332,7 +331,7 @@ class TestTransportedDecomposition:
         os = operator_schmidt(bell_state())
         maps = build_maps(os)
         with pytest.raises(ValueError, match="normalisation"):
-            transported_decomposition(maps, hermitian_basis(2).rescaled(1.0))
+            transported_decomposition(maps, OperatorBasis(2, np.asarray(hermitian_basis(2).ops) / np.sqrt(2), 1.0))
 
 
 class TestNormExclusivity:
@@ -340,7 +339,7 @@ class TestNormExclusivity:
         os = operator_schmidt(bell_state())
         maps = build_maps(os)
         w = build_w_basis(maps, construct_alignment(check_condition_a(os)))
-        images = [maps.forward_a(wk) for wk in w.ops]
+        images = [apply_map(maps.fwd_a, wk) for wk in w.ops]
         rng = np.random.default_rng(9)
         ceiling = np.sqrt(2)
         worst = 0.0
@@ -353,7 +352,7 @@ class TestNormExclusivity:
                 v /= np.linalg.norm(v)
                 extras.append(np.outer(v, v.conj()))
             mix = sum(wi * op for wi, op in zip(weights, images + extras))
-            worst = max(worst, frob_norm(maps.inverse_a(mix)))
+            worst = max(worst, frob_norm(apply_map(maps.inv_a, mix)))
         assert worst < ceiling - 1e-3
 
 
