@@ -27,7 +27,7 @@ from .decompositions import (
     random_unitary,
 )
 from .feasibility import StateSpace, deletion_minimality, separable_feasible, weights_feasible
-from .lhv import BORN_TOL, LhvConstructionError, build_lhv, povm_scan
+from .lhv import BORN_TOL, MAX_MAGIC_BUDGET, LhvConstructionError, build_lhv, povm_scan
 from .schmidt import operator_schmidt, reconstruct
 from .serialize import FormatError, dumps
 from .states import (
@@ -83,6 +83,8 @@ def parse_state(spec: str) -> BipartiteState:
         if len(parts) != 4:
             raise FormatError("state", f"expected {parts[0]}:seed:dA:dB, got {spec!r}")
         seed, dA, dB = (_int_field(x, "state") for x in parts[1:])
+        if seed < 0:
+            raise FormatError("state", f"seed must be non-negative, got {seed}")
         maker = random_pure_state if parts[0] == "random-pure" else random_density
         return maker(seed, dA, dB)
     return serialize.decode_state(_load_wrapped(spec, "dA", "state"), "state")
@@ -93,6 +95,17 @@ def _int_field(text: str, field: str) -> int:
         return int(text)
     except ValueError as exc:
         raise FormatError(field, f"expected an integer, got {text!r}") from exc
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
 
 
 def _load_wrapped(path: str, marker: str, field: str):
@@ -135,10 +148,7 @@ def _parse_scaling(spec: str, os) -> DiagonalScaling:
         return DiagonalScaling.identity(os.D)
     if spec == "sqrtS":
         return DiagonalScaling.sqrt_s(os)
-    data = serialize.load_json(spec, "R")
-    if not isinstance(data, list) or not all(serialize.is_number(x) for x in data):
-        raise FormatError("R", "expected a JSON list of positive diagonal entries")
-    return DiagonalScaling(np.asarray(data, dtype=float))
+    return serialize.decode_scaling(serialize.load_json(spec, "R"), "R")
 
 
 def _parse_unitary(spec: str, D: int, seed: int, orthogonal: bool) -> np.ndarray:
@@ -152,12 +162,6 @@ def _parse_unitary(spec: str, D: int, seed: int, orthogonal: bool) -> np.ndarray
     return u
 
 
-def _frame_report(os) -> dict:
-    v = np.asarray(os.X).reshape(os.D, -1)
-    gram_x = np.max(np.abs(v.conj() @ v.T - np.eye(os.D)))
-    return {"orthonormality_deviation": float(gram_x)}
-
-
 def cmd_schmidt(args) -> tuple[dict, list]:
     state = parse_state(args.state)
     os = operator_schmidt(state, rank_cutoff=args.rank_cutoff)
@@ -167,9 +171,9 @@ def cmd_schmidt(args) -> tuple[dict, list]:
         _claim("schmidt.reconstruction_residual", residual, RECON_TOL),
         _claim("schmidt.two_norm_preserved", purity_dev, ATOL),
     ]
-    result = serialize.encode_schmidt(os)
-    result.update(_frame_report(os))
-    return result, claims
+    v = np.asarray(os.X).reshape(os.D, -1)
+    gram_x = np.max(np.abs(v.conj() @ v.T - np.eye(os.D)))
+    return {**serialize.encode_schmidt(os), "orthonormality_deviation": float(gram_x)}, claims
 
 
 def cmd_crossnorm(args) -> tuple[dict, list]:
@@ -261,25 +265,11 @@ def cmd_verify_minimal(args) -> tuple[dict, list]:
         baseline = separable_feasible(state, va, vb)
         decided_by = "nnls"
     report = deletion_minimality(state, va, vb, threshold=args.threshold)
-    rows = [
-        {
-            "side": r.side, "index": r.index, "residual": float(r.residual),
-            "feasible": r.feasible, "decided_by": r.decided_by,
-        }
-        for r in report.records
-    ]
     min_residual = min((r.residual for r in report.records), default=float("inf"))
-    claims = [
-        _claim(
-            "verify-minimal.all_deletions_infeasible",
-            min_residual,
-            args.threshold,
-            report.passed,
-        )
-    ]
+    claims = [_claim("verify-minimal.all_deletions_infeasible", min_residual, args.threshold, report.passed)]
     return {
-        "baseline": {**serialize.encode_feasibility(baseline), "decided_by": decided_by},
-        "deletions": rows,
+        "baseline": {**serialize.plain(baseline), "decided_by": decided_by},
+        "deletions": serialize.plain(report.records),
         "passed": report.passed,
     }, claims
 
@@ -287,33 +277,26 @@ def cmd_verify_minimal(args) -> tuple[dict, list]:
 def cmd_conditions(args) -> tuple[dict, list]:
     state = parse_state(args.state)
     os = operator_schmidt(state)
-    result: dict = {}
-    claims = []
     if state.dA != state.dB or os.D != state.dA**2:
-        result["condition_a"] = {"passed": False, "reason": "operator-Schmidt rank deficient"}
-        result["condition_b"] = {"passed": False, "reason": "operator-Schmidt rank deficient"}
-        claims.append(_claim("conditions.a", 1.0, ATOL, False))
-        claims.append(_claim("conditions.b", 1.0, ATOL, False))
-        return result, claims
+        failed = {"passed": False, "reason": "operator-Schmidt rank deficient"}
+        claims = [_claim("conditions.a", 1.0, ATOL, False), _claim("conditions.b", 1.0, ATOL, False)]
+        return {"condition_a": failed, "condition_b": failed}, claims
     cond_a = check_condition_a(os)
-    maps = build_maps(os)
-    cond_b = check_condition_b(maps)
-    result["condition_a"] = {
-        "passed": cond_a.passed,
-        "e": [float(x) for x in cond_a.e],
-        "f": [float(x) for x in cond_a.f],
-        "deviation": cond_a.deviation,
+    cond_b = check_condition_b(build_maps(os))
+    result = {
+        "condition_a": {
+            "passed": cond_a.passed,
+            "e": [float(x) for x in cond_a.e],
+            "f": [float(x) for x in cond_a.f],
+            "deviation": cond_a.deviation,
+        },
+        "condition_b": serialize.plain(cond_b),
     }
-    result["condition_b"] = {
-        "passed": cond_b.passed,
-        "min_s": cond_b.min_s,
-        "bound": cond_b.bound,
-        "ceiling": cond_b.ceiling,
-        "marginal": cond_b.marginal,
-    }
-    claims.append(_claim("conditions.a", cond_a.deviation, ATOL, cond_a.passed))
     margin = cond_b.min_s - 1.0 / state.dA**2
-    claims.append(_claim("conditions.b", margin, 0.0, cond_b.passed))
+    claims = [
+        _claim("conditions.a", cond_a.deviation, ATOL, cond_a.passed),
+        _claim("conditions.b", margin, 0.0, cond_b.passed),
+    ]
     return result, claims
 
 
@@ -324,32 +307,14 @@ def cmd_lhv(args) -> tuple[dict, list]:
     try:
         model = build_lhv(dec, povm_a, povm_b)
     except LhvConstructionError as exc:
-        claims = [_claim("lhv.born_match", None, 1e-10, False)]
-        return {"error": str(exc)}, claims
-    result = {
-        "hidden_weights": [float(x) for x in model.hidden_weights],
-        "response_a": [[float(x) for x in row] for row in model.response_a],
-        "response_b": [[float(x) for x in row] for row in model.response_b],
-        "dropped": list(model.dropped),
-        "born_deviation": float(model.born_deviation),
-    }
-    claims = [_claim("lhv.born_match", model.born_deviation, 1e-10)]
-    return result, claims
+        return {"error": str(exc)}, [_claim("lhv.born_match", None, BORN_TOL, False)]
+    return serialize.plain(model), [_claim("lhv.born_match", model.born_deviation, BORN_TOL)]
 
 
 def cmd_scan(args) -> tuple[dict, list]:
     dec = _load_decomposition(args.decomposition)
     report = povm_scan(dec, family=args.family, budget=args.budget)
-    rows = [
-        {
-            "label": r.label,
-            "success": r.success,
-            "born_deviation": None if r.born_deviation is None else float(r.born_deviation),
-            "detail": r.detail,
-        }
-        for r in report.rows
-    ]
-    result = {"family": report.family, "rows": rows}
+    result = {"family": report.family, "rows": serialize.plain(report.rows)}
     claims = []
     if report.threshold is not None:
         result["threshold"] = float(report.threshold)
@@ -363,19 +328,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="minsep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomised behaviour")
+    def common(p, run):
+        p.set_defaults(run=run)
+        p.add_argument("--seed", type=_seed, default=0, help="seed for all randomised behaviour")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
 
     p = sub.add_parser("schmidt", help="operator-Schmidt decomposition of a state")
     p.add_argument("--state", required=True)
     p.add_argument("--rank-cutoff", type=float, default=RANK_CUTOFF)
-    common(p)
+    common(p, cmd_schmidt)
 
     p = sub.add_parser("crossnorm", help="cross-norm value and invariance under the diagonal scaling")
     p.add_argument("--state", required=True)
     p.add_argument("--samples", type=int, default=10)
-    common(p)
+    common(p, cmd_crossnorm)
 
     p = sub.add_parser("decompose", help="construct a separable decomposition")
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
@@ -384,51 +350,40 @@ def build_parser() -> _Parser:
     p.add_argument("--R", default="identity", help="identity | sqrtS | path to a diagonal file")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--orthogonal", action="store_true", help="use a real orthogonal mixing (Hermitian output)")
-    p.add_argument("--t-seed", type=int, default=None, help="randomise the trace alignment (construction 3)")
-    common(p)
+    p.add_argument("--t-seed", type=_seed, default=None, help="randomise the trace alignment (construction 3)")
+    common(p, cmd_decompose)
 
     p = sub.add_parser("verify-minimal", help="deletion test on a decomposition's generator sets")
     p.add_argument("--state", required=True)
     p.add_argument("--decomposition", required=True)
     p.add_argument("--mode", choices=("convex", "conic"), default="convex")
     p.add_argument("--threshold", type=float, default=INFEAS_THRESHOLD)
-    common(p)
+    common(p, cmd_verify_minimal)
 
     p = sub.add_parser("conditions", help="admissibility conditions of the transported construction")
     p.add_argument("--state", required=True)
-    common(p)
+    common(p, cmd_conditions)
 
     p = sub.add_parser("lhv", help="build a local hidden variable model for a POVM pair")
     p.add_argument("--decomposition", required=True)
     p.add_argument("--povm-a", required=True, help="x | y | z | identity | magic:c | path")
     p.add_argument("--povm-b", default="transpose-a", help="same forms, or transpose-a")
-    common(p)
+    common(p, cmd_lhv)
 
     p = sub.add_parser("scan", help="scan a POVM family for model constructions")
     p.add_argument("--decomposition", required=True)
     p.add_argument("--family", default="pauli", choices=("pauli", "magic"))
-    p.add_argument("--budget", type=int, default=16)
-    common(p)
+    p.add_argument("--budget", type=int, default=16, help=f"magic strengths to try, 1 to {MAX_MAGIC_BUDGET}")
+    common(p, cmd_scan)
 
     return parser
-
-
-COMMANDS = {
-    "schmidt": cmd_schmidt,
-    "crossnorm": cmd_crossnorm,
-    "decompose": cmd_decompose,
-    "verify-minimal": cmd_verify_minimal,
-    "conditions": cmd_conditions,
-    "lhv": cmd_lhv,
-    "scan": cmd_scan,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        result, claims = COMMANDS[args.command](args)
+        result, claims = args.run(args)
     except ValueError as exc:  # CliInputError and FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

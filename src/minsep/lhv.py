@@ -31,6 +31,8 @@ from .states import BipartiteState, Povm, identity_povm, magic_povm, projective_
 from .tolerances import ATOL
 
 BORN_TOL = 1e-10
+# The magic scan builds its whole grid before the first row, so time and memory grow with the budget.
+MAX_MAGIC_BUDGET = 10_000
 
 
 class LhvConstructionError(ValueError):
@@ -342,19 +344,22 @@ def povm_scan(
 
     ``family="pauli"`` scans the identity pair and the nine projective Pauli
     pairs.  ``family="magic"`` scans the two-effect family built from the
-    magic-state projector at ``budget`` strengths (the B side measures the
-    transposed effects).  Its threshold is the largest strength at which the
-    construction succeeds, in closed form (:func:`_magic_threshold`).  A
-    threshold above 0 is verified by building the model at it:
-    ``threshold_deviation`` is that model's Born deviation, which a caller
-    compares with ``BORN_TOL``, or None if the model's rules fail.  A custom
-    iterable of (label, povm_a, povm_b) triples is also accepted.  Each row is
-    ``build_lhv``'s outcome for its pair.  The scan is deterministic.
+    magic-state projector at ``budget`` strengths, 1 to ``MAX_MAGIC_BUDGET``
+    (the B side measures the transposed effects).  Its threshold is the
+    largest strength at which the construction succeeds, in closed form
+    (:func:`_magic_threshold`).  A threshold above 0 is verified by building
+    the model at it: ``threshold_deviation`` is that model's Born deviation,
+    which a caller compares with ``BORN_TOL``, or None if the model's rules
+    fail.  A custom iterable of (label, povm_a, povm_b) triples is also
+    accepted.  Each row is ``build_lhv``'s outcome for its pair.  The scan is
+    deterministic.
     """
     if isinstance(family, str) and family not in ("pauli", "magic"):
         raise ValueError(f"unknown POVM family {family!r}")
     if family == "magic" and budget < 1:
         raise ValueError(f"the magic family needs a budget of at least 1, got {budget}")
+    if family == "magic" and budget > MAX_MAGIC_BUDGET:
+        raise ValueError(f"the magic family takes a budget of at most {MAX_MAGIC_BUDGET}, got {budget}")
     name = family if isinstance(family, str) else "custom"
     labels, groups = _pauli_stack() if name == "pauli" else _magic_pairs(budget) if name == "magic" else _stack(family)
     rows, threshold, threshold_deviation = [None] * len(labels), None, None

@@ -8,6 +8,7 @@ Decoding errors name the offending field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -133,14 +134,30 @@ def encode_meta(meta: DecompositionMeta | None) -> dict | None:
     return out
 
 
+def _numbers(obj, field: str) -> np.ndarray:
+    if not isinstance(obj, list) or not obj or not all(is_number(x) for x in obj):
+        raise FormatError(field, "expected a nonempty list of numbers")
+    return np.asarray(obj, dtype=float)
+
+
+def decode_scaling(obj, field: str = "R") -> DiagonalScaling:
+    r = _numbers(obj, field)
+    try:
+        return DiagonalScaling(r)
+    except ValueError as exc:
+        raise FormatError(field, str(exc)) from exc
+
+
 def decode_meta(obj, field: str = "meta") -> DecompositionMeta | None:
     if obj is None:
         return None
     kind = _require(obj, "kind", field)
-    s = np.asarray(obj["s"], dtype=float) if "s" in obj else None
-    scaling = DiagonalScaling(np.asarray(obj["R"], dtype=float)) if "R" in obj else None
+    if not isinstance(kind, str):
+        raise FormatError(f"{field}.kind", "must be a string")
+    s = _numbers(obj["s"], f"{field}.s") if "s" in obj else None
+    scaling = decode_scaling(obj["R"], f"{field}.R") if "R" in obj else None
     u = decode_matrix(obj["U"], f"{field}.U") if "U" in obj else None
-    c = np.asarray(obj["c"], dtype=float) if "c" in obj else None
+    c = _numbers(obj["c"], f"{field}.c") if "c" in obj else None
     return DecompositionMeta(kind=kind, s=s, scaling=scaling, U=u, c=c)
 
 
@@ -154,11 +171,9 @@ def encode_decomposition(dec: SeparableDecomposition) -> dict:
 
 
 def decode_decomposition(obj, field: str = "decomposition") -> SeparableDecomposition:
-    p = _require(obj, "p", field)
+    p = _numbers(_require(obj, "p", field), f"{field}.p")
     terms_a = _require(obj, "A", field)
     terms_b = _require(obj, "B", field)
-    if not isinstance(p, list) or not all(is_number(x) for x in p):
-        raise FormatError(f"{field}.p", "expected a list of numbers")
     if not isinstance(terms_a, list) or not isinstance(terms_b, list):
         raise FormatError(f"{field}.A", "A and B must be lists of matrices")
     if len(terms_a) != len(p) or len(terms_b) != len(p):
@@ -167,18 +182,22 @@ def decode_decomposition(obj, field: str = "decomposition") -> SeparableDecompos
     mats_b = [decode_matrix(b, f"{field}.B[{k}]") for k, b in enumerate(terms_b)]
     meta = decode_meta(obj.get("meta"), f"{field}.meta")
     try:
-        return SeparableDecomposition(np.asarray(p, dtype=float), tuple(mats_a), tuple(mats_b), meta=meta)
+        return SeparableDecomposition(p, tuple(mats_a), tuple(mats_b), meta=meta)
     except ValueError as exc:
         raise FormatError(field, str(exc)) from exc
 
 
-def encode_feasibility(result) -> dict:
-    return {
-        "feasible": bool(result.feasible),
-        "weights": [[float(x) for x in row] for row in np.atleast_2d(result.weights)],
-        "residual": float(result.residual),
-        "constraint_violation": float(result.constraint_violation),
-    }
+# Decompositions, Schmidt forms and their meta hold complex matrices and keep
+# the {"rows", "cols", "entries"} format above; a record whose report omits
+# fields (condition A drops norm_e and norm_f) is built by hand as well.
+def plain(obj):
+    """A library record as JSON values: a dataclass becomes the dict of its
+    fields, tuples, lists and arrays become lists, numpy scalars Python numbers."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list, np.ndarray)):
+        return [plain(x) for x in obj]
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def dumps(obj) -> str:

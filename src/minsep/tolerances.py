@@ -2,7 +2,8 @@
 
 All tolerances are absolute unless the name says otherwise.  The defaults
 leave several digits of double-precision headroom at the dimensions this
-library targets (local dimensions up to ~8).
+library targets (local dimensions up to ~8).  Every upper-case name here is
+a tolerance: :func:`tolerance_table` embeds each one in every CLI report.
 """
 
 # Generic absolute tolerance: Hermiticity, orthogonality, trace checks.
@@ -28,13 +29,5 @@ MIN_WEIGHT = 1e-12
 
 
 def tolerance_table() -> dict:
-    """All tolerances as a plain dict, for embedding in reports."""
-    return {
-        "atol": ATOL,
-        "psd_tol": PSD_TOL,
-        "rank_cutoff": RANK_CUTOFF,
-        "recon_tol": RECON_TOL,
-        "feas_tol": FEAS_TOL,
-        "infeas_threshold": INFEAS_THRESHOLD,
-        "min_weight": MIN_WEIGHT,
-    }
+    """All tolerances above, lower-cased, as a plain dict for embedding in reports."""
+    return {name.lower(): value for name, value in globals().items() if name.isupper()}

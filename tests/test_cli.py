@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from minsep import serialize
 from minsep.bases import PAULI_I, PAULI_Z, phase_point_operators
 from minsep.cli import main
 from minsep.decompositions import SeparableDecomposition
-from minsep.feasibility import StateSpace, separable_feasible
-from minsep.lhv import povm_scan
+from minsep.feasibility import DeletionRecord, FeasibilityResult, StateSpace, separable_feasible
+from minsep.lhv import LhvModel, ScanRecord, povm_scan
 from minsep.states import projective_povm, random_density
+from minsep.tolerances import tolerance_table
+from minsep.transport import ConditionBReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -290,6 +293,54 @@ class TestScan:
             assert captured.out == ""
             assert captured.err == f"error: the magic family needs a budget of at least 1, got {budget}\n"
 
+    def test_magic_budget_above_the_cap_exits_1(self, capsys, tmp_path):
+        dec = phase_point_file(tmp_path)
+        code = main(["scan", "--decomposition", dec, "--family", "magic", "--budget", "10001"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: the magic family takes a budget of at most 10000, got 10001\n"
+
+
+class TestReportFields:
+    """Each result row carries exactly the fields of its library record, and
+    those fields keep their names: renaming one changes the wire format."""
+
+    @staticmethod
+    def names(record, *wire):
+        assert {f.name for f in fields(record)} == set(wire)
+        return set(wire)
+
+    def test_verify_minimal(self, capsys, tmp_path):
+        dec = phase_point_file(tmp_path)
+        _, report = run(capsys, "verify-minimal", "--state", "bell", "--decomposition", dec)
+        baseline = self.names(FeasibilityResult, "feasible", "weights", "residual", "constraint_violation")
+        assert set(report["result"]["baseline"]) == baseline | {"decided_by"}
+        deletion = self.names(DeletionRecord, "side", "index", "residual", "feasible", "decided_by")
+        assert report["result"]["deletions"] and all(set(row) == deletion for row in report["result"]["deletions"])
+
+    def test_lhv(self, capsys, tmp_path):
+        dec = phase_point_file(tmp_path)
+        _, report = run(capsys, "lhv", "--decomposition", dec, "--povm-a", "z", "--povm-b", "z")
+        wire = self.names(LhvModel, "hidden_weights", "response_a", "response_b", "dropped", "born_deviation")
+        assert set(report["result"]) == wire
+
+    @pytest.mark.parametrize("family", ["pauli", "magic"])
+    def test_scan(self, capsys, tmp_path, family):
+        dec = phase_point_file(tmp_path)
+        _, report = run(capsys, "scan", "--decomposition", dec, "--family", family, "--budget", "3")
+        wire = self.names(ScanRecord, "label", "success", "born_deviation", "detail")
+        assert report["result"]["rows"] and all(set(row) == wire for row in report["result"]["rows"])
+
+    def test_conditions(self, capsys):
+        _, report = run(capsys, "conditions", "--state", "bell")
+        wire = self.names(ConditionBReport, "min_s", "bound", "ceiling", "marginal", "passed")
+        assert set(report["result"]["condition_b"]) == wire
+
+    def test_tolerance_table(self, capsys):
+        _, report = run(capsys, "conditions", "--state", "bell")
+        expected = {"atol", "psd_tol", "rank_cutoff", "recon_tol", "feas_tol", "infeas_threshold", "min_weight"}
+        assert set(tolerance_table()) == set(report["tolerances"]) == expected
+
 
 class TestPovmDimension:
     def test_qubit_povm_on_qutrit_decomposition_exits_1(self, capsys, tmp_path):
@@ -356,6 +407,37 @@ class TestErrors:
             captured = capsys.readouterr()
             assert code == 1 and captured.out == ""
             assert captured.err.startswith(f"error: {field}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["schmidt", "--state", "random:-1:2:2"], "state: seed must be non-negative, got -1"),
+            (["schmidt", "--state", "random-pure:-4:2:2"], "state: seed must be non-negative, got -4"),
+            (
+                ["decompose", "--theorem", "1", "--state", "bell", "--unitary", "seed", "--seed", "-5"],
+                "argument --seed: must be non-negative, got -5",
+            ),
+            (
+                ["decompose", "--theorem", "3", "--state", "bell", "--t-seed", "-3"],
+                "argument --t-seed: must be non-negative, got -3",
+            ),
+            (["crossnorm", "--state", "bell", "--seed", "-2"], "argument --seed: must be non-negative, got -2"),
+            (["crossnorm", "--state", "bell", "--seed", "x2"], "argument --seed: expected an integer, got 'x2'"),
+        ],
+    )
+    def test_negative_seed_names_the_field(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_non_positive_scaling_file_names_r(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps([1.0, -2.0, 1.0, 1.0]))
+        code = main(["decompose", "--theorem", "1", "--state", "bell", "--R", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: R: diagonal entries must be strictly positive and finite\n"
 
     def test_unknown_flag_exits_1(self, capsys):
         code = main(["schmidt", "--nonsense"])

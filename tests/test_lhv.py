@@ -245,6 +245,15 @@ class TestPovmScan:
         with pytest.raises(ValueError, match="budget of at least 1"):
             povm_scan(phase_point_decomposition(), family="magic", budget=budget)
 
+    def test_magic_budget_capped(self):
+        dec = phase_point_decomposition()
+        try:
+            assert len(povm_scan(dec, family="magic", budget=10_000).rows) == 10_000
+        finally:
+            lhv._magic_pairs.cache_clear()  # the 10,000-pair grid is not kept for later tests
+        with pytest.raises(ValueError, match="budget of at most 10000, got 10001"):
+            povm_scan(dec, family="magic", budget=10_001)
+
     def test_pauli_pairs_built_once(self):
         pairs = lhv.pauli_pairs()
         assert lhv.pauli_pairs() is pairs

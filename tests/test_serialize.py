@@ -1,5 +1,8 @@
 """JSON wire formats."""
 
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,71 @@ class TestDecomposition:
         obj = {"p": [1.0], "A": [], "B": [], "meta": None}
         with pytest.raises(serialize.FormatError, match="equal length"):
             serialize.decode_decomposition(obj)
+
+
+class TestMeta:
+    @staticmethod
+    def encoded():
+        from minsep.crossnorm import DiagonalScaling
+        from minsep.decompositions import equal_norm_decomposition
+
+        os = operator_schmidt(bell_state())
+        dec = equal_norm_decomposition(os, DiagonalScaling.identity(4), np.eye(4, dtype=complex), 1.0)
+        return serialize.encode_decomposition(dec)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("s", None),
+            ("s", [True, False, True, True]),
+            ("s", "abc"),
+            ("s", [[1.0, 2.0], [3.0]]),
+            ("s", []),
+            ("kind", 5),
+            ("c", {"a": 1}),
+            ("R", [-1.0, 1.0, 1.0, 1.0]),
+            ("R", [1.0, None, 1.0, 1.0]),
+        ],
+    )
+    def test_malformed_entry_names_its_key(self, key, value):
+        obj = self.encoded()
+        obj["meta"][key] = value
+        with pytest.raises(serialize.FormatError) as info:
+            serialize.decode_decomposition(obj)
+        assert info.value.field == f"decomposition.meta.{key}"
+
+    def test_meta_must_be_an_object(self):
+        obj = self.encoded()
+        obj["meta"] = [1.0]
+        with pytest.raises(serialize.FormatError, match="decomposition.meta: expected an object"):
+            serialize.decode_decomposition(obj)
+
+
+@dataclass(frozen=True)
+class _Record:
+    flag: np.bool_
+    count: int
+    value: float
+    missing: None
+    pair: tuple
+    table: np.ndarray
+
+
+class TestPlain:
+    def test_record_becomes_json_values(self):
+        record = _Record(np.bool_(True), 3, 0.25, None, (np.int64(1), 2.5), np.arange(6.0).reshape(2, 3))
+        out = serialize.plain(record)
+        assert out == {
+            "flag": True, "count": 3, "value": 0.25, "missing": None,
+            "pair": [1, 2.5], "table": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]],
+        }
+        assert type(out["flag"]) is bool and type(out["pair"][0]) is int
+        assert all(type(x) is float for row in out["table"] for x in row)
+        assert json.loads(serialize.dumps(out)) == out
+
+    def test_tuple_of_records(self):
+        record = _Record(np.bool_(False), 0, 1.0, None, (), np.zeros((0, 2)))
+        assert serialize.plain((record,))[0]["table"] == []
 
 
 class TestDumps:
