@@ -9,7 +9,6 @@ them.  With a real orthogonal mixing the local operators stay Hermitian.
 """
 
 import numpy as np
-from scipy.linalg import dft, hadamard
 
 from minsep import (
     DiagonalScaling,
@@ -32,7 +31,8 @@ sqrt_s = DiagonalScaling.sqrt_s(os)
 
 # Four terms from a rescaled Hadamard mixing: each local operator is a
 # mixture of all four Schmidt directions, yet the cost is still 2.
-u4 = hadamard(4).astype(complex) / 2.0
+h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+u4 = np.kron(h2, h2).astype(complex) / 2.0  # Sylvester's Hadamard matrix
 dec = cross_norm_decomposition(os, sqrt_s, u4, np.full(4, 0.25), np.ones(4))
 print("Hadamard member of the cross-norm family on Bell:")
 print("  terms =", dec.terms)
@@ -41,7 +41,7 @@ print("  cost =", decomposition_cost(dec, sqrt_s))
 
 # The family also contains decompositions with more than D terms: any wide
 # row isometry works, here from the first four rows of a 5x5 DFT matrix.
-u5 = dft(5, scale="sqrtn")[:4, :]
+u5 = np.fft.fft(np.eye(5), norm="ortho")[:4, :]
 dec5 = cross_norm_decomposition(os, sqrt_s, u5, np.full(5, 0.2), np.ones(5))
 print(f"\nfive-term member: cost = {decomposition_cost(dec5, sqrt_s):.10f}")
 

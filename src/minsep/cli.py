@@ -179,6 +179,8 @@ def cmd_schmidt(args) -> tuple[dict, list]:
 def cmd_crossnorm(args) -> tuple[dict, list]:
     if args.samples < 1:
         raise CliInputError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_MAGIC_BUDGET:  # one row per sample, kept like the magic grid
+        raise CliInputError(f"--samples must be at most {MAX_MAGIC_BUDGET}, got {args.samples}")
     state = parse_state(args.state)
     os = operator_schmidt(state)
     value = cross_norm_value(os)
@@ -340,7 +342,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("crossnorm", help="cross-norm value and invariance under the diagonal scaling")
     p.add_argument("--state", required=True)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=int, default=10, help=f"random scalings to try, 1 to {MAX_MAGIC_BUDGET}")
     common(p, cmd_crossnorm)
 
     p = sub.add_parser("decompose", help="construct a separable decomposition")

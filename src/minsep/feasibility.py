@@ -2,23 +2,25 @@
 
 The core question: can rho be written sum_ij q_ij A_i tensor B_j with
 q >= 0 (and sum q = 1 for convex hulls), where the A_i and B_j generate the
-two local state spaces?  The problem is a nonnegative least squares over the
-real embedding of the vectorised operators, solved with the Lawson-Hanson
-active-set method.  An achieved residual at or below the feasibility
-tolerance certifies membership; otherwise it is only an upper bound on the
-true minimum, the unsafe direction for an infeasibility verdict.  A point
-known in advance, such as the weights p_i delta_ij of a decomposition
-sum_k p_k A_k tensor B_k, is a membership certificate by itself:
-:func:`weights_feasible` checks it without a solver.
+two local state spaces?  Realignment sends A tensor B to vec(A) vec(B)^T
+(the rearrangement of Van Loan and Pitsianis), so the fit is
+min ||R(rho) - G_A Q G_B^T|| over real Q >= 0, with the generator vectors
+as the columns of G_A and G_B.  A Lawson-Hanson active-set solver answers
+it on the implicit Gram of the products, built from the two small per-side
+Gram matrices G^dag G, and imposes the simplex exactly; no design matrix
+over all products is formed.  An achieved residual at or below the
+feasibility tolerance certifies membership; otherwise it is only an upper
+bound on the true minimum, the unsafe direction for an infeasibility
+verdict.  A point known in advance, such as the weights p_i delta_ij of a
+decomposition sum_k p_k A_k tensor B_k, is a membership certificate by
+itself: :func:`weights_feasible` checks it without a solver.
 
 Deletion testing certifies minimality claims: a generating set is minimal
-for rho exactly when removing any single generator makes the fit infeasible.
-Realignment sends A tensor B to vec(A) vec(B)^T, so each deleted fit is
-min ||R(rho) - G_A Q G_B^T|| over the generator vectors G_A and G_B (the
-rearrangement of Van Loan and Pitsianis).  Its minimum over all complex Q,
-with neither sign nor simplex constraint, is a rigorous lower bound on the
-nonnegative fit's residual, and it certifies almost every deletion
-infeasible without a solver call.
+for rho exactly when removing any single generator makes the fit
+infeasible.  Each deleted fit is the realigned fit over fewer generator
+vectors.  Its minimum over all complex Q, with neither sign nor simplex
+constraint, is a rigorous lower bound on the nonnegative fit's residual,
+and it certifies almost every deletion infeasible without a solver call.
 
 Hulls that must contain all local quantum states are handled by sampling:
 pure-state projectors (the computational basis plus a seeded Haar batch)
@@ -95,37 +97,58 @@ class FeasibilityResult:
         object.__setattr__(self, "weights", frozen(self.weights, float))
 
 
-def _product_columns(gens_a, gens_b):
-    """Columns vec(A_i tensor B_j), i major, as one broadcast product.
+def _vecs(space: StateSpace) -> np.ndarray:
+    """The generators as the columns vec(A_i) of a dim^2 x n matrix."""
+    return np.asarray(space.generators).reshape(len(space), space.dim**2).T
 
-    Each entry is the one complex multiply A_i[a, a'] B_j[b, b'] that
-    ``np.kron`` makes too, so the columns match a ``np.kron`` build bit for bit.
+
+def _active_set(ga, gb, realigned, convex):
+    """Q >= 0 (and sum Q = 1 if ``convex``) minimising ||R - G_A Q G_B^T||:
+    Lawson-Hanson NNLS in the "fast" form of Bro and de Jong (J. Chemometrics
+    11, 393, 1997).  The real Gram H = Re(K_A kron K_B), K = G^dag G, is
+    applied as Re(K_A Q K_B^T) and formed only on the passive set.  In convex
+    mode each passive subproblem is a bordered KKT system, started at the best
+    single product.  A dual c_j - (Hq)_j at or below 1e-12 ||a_j|| (||R|| +
+    sum_k ||a_k|| q_k) is rounding; so is an entering column whose weight comes
+    back nonpositive, as w_t > 0 forces a positive weight in exact arithmetic.
     """
-    a, b = np.asarray(gens_a), np.asarray(gens_b)
-    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return np.ascontiguousarray(prod.reshape(len(a) * len(b), (a.shape[1] * b.shape[1]) ** 2).T)
+    ka, kb = ga.conj().T @ ga, gb.conj().T @ gb
+    c = np.real(ga.conj().T @ realigned @ gb.conj())
+    shape, c, scale = c.shape, c.ravel(), float(np.linalg.norm(realigned))
+    ia, ib = np.divmod(np.arange(c.size), shape[1])
+    norms = np.sqrt(np.real(np.outer(np.diag(ka), np.diag(kb))).ravel())
+    q = np.zeros(c.size)  # the passive set is its support, q > 0
+    if convex:
+        q[np.argmin(norms**2 - 2 * c)] = 1.0
 
+    def solve(p):
+        (n,), i, j = p.shape, ia[p], ib[p]
+        kkt = np.zeros((n + convex, n + convex))
+        kkt[:n, :n] = np.real(ka[i[:, None], i] * kb[j[:, None], j])
+        kkt[n:, :n] = kkt[:n, n:] = 1.0  # the simplex border, when convex
+        return np.linalg.solve(kkt, np.append(c[p], [1.0] * convex))[:n]
 
-def _nnls(design, target, maxiter):
-    """scipy's ``nnls``, re-solved by bounded-variable least squares when its
-    point fails the KKT conditions on g = A^T (Aq - b): g >= -tau, and
-    |g| <= tau where q > 0.  ``nnls`` can stop short of the optimum, which
-    overstates the residual: the unsafe direction for an infeasibility verdict.
-    """
-    # Imported here: it costs about 0.5 s, paid only by fits that neither the
-    # least-squares bound nor a given point decides.
-    from scipy.optimize import lsq_linear, nnls
-
-    try:
-        q, _ = nnls(design, target, maxiter=maxiter)
-    except RuntimeError as exc:
-        raise RuntimeError(f"nonnegative solver iteration cap exceeded: {exc}") from exc
-    g = design.T @ (design @ q - target)
-    tau = 1e-8 * float(np.max(np.abs(design))) * float(np.linalg.norm(target))
-    if np.all(g >= -tau) and np.all(np.abs(g[q > 0]) <= tau):
-        return q
-    res = lsq_linear(design, target, bounds=(0, np.inf), method="bvls")
-    return np.clip(res.x, 0.0, None)
+    for _ in range(3 * c.size):
+        w = c - np.real(ka @ q.reshape(shape) @ kb.T).ravel()
+        if convex:
+            w -= np.mean(w[q > 0])
+        w[q > 0] = -np.inf
+        t = int(np.argmax(w))
+        if w[t] <= 1e-12 * norms[t] * (scale + norms @ q):
+            return q.reshape(shape)
+        p = np.union1d(np.flatnonzero(q), t)
+        s = solve(p)
+        if s[np.searchsorted(p, t)] <= 0:
+            return q.reshape(shape)
+        while np.any(neg := s <= 0):  # step to the boundary, drop what reaches 0
+            ratio = q[p][neg] / (q[p][neg] - s[neg])
+            q[p] += ratio.min() * (s - q[p])
+            q[p[neg][np.argmin(ratio)]] = 0.0
+            q[q < 0] = 0.0
+            p = np.flatnonzero(q)
+            s = solve(p)
+        q[p] = s
+    raise RuntimeError("nonnegative solver iteration cap exceeded")
 
 
 def _check_spaces(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> None:
@@ -144,48 +167,31 @@ def _check_spaces(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> None:
         raise ValueError("the two state spaces must share a mode")
 
 
-def _verdict(rho, va, vb, cols, q) -> FeasibilityResult:
-    """Residual, simplex violation and verdict of the weights q on the columns
-    vec(A_i tensor B_j); a negative weight is outside the hull."""
-    residual = float(np.linalg.norm(rho.rho.reshape(-1) - cols @ q))
+def _verdict(rho, va, vb, q) -> FeasibilityResult:
+    """Residual ||R - G_A Q G_B^T||, simplex violation and verdict of the
+    weights Q; a negative weight is outside the hull."""
+    fit = _vecs(va) @ q @ _vecs(vb).T
+    residual = float(np.linalg.norm(realign(rho.rho, rho.dA, rho.dB) - fit))
     violation = abs(float(np.sum(q)) - 1.0) if va.mode == "convex" else 0.0
-    feasible = (
-        bool(np.all(q >= 0))
-        and residual <= FEAS_TOL
-        and (va.mode == "conic" or violation <= 1e-6)
-    )
-    return FeasibilityResult(feasible, q.reshape(len(va), len(vb)), residual, violation)
+    feasible = bool(np.all(q >= 0)) and residual <= FEAS_TOL and violation <= 1e-6
+    return FeasibilityResult(feasible, q, residual, violation)
 
 
-def separable_feasible(
-    rho: BipartiteState,
-    va: StateSpace,
-    vb: StateSpace,
-    maxiter: int | None = None,
-) -> FeasibilityResult:
+def separable_feasible(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> FeasibilityResult:
     """Best nonnegative fit of rho by products of generators of va and vb.
 
-    Solves min_q ||rho - sum_ij q_ij A_i tensor B_j||_2 with q >= 0 and,
-    in convex mode, sum q = 1 (imposed through a heavily weighted extra
-    row).  Both spaces must have ``include_quantum`` unset; sampled quantum
-    hulls are handled by :func:`quantum_augmented_feasible`.
+    Solves min_Q ||R - G_A Q G_B^T|| over real Q >= 0 and, in convex mode,
+    the exact simplex sum Q = 1, with R the realignment of rho, on the
+    implicit Gram of the products (:func:`_active_set`); no design matrix is
+    built, and the residual is computed from R, not from the Gram.  Both
+    spaces must have ``include_quantum`` unset; sampled quantum hulls are
+    handled by :func:`quantum_augmented_feasible`.
     """
     _check_spaces(rho, va, vb)
-    ncols = len(va) * len(vb)
-    cols = _product_columns(va.generators, vb.generators)
-    if ncols == 0:
-        return _verdict(rho, va, vb, cols, np.zeros(0))
-
-    design = np.vstack([cols.real, cols.imag])
-    target = np.concatenate([rho.rho.reshape(-1).real, rho.rho.reshape(-1).imag])
-
-    if va.mode == "convex":
-        w = 1e3 * float(np.max(np.linalg.norm(design, axis=0)))
-        design = np.vstack([design, np.full((1, ncols), w)])
-        target = np.concatenate([target, [w]])
-
-    q = _nnls(design, target, maxiter)
-    return _verdict(rho, va, vb, cols, q)
+    q = np.zeros((len(va), len(vb)))
+    if q.size:
+        q = _active_set(_vecs(va), _vecs(vb), realign(rho.rho, rho.dA, rho.dB), va.mode == "convex")
+    return _verdict(rho, va, vb, q)
 
 
 def weights_feasible(
@@ -203,8 +209,7 @@ def weights_feasible(
     q = np.asarray(weights, dtype=float)
     if q.shape != (len(va), len(vb)):
         raise ValueError(f"weights have shape {q.shape}, expected {(len(va), len(vb))}")
-    cols = _product_columns(va.generators, vb.generators)
-    return _verdict(rho, va, vb, cols, q.reshape(-1))
+    return _verdict(rho, va, vb, q)
 
 
 @dataclass(frozen=True)
@@ -231,11 +236,6 @@ class MinimalityReport:
     records: tuple
     passed: bool
     threshold: float
-
-
-def _vecs(space: StateSpace) -> np.ndarray:
-    """The generators as the columns vec(A_i) of a dim^2 x n matrix."""
-    return np.asarray(space.generators).reshape(len(space), space.dim**2).T
 
 
 def deletion_minimality(
@@ -283,11 +283,8 @@ def deletion_minimality(
             if bound >= threshold and bound > FEAS_TOL:
                 records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
                 continue
-            smaller = space.without(k)
-            if side == "A":
-                result = separable_feasible(rho, smaller, other)
-            else:
-                result = separable_feasible(rho, other, smaller)
+            pair = (space.without(k), other) if side == "A" else (other, space.without(k))
+            result = separable_feasible(rho, *pair)
             records.append(DeletionRecord(side, k, result.residual, result.feasible, "nnls"))
     passed = all(r.residual >= threshold and not r.feasible for r in records)
     return MinimalityReport(tuple(records), passed, threshold)

@@ -20,7 +20,7 @@ models of a whole family of POVM pairs in one array pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -296,10 +296,10 @@ def _pauli_stack() -> tuple:
     return _stack(pauli_pairs())
 
 
-@cache
+@lru_cache(maxsize=8)
 def _magic_pairs(budget: int) -> tuple:
     """The magic POVM and its transpose at the strengths k / budget, k = 1..budget
-    (the last exactly 1), built and stacked once per budget: one group."""
+    (the last exactly 1), stacked as one group; the last eight budgets are kept."""
     povms = [magic_povm(k / budget) for k in range(1, budget + 1)]
     return _stack((f"magic:{k / budget:.8f}", m, m.transpose()) for k, m in enumerate(povms, 1))
 

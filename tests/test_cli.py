@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -74,6 +75,15 @@ class TestCrossnorm:
         for count in ("0", "-2"):
             assert main(["crossnorm", "--state", "bell", "--samples", count]) == 1
             assert "error:" in capsys.readouterr().err
+
+    def test_huge_sample_count_exits_1_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["crossnorm", "--state", "bell", "--samples", "100000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --samples must be at most 10000, got 100000000\n"
+        assert elapsed < 1.0
 
 
 class TestDecompose:

@@ -1,9 +1,9 @@
 """A cold start loads no scipy.
 
-scipy's import takes about half a second, most of a one-shot CLI call, and
-only a nonnegative fit that neither the least-squares bound nor a given point
-decides needs it.  Each case runs in a fresh interpreter and checks
-``sys.modules`` after ``import minsep`` and after every command.
+The package's one runtime dependency is numpy; scipy, whose import takes
+about half a second, serves only the tests as an oracle.  Each case runs in
+a fresh interpreter and checks ``sys.modules`` after ``import minsep`` and
+after every command.
 """
 
 import json
@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -76,3 +77,16 @@ def test_verify_minimal_theorem_2(tmp_path, state):
           "--out", "dec.json"], 0),
         (["verify-minimal", "--state", state, "--decomposition", "dec.json"], 0),
     ])
+
+
+def test_verify_minimal_that_runs_the_fit(tmp_path):
+    # The phase-point frame padded with the identity: deleting the identity
+    # leaves the Bell state in the hull, so the nonnegative fit runs.
+    from minsep import serialize
+    from minsep.bases import PAULI_I, phase_point_operators
+    from minsep.decompositions import SeparableDecomposition
+
+    ws = phase_point_operators().ops
+    dec = SeparableDecomposition(np.full(5, 0.2), ws + (PAULI_I,), tuple(w.T for w in ws) + (PAULI_I,))
+    (tmp_path / "dec.json").write_text(serialize.dumps(serialize.encode_decomposition(dec)))
+    run_cold(tmp_path, [(["verify-minimal", "--state", "bell", "--decomposition", "dec.json"], 2)])

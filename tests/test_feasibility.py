@@ -15,13 +15,21 @@ from minsep.feasibility import (
     weights_feasible,
 )
 from minsep.schmidt import operator_schmidt
-from minsep.states import BipartiteState, bell_state, max_entangled, product_state, random_density
+from minsep.states import (
+    BipartiteState,
+    bell_state,
+    haar_projectors,
+    max_entangled,
+    product_state,
+    random_density,
+)
 from minsep.tolerances import FEAS_TOL
 from minsep.transport import (
     build_maps,
     build_w_basis,
     check_condition_a,
     construct_alignment,
+    minimal_quantum_spaces,
     transported_decomposition,
 )
 
@@ -119,11 +127,6 @@ class TestSeparableFeasible:
         va, vb = phase_point_spaces()
         with pytest.raises(ValueError, match="dims"):
             separable_feasible(random_density(0, 3, 3), va, vb)
-
-    def test_iteration_cap(self):
-        va, vb = phase_point_spaces()
-        with pytest.raises(RuntimeError, match="iteration cap"):
-            separable_feasible(random_density(1, 2, 2), va, vb, maxiter=1)
 
     def test_rejects_quantum_augmented_spaces(self):
         va, vb = phase_point_spaces(include_quantum=True)
@@ -264,6 +267,31 @@ class TestQuantumAugmented:
         vb = StateSpace(2, (), "convex", include_quantum=True)
         result = quantum_augmented_feasible(state, va, vb, sample_budget=4, seed=0)
         assert result.feasible
+
+    @pytest.mark.parametrize("mode", ["convex", "conic"])
+    def test_d5_minimal_quantum_spaces_at_budget_16(self, mode):
+        # The hull fit's largest shape: 46 generators a side, 2,116 products.
+        state = max_entangled(5)
+        os_ = operator_schmidt(state)
+        maps = build_maps(os_)
+        w = build_w_basis(maps, construct_alignment(check_condition_a(os_)))
+        va, vb = minimal_quantum_spaces(maps, w, mode)
+        result = quantum_augmented_feasible(state, va, vb, sample_budget=16, seed=3)
+        assert result.weights.shape == (46, 46)
+        assert result.feasible and result.residual <= FEAS_TOL
+
+    @pytest.mark.parametrize("d, count", [(3, 18), (4, 20)])
+    def test_sampled_convex_fit_stays_off_max_entangled(self, d, count):
+        # A convex fit is a separable sigma with <Phi|sigma|Phi> <= 1/d, so
+        # ||Phi - sigma|| >= <Phi, Phi - sigma> >= 1 - 1/d.
+        rng = np.random.default_rng(d)
+        va, vb = (
+            StateSpace(d, np.concatenate([np.eye(d)[None] / d, haar_projectors(rng, d, count)]), "convex")
+            for _ in range(2)
+        )
+        result = separable_feasible(max_entangled(d), va, vb)
+        assert not result.feasible
+        assert result.residual >= 1 - 1 / d
 
     def test_requires_quantum_flag(self):
         va, vb = phase_point_spaces()

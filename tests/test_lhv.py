@@ -254,6 +254,20 @@ class TestPovmScan:
         with pytest.raises(ValueError, match="budget of at most 10000, got 10001"):
             povm_scan(dec, family="magic", budget=10_001)
 
+    def test_magic_grids_kept_for_eight_budgets(self):
+        dec = phase_point_decomposition()
+        lhv._magic_pairs.cache_clear()
+        try:
+            for budget in range(1, 13):
+                povm_scan(dec, family="magic", budget=budget)
+            assert lhv._magic_pairs.cache_info().currsize <= 8
+            povm_scan(dec, family="magic", budget=16)
+            hits = lhv._magic_pairs.cache_info().hits
+            povm_scan(dec, family="magic", budget=16)
+            assert lhv._magic_pairs.cache_info().hits == hits + 1
+        finally:
+            lhv._magic_pairs.cache_clear()
+
     def test_pauli_pairs_built_once(self):
         pairs = lhv.pauli_pairs()
         assert lhv.pauli_pairs() is pairs

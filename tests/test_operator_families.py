@@ -8,7 +8,6 @@ from conftest import apply_map
 from minsep.bases import OperatorBasis, heisenberg_weyl_basis, hermitian_basis
 from minsep.core import combine, product_sum, realign, unrealign
 from minsep.decompositions import random_unitary
-from minsep.feasibility import _product_columns
 from minsep.schmidt import operator_schmidt, reconstruct
 from minsep.states import random_density
 from minsep.transport import build_maps
@@ -100,22 +99,6 @@ class TestSchmidtMapsAgainstLoops:
         eye = np.eye(d * d)
         np.testing.assert_allclose(maps.inv_a @ maps.fwd_a, eye, atol=1e-12)
         np.testing.assert_allclose(maps.inv_b @ maps.fwd_b, eye, atol=1e-12)
-
-
-def kron_columns(gens_a, gens_b):
-    cols = [np.kron(a, b).reshape(-1) for a in gens_a for b in gens_b]
-    return np.ascontiguousarray(np.array(cols).T)
-
-
-@pytest.mark.parametrize("dA, dB, na, nb", [(2, 2, 4, 4), (2, 3, 3, 5), (3, 2, 9, 4), (4, 4, 16, 16)])
-def test_product_columns_bit_identical_to_kron(dA, dB, na, nb):
-    rng = np.random.default_rng(dA * 10 + dB)
-    gens_a = tuple(rng.normal(size=(na, dA, dA)) + 1j * rng.normal(size=(na, dA, dA)))
-    gens_b = tuple(rng.normal(size=(nb, dB, dB)) + 1j * rng.normal(size=(nb, dB, dB)))
-    new = _product_columns(gens_a, gens_b)
-    ref = kron_columns(gens_a, gens_b)
-    assert new.shape == ref.shape == ((dA * dB) ** 2, na * nb)
-    assert new.tobytes() == ref.tobytes()
 
 
 class TestFamilyHelpers:
