@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import combine, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
+from .core import Family, combine, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
 from .crossnorm import DiagonalScaling, _scaled_norms, operator_coefficients
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL, MIN_WEIGHT, RECON_TOL
@@ -27,15 +27,16 @@ def is_row_isometry(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[1] < u.shape[0]:
         return False
-    return bool(np.max(np.abs(u @ np.conj(u).T - np.eye(u.shape[0]))) <= ATOL)
+    return bool(np.abs(u @ np.conj(u).T - np.eye(u.shape[0])).max() <= ATOL)
 
 
 def is_unitary(u: np.ndarray) -> bool:
-    u = np.asarray(u, dtype=complex)
+    """True when U U^dag = U^dag U = I within ``ATOL``, in real arithmetic for a real U."""
+    u = np.asarray(u, dtype=float if np.isrealobj(u) else complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     eye, uh = np.eye(len(u)), np.conj(u).T
-    return bool(np.max(np.abs(u @ uh - eye)) <= ATOL and np.max(np.abs(uh @ u - eye)) <= ATOL)
+    return bool(np.abs(u @ uh - eye).max() <= ATOL and np.abs(uh @ u - eye).max() <= ATOL)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -84,7 +85,7 @@ class SeparableDecomposition:
         p = frozen(self.p, float)
         if p.ndim != 1 or len(p) == 0:
             raise ValueError("p must be a nonempty 1-d array")
-        if np.any(p < MIN_WEIGHT):
+        if (p < MIN_WEIGHT).any():
             raise ValueError(f"weights below {MIN_WEIGHT:.0e} are rejected")
         if len(self.A) != len(p) or len(self.B) != len(p):
             raise ValueError("A and B must match the number of weights")
@@ -148,11 +149,11 @@ def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
     if p.shape != (n,):
         raise ValueError(f"p must have length {n}")
     for name, v in (("p", p), ("c", c)):
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
-    if np.any(p < MIN_WEIGHT):
+    if (p < MIN_WEIGHT).any():
         raise ValueError(f"weights must be at least {MIN_WEIGHT:.0e}")
-    if np.any(c <= 0):
+    if (c <= 0).any():
         raise ValueError("scale factors c must be strictly positive")
 
     sqrt_s = np.sqrt(os.s)
@@ -160,10 +161,10 @@ def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
     zb = (sqrt_s * scaling.r)[:, None] * u  # sqrt(S) R U
     a_coeff = za.T / np.sqrt(p * c)[:, None]  # row k: column k of za / sqrt(p_k c_k)
     b_coeff = zb.T * np.sqrt(c / p)[:, None]
-    ops_a = combine(a_coeff, os.X)
-    ops_b = combine(np.conj(b_coeff), os.Y)
+    ops_a = Family(combine(a_coeff, os.X))
+    ops_b = Family(combine(np.conj(b_coeff), os.Y))
     residual = relative_residual(realigned_sum(p, ops_a, ops_b), os.realigned)
-    if residual > RECON_TOL:
+    if not residual <= RECON_TOL:
         raise ValueError(f"decomposition residual {residual:.3e} exceeds {RECON_TOL:.1e}")
     meta = DecompositionMeta(kind=kind, s=np.array(os.s), scaling=scaling, U=u, c=c)
     return SeparableDecomposition(p, ops_a, ops_b, a_coeff, b_coeff, meta)
@@ -230,7 +231,7 @@ def hermitian_decomposition(
     if not os.hermitisable:
         raise ValueError("Schmidt frame is not Hermitian; no Hermitian variant exists")
     o = np.asarray(o)
-    if np.iscomplexobj(o) and np.max(np.abs(o.imag)) > ATOL:
+    if np.iscomplexobj(o) and np.abs(o.imag).max() > ATOL:
         raise ValueError("O must be real")
     o = o.real.astype(float)
     if o.shape != (os.D, os.D) or not is_unitary(o):

@@ -137,7 +137,6 @@ class _Terms(NamedTuple):
     weights: np.ndarray  # [pair, term]: hidden weights q_k tr(A_k) tr(B_k), 0 on dropped terms
     normalised: np.ndarray  # [pair]: whether the hidden weights sum to 1
     bad: np.ndarray  # [rule, pair, term]: which of _RULES rejects which term
-    effect: np.ndarray  # [rule, pair, term]: the effect a rejection names (the trace rule names none)
 
     def failure(self, j: int) -> LhvConstructionError | None:
         """Pair ``j``'s first failing term's first failing rule, else its weight sum."""
@@ -145,8 +144,10 @@ class _Terms(NamedTuple):
         if bad.any():
             k, rule = divmod(int(bad.argmax()), len(_RULES))
             kind, side = _RULES[rule]
-            s, i = "AB".index(side), int(self.effect[rule, j, k])
-            text = _MESSAGES[kind].format(i=i, side=side, v=self.tables[s][j, k, i], t=self.tr[s, j, k])
+            s = "AB".index(side)
+            row = self.tables[s][j, k]
+            i = int(_effect(kind, row))
+            text = _MESSAGES[kind].format(i=i, side=side, v=row[i], t=self.tr[s, j, k])
             return LhvConstructionError(f"term {k}: {text}", term=k, effect=None if kind == "trace" else i)
         if self.normalised[j]:
             return None
@@ -165,18 +166,24 @@ def _rules(p: np.ndarray, tables: tuple) -> _Terms:
     ta, tb = tables
     both = np.zeros((2, *ta.shape[:-1], max(ta.shape[-1], tb.shape[-1])), complex)
     both[0, ..., : ta.shape[-1]], both[1, ..., : tb.shape[-1]] = ta, tb
-    real, imag = both.real, np.abs(both.imag)
-    size = np.abs(real)
+    real = both.real
+    top = np.abs(both.view(float).reshape(*both.shape, 2)).max(axis=-2)  # largest |real|, |imag|
     tr = np.array([ta.real.sum(axis=-1), tb.real.sum(axis=-1)])
     traceless = np.abs(tr) <= ATOL
     kept = ~traceless.any(axis=0)
-    cplx, resp = imag.max(axis=-1) > ATOL, traceless & (size.max(axis=-1) > ATOL)
+    cplx, resp = top[..., 1] > ATOL, traceless & (top[..., 0] > ATOL)
     neg, trace = kept & (real.min(axis=-1) < -ATOL), kept & (tr <= ATOL)
     bad = np.concatenate((cplx, resp, neg[:1], trace[:1], neg[1:], trace[1:]))  # in _RULES order
-    at = real.argmin(axis=-1)
-    effect = np.concatenate((imag.argmax(axis=-1), size.argmax(axis=-1), at[:1], at[:1], at[1:], at[1:]))
     weights = np.where(kept, p * tr[0] * tr[1], 0.0)
-    return _Terms(tables, tr, kept, weights, np.abs(weights.sum(axis=-1) - 1.0) <= 1e-6, bad, effect)
+    return _Terms(tables, tr, kept, weights, np.abs(weights.sum(axis=-1) - 1.0) <= 1e-6, bad)
+
+
+def _effect(kind: str, responses: np.ndarray):
+    """The effect a failing rule of ``kind`` names among one term's unpadded responses; a rule
+    fails only past ATOL, so the extreme it names is never a zero of :func:`_rules`' padding."""
+    if kind in ("complex", "traceless"):
+        return np.abs(responses.imag if kind == "complex" else responses.real).argmax(axis=-1)
+    return responses.real.argmin(axis=-1)
 
 
 def _attempts(dec: SeparableDecomposition, dims: tuple, vt_a: np.ndarray, vt_b: np.ndarray):
@@ -204,7 +211,7 @@ def _attempts(dec: SeparableDecomposition, dims: tuple, vt_a: np.ndarray, vt_b: 
 def _distributions(real, tr, kept):
     """Each kept term's responses divided by its trace and renormalised; the
     rows of dropped terms stay 0."""
-    rows = np.divide(np.clip(real, 0.0, None), tr[..., None], out=np.zeros(real.shape), where=kept[..., None])
+    rows = np.divide(np.maximum(real, 0.0), tr[..., None], out=np.zeros(real.shape), where=kept[..., None])
     total = rows.sum(axis=-1, keepdims=True)
     return np.divide(rows, total, out=rows, where=total > 0)
 
@@ -327,7 +334,7 @@ def _magic_threshold(terms: _Terms) -> float:
     t - mu < 0 depends on c: if mu < 0 as well, t < 0 fails the trace rule.
     """
     bad = terms.bad[:, -1].copy()
-    cut = bad[_NEGATIVE] & (terms.effect[_NEGATIVE, -1] == 1)  # [side, term]: t - mu < -ATOL
+    cut = bad[_NEGATIVE] & np.array([_effect("negative", t[-1]) == 1 for t in terms.tables])  # t - mu < -ATOL
     bad[_NEGATIVE] &= ~cut
     if bad.any() or not terms.normalised[-1]:
         return 0.0

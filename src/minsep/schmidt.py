@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import (as_matrix, dagger, family, frozen, hermitian_mask, product_sum, realign,
+from .core import (Family, as_matrix, dagger, family, frozen, hermitian_mask, product_sum, realign,
                    realigned_sum, relative_residual, svd)
 from .states import BipartiteState
 from .tolerances import RANK_CUTOFF, RECON_TOL
@@ -42,9 +42,9 @@ class OperatorSchmidt:
         s = frozen(self.s, float)
         if s.ndim != 1 or len(s) == 0:
             raise ValueError("s must be a nonempty 1-d array")
-        if np.any(s <= 0):
+        if (s <= 0).any():
             raise ValueError("Schmidt coefficients must be strictly positive")
-        if np.any(np.diff(s) > 1e-12):
+        if (s[1:] - s[:-1] > 1e-12).any():
             raise ValueError("Schmidt coefficients must be nonincreasing")
         if len(self.X) != len(s) or len(self.Y) != len(s):
             raise ValueError("X and Y must match the number of coefficients")
@@ -98,29 +98,38 @@ def _canonical_order(s, Xs, Ys, herm):
     so the first significant entry of vec(X) has positive real part (positive
     imaginary part if purely imaginary); Y flips with X, by negation: a
     product with -1.0 would turn an imaginary -0.0 into 0.0.
+
+    The sort uses every key column, -round(s, 12) and then each rounded entry of vec(X), real
+    before imaginary (2 d_A^2 + 1 columns, where a lexsort makes one pass each), in one stable
+    argsort of each row's bytes.  That is the lexsort's order: adding 0.0 turns -0.0 into the
+    0.0 it compares equal to, and flipping the sign bit of a nonnegative float, or every bit
+    of a negative one, maps finite floats in order onto unsigned integers, whose big-endian
+    bytes compare alike.  Rows tied in every column keep their input order.
     """
-    X, Y = np.asarray(Xs), np.asarray(Ys)
-    v = X.reshape(len(X), -1)
+    X, Y = np.array(Xs, order="C"), np.array(Ys, order="C")  # copies, flipped in place
+    n = len(X)
+    v = X.reshape(n, -1)
     big = np.abs(v) > 1e-8
-    lead = v[np.arange(len(v)), np.argmax(big, axis=1)]
-    flip = big.any(axis=1) & (
-        (lead.real < -1e-12) | ((np.abs(lead.real) <= 1e-12) & (lead.imag < 0))
-    )
-    X = np.where(flip[:, None, None], -X, X)
-    Y = np.where(flip[:, None, None], -Y, Y)
-    key = np.round(np.ascontiguousarray(X).reshape(len(X), -1).view(float), 10)  # re, im
-    order = np.lexsort(np.vstack([key.T[::-1], -np.round(s, 12)]))
-    return s[order], X[order], Y[order], tuple(herm[i] for i in order)
+    lead = v[np.arange(n), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (np.where(np.abs(lead.real) > 1e-12, lead.real, lead.imag) < 0)
+    np.negative(X, out=X, where=flip[:, None, None])
+    np.negative(Y, out=Y, where=flip[:, None, None])
+    key = np.column_stack([-np.round(s, 12), np.round(v.view(float), 10)]) + 0.0
+    bits = key.view(np.int64)
+    rows = (bits ^ ((bits >> 63) | np.int64(-2**63))).astype(">i8").view(f"V{key[0].nbytes}")
+    order = np.argsort(rows[:, 0], kind="stable")
+    return s[order], Family(X[order]), Family(Y[order]), tuple(herm[i] for i in order)
 
 
-def _schmidt_hermitian(rho, dA, dB, cutoff):
-    """Schmidt pairs of a Hermitian operator via a real coefficient SVD."""
-    rho = 0.5 * (rho + dagger(rho))  # discard Hermiticity dust within tolerance
+def _schmidt_hermitian(m, dA, dB, cutoff):
+    """Schmidt pairs of a Hermitian operator from its realignment ``m``, via a real coefficient SVD."""
+    # Discard Hermiticity dust within tolerance: realign((rho + rho^dag) / 2),
+    # as rho^dag realigns to the conjugate of m with both index pairs swapped.
+    m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
     pa = hermitian_basis(dA).vecs.T / np.sqrt(dA)  # orthonormal frames as columns
-    pb = hermitian_basis(dB).vecs.T / np.sqrt(dB)
-    m = realign(rho, dA, dB)
+    pb = pa if dB == dA else hermitian_basis(dB).vecs.T / np.sqrt(dB)
     g = dagger(pa) @ m @ np.conj(pb)
-    if np.max(np.abs(g.imag)) > 1e-10:
+    if np.abs(g.imag).max() > 1e-10:
         raise ValueError("coefficient matrix is not real; input not Hermitian")
     o1, s, o2t = np.linalg.svd(g.real)
     keep = np.flatnonzero(s > cutoff)  # o1, o2t are square, so index, not mask
@@ -129,9 +138,8 @@ def _schmidt_hermitian(rho, dA, dB, cutoff):
     return s[keep], xs, ys, [True] * len(xs)
 
 
-def _schmidt_general(rho, dA, dB, cutoff):
-    """Schmidt pairs of an arbitrary operator via the complex realignment SVD."""
-    m = realign(rho, dA, dB)
+def _schmidt_general(m, dA, dB, cutoff):
+    """Schmidt pairs of an arbitrary operator from its realignment ``m``, via its complex SVD."""
     u, s, v = svd(m)
     keep = np.flatnonzero(s > cutoff)
     pairs = [_phase_fix(u[:, i].reshape(dA, dA), np.conj(v[:, i]).reshape(dB, dB)) for i in keep]
@@ -156,17 +164,16 @@ def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> Oper
     if not 0 <= rank_cutoff < np.inf:  # nan fails both comparisons
         raise ValueError(f"rank_cutoff must be finite and nonnegative, got {rank_cutoff}")
 
-    if hermitian_mask(rho):
-        s, xs, ys, herm = _schmidt_hermitian(rho, dA, dB, rank_cutoff)
-    else:
-        s, xs, ys, herm = _schmidt_general(rho, dA, dB, rank_cutoff)
+    hermitian = isinstance(state, BipartiteState) or hermitian_mask(rho)  # a state is checked Hermitian
+    m = realign(rho, dA, dB)
+    schmidt_pairs = _schmidt_hermitian if hermitian else _schmidt_general
+    s, xs, ys, herm = schmidt_pairs(m, dA, dB, rank_cutoff)
     if len(s) == 0:
         raise ValueError("operator is zero at the requested rank cutoff")
-    s, xs, ys, herm = _canonical_order(s, xs, ys, herm)
-    out = OperatorSchmidt(dA, dB, s, xs, ys, herm)
+    out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys, herm))
 
-    residual = relative_residual(out.realigned, realign(rho, dA, dB))
-    if residual > RECON_TOL:
+    residual = relative_residual(out.realigned, m)
+    if not residual <= RECON_TOL:
         raise ValueError(f"Schmidt reconstruction residual {residual:.3e} too large")
     return out
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import combine, realigned_sum, relative_residual
+from .core import Family, combine, realigned_sum, relative_residual
 from .decompositions import DecompositionMeta, SeparableDecomposition, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
@@ -233,16 +233,14 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that F_A W_k =
     # sum_j a^k_j X_j and F_B W_k^T = sum_j a^k_j Y_j.
     a = (w.vecs @ maps.basis.vecs.conj().T) * np.sqrt(maps.s)
-    ops_a = combine(a, maps.X)
-    ops_b = combine(a, maps.Y)
+    ops_a = Family(combine(a, maps.X))
+    ops_b = Family(combine(a, maps.Y))
     p = np.full(d * d, 1.0 / d**2)
-    meta = DecompositionMeta(kind="transported", s=np.array(maps.s))
-    dec = SeparableDecomposition(p, ops_a, ops_b, a, np.conj(a), meta)
-
     residual = relative_residual(realigned_sum(p, ops_a, ops_b), realigned_sum(maps.s, maps.X, maps.Y))
-    if residual > RECON_TOL:
+    if not residual <= RECON_TOL:
         raise ValueError(f"transported decomposition residual {residual:.3e}; inconsistent inputs")
-    return dec
+    meta = DecompositionMeta(kind="transported", s=np.array(maps.s))
+    return SeparableDecomposition(p, ops_a, ops_b, a, np.conj(a), meta)
 
 
 def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:

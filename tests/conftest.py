@@ -1,7 +1,9 @@
 """Shared helpers for building non-optimal decompositions and measuring how
 far a decomposition sits from the proportionality structure of the optimal
-family, seeded near-maximally-entangled states, and local maps applied to
-one operator."""
+family, seeded near-maximally-entangled states, local maps applied to one
+operator, and an order-free 2-norm."""
+
+import math
 
 import numpy as np
 
@@ -14,6 +16,20 @@ def apply_map(m, sigma):
     applied to one d x d operator."""
     d = np.shape(sigma)[0]
     return (m @ np.asarray(sigma).reshape(-1)).reshape(d, d)
+
+
+def frob_norm(m: np.ndarray) -> float:
+    """2-norm sqrt(tr(M^dag M)), i.e. the Frobenius norm.
+
+    The squared real and imaginary parts are summed in sorted order, so the
+    result depends only on the multiset of entries, not on their order (it
+    is not correctly rounded): any entry permutation, such as :func:`realign`,
+    :func:`unrealign` or a transpose, leaves it bit-for-bit unchanged.  A
+    BLAS dot product, as in ``np.linalg.norm``, adds in an order set by its
+    blocking and can differ in the last ulp.
+    """
+    v = np.ascontiguousarray(m, dtype=complex).view(float)
+    return math.sqrt(float(np.sum(np.sort(v * v, axis=None))))
 
 
 def near_max_entangled(seed, d):

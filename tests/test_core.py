@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frob_norm
 from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, pauli_basis
-from minsep.core import family, frob_norm, kron, realign, svd, unrealign
+from minsep.core import family, kron, realign, svd, unrealign
 from minsep.crossnorm import operator_coefficients
 from minsep.decompositions import SeparableDecomposition
 from minsep.feasibility import StateSpace

@@ -277,3 +277,97 @@ class TestHermitianVariant:
         assert not os.hermitisable
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_decomposition(os, DiagonalScaling.identity(os.D), np.eye(os.D), 1.0)
+
+
+# Every input the three builders and SeparableDecomposition reject, with its
+# exact message.  Pinned elsewhere and not repeated here: a non-finite p or c
+# (TestCrossNormFamily::test_non_finite_p_or_c_rejected_before_dividing), a
+# mixed-shape A or B (test_mixed_shapes_rejected and
+# test_core.py::TestFamily::test_every_family_type_uses_it) and a term that
+# is not Hermitian (test_stacked_paths.py::TestHermitianVariant).
+BELL_EYE = np.eye(4, dtype=complex)
+QUARTER = np.full(4, 0.25)
+REJECTED = {
+    "cn-u-rows": (lambda os, r: cross_norm_decomposition(os, r, BELL_EYE[:3], QUARTER, 1.0),
+                  "U must have 4 rows, got shape (3, 4)"),
+    "cn-u-vector": (lambda os, r: cross_norm_decomposition(os, r, np.ones(4), QUARTER, 1.0),
+                    "U must have 4 rows, got shape (4,)"),
+    "cn-u-not-isometric": (lambda os, r: cross_norm_decomposition(os, r, 2 * BELL_EYE, QUARTER, 1.0),
+                           "U is not a row isometry (U U^dag != I)"),
+    "cn-scaling-size": (lambda os, r: cross_norm_decomposition(os, DiagonalScaling.identity(3), BELL_EYE, QUARTER, 1.0),
+                        "scaling has size 3, expected 4"),
+    "cn-p-length": (lambda os, r: cross_norm_decomposition(os, r, BELL_EYE, QUARTER[:3], 1.0),
+                    "p must have length 4"),
+    "cn-p-matrix": (lambda os, r: cross_norm_decomposition(os, r, BELL_EYE, QUARTER[:, None], 1.0),
+                    "p must have length 4"),
+    "cn-p-below-min-weight": (lambda os, r: cross_norm_decomposition(os, r, BELL_EYE, [1e-13, 0.5, 0.25, 0.25], 1.0),
+                              "weights must be at least 1e-12"),
+    "cn-p-negative": (lambda os, r: cross_norm_decomposition(os, r, BELL_EYE, [-0.25, 0.5, 0.25, 0.5], 1.0),
+                      "weights must be at least 1e-12"),
+    "cn-c-zero": (lambda os, r: cross_norm_decomposition(os, r, BELL_EYE, QUARTER, np.zeros(4)),
+                  "scale factors c must be strictly positive"),
+    "cn-c-negative": (lambda os, r: cross_norm_decomposition(os, r, BELL_EYE, QUARTER, -1.0),
+                      "scale factors c must be strictly positive"),
+    "en-u-shape": (lambda os, r: equal_norm_decomposition(os, r, BELL_EYE[:3, :3], 1.0),
+                   "U must be a square unitary of size D"),
+    "en-u-wide": (lambda os, r: equal_norm_decomposition(os, r, np.eye(4, 5), 1.0),
+                  "U must be a square unitary of size D"),
+    "en-u-not-unitary": (lambda os, r: equal_norm_decomposition(os, r, 2 * BELL_EYE, 1.0),
+                         "U must be a square unitary of size D"),
+    "en-c-array": (lambda os, r: equal_norm_decomposition(os, r, BELL_EYE, np.ones(2)),
+                   "c must be a single positive number"),
+    "en-c-zero": (lambda os, r: equal_norm_decomposition(os, r, BELL_EYE, 0.0),
+                  "c must be strictly positive"),
+    "en-c-negative": (lambda os, r: equal_norm_decomposition(os, r, BELL_EYE, -2.0),
+                      "c must be strictly positive"),
+    "en-scaling-size": (lambda os, r: equal_norm_decomposition(os, DiagonalScaling.identity(5), BELL_EYE, 1.0),
+                        "scaling has size 5, expected 4"),
+    "herm-o-complex": (lambda os, r: hermitian_decomposition(os, r, 1j * np.eye(4), 1.0),
+                       "O must be real"),
+    "herm-o-unitary": (lambda os, r: hermitian_decomposition(os, r, random_unitary(4, 0), 1.0),
+                       "O must be real"),
+    "herm-o-shape": (lambda os, r: hermitian_decomposition(os, r, np.eye(3), 1.0),
+                     "O must be a square real orthogonal matrix of size D"),
+    "herm-o-not-orthogonal": (lambda os, r: hermitian_decomposition(os, r, 2 * np.eye(4), 1.0),
+                              "O must be a square real orthogonal matrix of size D"),
+    "herm-o-unitary-real-part": (lambda os, r: hermitian_decomposition(os, r, np.eye(4)[::-1] * (1 + 1e-12j), 1.0), None),
+    "herm-c-array": (lambda os, r: hermitian_decomposition(os, r, np.eye(4), [1.0, 2.0]),
+                     "c must be a single positive number"),
+    "herm-c-zero": (lambda os, r: hermitian_decomposition(os, r, np.eye(4), 0.0),
+                    "c must be strictly positive"),
+    "herm-scaling-size": (lambda os, r: hermitian_decomposition(os, DiagonalScaling.identity(2), np.eye(4), 1.0),
+                          "scaling has size 2, expected 4"),
+    "herm-frame-not-hermitian": (
+        lambda os, r: hermitian_decomposition(
+            operator_schmidt(np.random.default_rng(31).normal(size=(4, 4)) + 1j, dims=(2, 2)), r, np.eye(4), 1.0),
+        "Schmidt frame is not Hermitian; no Hermitian variant exists",
+    ),
+    "sd-p-matrix": (lambda os, r: SeparableDecomposition(np.full((1, 1), 1.0), (np.eye(2),), (np.eye(2),)),
+                    "p must be a nonempty 1-d array"),
+    "sd-p-empty": (lambda os, r: SeparableDecomposition(np.zeros(0), (), ()),
+                   "p must be a nonempty 1-d array"),
+    "sd-p-below-min-weight": (lambda os, r: SeparableDecomposition([1.0, 1e-13], (np.eye(2),) * 2, (np.eye(2),) * 2),
+                              "weights below 1e-12 are rejected"),
+    "sd-p-negative": (lambda os, r: SeparableDecomposition([1.0, -1.0], (np.eye(2),) * 2, (np.eye(2),) * 2),
+                      "weights below 1e-12 are rejected"),
+    "sd-lengths": (lambda os, r: SeparableDecomposition([0.5, 0.5], (np.eye(2),) * 2, (np.eye(2),)),
+                   "A and B must match the number of weights"),
+    "sd-b-non-finite": (lambda os, r: SeparableDecomposition([1.0], (np.eye(2),), (np.full((2, 2), np.inf),)),
+                        "B[0] contains non-finite entries"),
+    "sd-a-vector": (lambda os, r: SeparableDecomposition([1.0], (np.ones(4),), (np.eye(2),)),
+                    "A[0] must be two-dimensional, got shape (4,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_input_message(case):
+    """The exact message of each rejected input; a None message marks an
+    input that is accepted (an imaginary part within ATOL)."""
+    build, message = REJECTED[case]
+    os = operator_schmidt(bell_state())
+    if message is None:
+        assert build(os, DiagonalScaling.identity(4)).terms == 4
+        return
+    with pytest.raises(ValueError) as info:
+        build(os, DiagonalScaling.identity(4))
+    assert str(info.value) == message

@@ -153,6 +153,12 @@ class TestLhvModelChecks:
             ([0.5, 0.5], np.eye(2), np.eye(3)[:2], (0, 1, 7), None),  # dropped rows need not be distributions
             ([1.0, 0.0], [[1, 0], [0, 0]], [[1, 0], [0, 0]], (1,), None),
             ([1.0], np.eye(2), [[1.0]], (), "response_a must have one row per term"),
+            ([1.0], [[1.0, 0.0]], np.eye(2), (), "response_b must have one row per term"),
+            ([1.0], [1.0, 0.0], [[1.0]], (), "response_a must have one row per term"),
+            ([0.5, 0.5], np.eye(2), np.ones(2), (), "response_b must have one row per term"),
+            ([0.5, 0.5], [[1, 0], [-0.5, 1.5]], [[1, 0], [-0.5, 1.5]], (), "response_a row 1 is not a probability distribution"),
+            ([0.5, 0.5], [[1, 0], [0.3, 0.3]], np.eye(2), (0,), "response_a row 1 is not a probability distribution"),
+            ([-0.5, 0.5], [[1, 0], [0.5, 0.2]], np.eye(2), (), "hidden weights must be nonnegative"),
         ],
     )
     def test_messages(self, weights, ra, rb, dropped, message):

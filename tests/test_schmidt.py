@@ -15,6 +15,7 @@ from conftest import near_max_entangled
 from test_core import singular_values_gram
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
+I_NORMED = np.eye(2, dtype=complex) / np.sqrt(2)
 
 
 def seeded_states(count, dims=DIMS):
@@ -163,6 +164,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonincreasing"):
             OperatorSchmidt(2, 2, np.array([0.5, 1.0]), (x, x), (x, x))
 
+    # Pinned elsewhere: a Y member of the wrong shape and a non-finite X member
+    # (test_core.py::TestFamily::test_schmidt_frames).
+    @pytest.mark.parametrize(
+        "dims, s, X, Y, message",
+        [
+            ((2, 2), [[0.5]], (I_NORMED,), (I_NORMED,), "s must be a nonempty 1-d array"),
+            ((2, 2), [], (), (), "s must be a nonempty 1-d array"),
+            ((2, 2), [0.5, 0.0], (I_NORMED,) * 2, (I_NORMED,) * 2, "Schmidt coefficients must be strictly positive"),
+            ((2, 2), [-0.5], (I_NORMED,), (I_NORMED,), "Schmidt coefficients must be strictly positive"),
+            ((2, 2), [0.5, 1.0], (I_NORMED,) * 2, (I_NORMED,) * 2, "Schmidt coefficients must be nonincreasing"),
+            ((2, 2), [1.0, 0.5], (I_NORMED,), (I_NORMED,) * 2, "X and Y must match the number of coefficients"),
+            ((2, 2), [1.0], (I_NORMED,), (I_NORMED,) * 2, "X and Y must match the number of coefficients"),
+            ((1, 1), [1.0, 0.5], (np.eye(1),) * 2, (np.eye(1),) * 2, "rank exceeds min(dA^2, dB^2)"),
+            ((2, 2), [1.0, 0.5], (I_NORMED, np.eye(3)), (I_NORMED,) * 2, "X[1] has shape (3, 3), expected (2, 2)"),
+            ((2, 2), [1.0], (np.ones(4),), (I_NORMED,), "X[0] must be two-dimensional, got shape (4,)"),
+            ((2, 2), [1.0], (I_NORMED,), (np.diag([np.nan, 1.0]),), "Y[0] contains non-finite entries"),
+        ],
+    )
+    def test_constructor_messages(self, dims, s, X, Y, message):
+        with pytest.raises(ValueError) as info:
+            OperatorSchmidt(*dims, np.array(s, dtype=float), X, Y)
+        assert str(info.value) == message
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             operator_schmidt(np.eye(4) / 4, dims=(2, 3))
@@ -226,13 +250,54 @@ def test_lexsort_order_matches_tuple_key_sort(name, rho, dA, dB):
     """The array sort gives bit-identical s, X and Y, signed zeros included,
     on degenerate (Bell, max_entangled) and generic spectra alike."""
     raw = schmidt._schmidt_hermitian if hermitian_mask(rho) else schmidt._schmidt_general
-    s, xs, ys, herm = raw(rho, dA, dB, RANK_CUTOFF)
+    s, xs, ys, herm = raw(realign(rho, dA, dB), dA, dB, RANK_CUTOFF)
     s_ref, xs_ref, ys_ref, herm_ref = tuple_key_order(s, xs, ys, herm)
     os = operator_schmidt(rho, dims=(dA, dB))
     assert os.s.tobytes() == s_ref.tobytes()
     assert np.array(os.X).tobytes() == np.array(xs_ref).tobytes()
     assert np.array(os.Y).tobytes() == np.array(ys_ref).tobytes()
     assert os.hermitian == tuple(bool(h) for h in herm_ref)
+
+
+def tied_frames(last):
+    """One 2x2 frame per value in ``last``: their vec(X) agree on every key
+    column before the last entry, which is that value."""
+    head = np.array([0.5, -0.25 + 0.5j, 0.125j])
+    return [np.append(head, v).reshape(2, 2) for v in last]
+
+
+# (s, X, hermitian flags) given straight to _canonical_order, with a distinct Y per pair.
+DIRECT_ORDER_CASES = {
+    # Tied coefficients; the frames split only at the last key column, the
+    # imaginary part of the last entry, given in descending order.
+    "split-at-last-imag": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.3 + 0.1j]), (True, False)),
+    "split-at-last-real": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.1 + 0.2j]), (False, True)),
+    # The same after the sign fix: both leading entries are negative.
+    "split-after-flip": ([0.5, 0.5], [-x for x in tied_frames([0.3 + 0.2j, 0.3 + 0.1j])], (True, False)),
+    # Coefficients equal after rounding to 12 decimals, so the frames decide.
+    "s-tied-by-rounding": ([0.5 + 1e-14, 0.5], tied_frames([0.9, 0.1]), (True, False)),
+    # Entries equal after rounding to 10 decimals, and -0.0 against 0.0: full ties.
+    "x-tied-by-rounding": ([0.5, 0.5], tied_frames([0.3 + 4e-12, 0.3]), (True, False)),
+    "signed-zero-tie": ([0.5, 0.5], tied_frames([1e-12j, -1e-12j]), (True, False)),
+    # An exactly repeated coefficient and frame: a full tie keeps its input order.
+    "repeated-pair": ([0.5, 0.5, 0.5], tied_frames([0.2, 0.3, 0.2]), (False, True, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_ORDER_CASES))
+def test_canonical_order_on_tied_keys(name):
+    """_canonical_order against the tuple-key oracle, bit for bit, where only
+    the last key column, or no column at all, separates tied pairs.  Each Y
+    is distinct, so the order of full ties shows in Y and the flags."""
+    s, xs, herm = DIRECT_ORDER_CASES[name]
+    s = np.array(s)
+    ys = [np.full((3, 3), k + 1j * k) for k in range(len(xs))]
+    out = schmidt._canonical_order(s, tuple(xs), tuple(ys), herm)
+    ref = tuple_key_order(s, xs, ys, herm)
+    assert out[0].tobytes() == ref[0].tobytes()
+    assert np.array(out[1]).tobytes() == np.array(ref[1]).tobytes()
+    assert np.array(out[2]).tobytes() == np.array(ref[2]).tobytes()
+    assert out[3] == tuple(ref[3])
 
 
 @pytest.mark.parametrize("name, rho, dA, dB", UNEQUAL_CASES, ids=[c[0] for c in UNEQUAL_CASES])

@@ -16,11 +16,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import apply_map, near_max_entangled, random_mixed_decomposition
+from conftest import apply_map, frob_norm, near_max_entangled, random_mixed_decomposition
 from test_lhv import oracle_magic_threshold  # the closed form from one table per side, written out
-from minsep import bases, core, crossnorm, decompositions, lhv, serialize, tolerances, transport
+from minsep import bases, core, crossnorm, decompositions, lhv, schmidt, serialize, tolerances, transport
 from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
-from minsep.core import Family, frob_norm
+from minsep.core import Family
 from minsep.crossnorm import DiagonalScaling, decomposition_cost
 from minsep.decompositions import (
     DecompositionMeta,
@@ -297,6 +297,43 @@ class TestCheckOnce:
         assert len(family) == 2  # the A and B families of the one SeparableDecomposition
         assert len(unitary) + len(isometry) == 1
         assert len(sums) == 1  # the decomposition's products; the Schmidt target is os.realigned
+
+    @pytest.mark.parametrize("builder", ["schmidt", "cross-norm", "equal-norm", "hermitian", "transported"])
+    def test_non_finite_member_fails_the_residual_gate(self, monkeypatch, builder):
+        """The families a construction computes and wraps without a second
+        finiteness check: a NaN in one still raises, at the residual gate."""
+        def poisoned(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                parts = list(out) if isinstance(out, tuple) else [out]
+                k = next(i for i, x in enumerate(parts) if np.ndim(x) == 3)
+                frames = np.array(parts[k])
+                frames[-1, 0, 0] = np.nan
+                parts[k] = Family(frames) if isinstance(out, tuple) else frames
+                return tuple(parts) if isinstance(out, tuple) else parts[0]
+            return wrapper
+
+        os, maps, _ = transported_parts(0, 2)
+        w = build_w_basis(maps, construct_alignment(check_condition_a(os)))
+        scaling, eye = DiagonalScaling.identity(4), np.eye(4)
+        build = {
+            "schmidt": lambda: operator_schmidt(bell_state()),
+            "cross-norm": lambda: cross_norm_decomposition(os, scaling, eye, np.ones(4), 1.0),
+            "equal-norm": lambda: equal_norm_decomposition(os, scaling, eye, 1.0),
+            "hermitian": lambda: hermitian_decomposition(os, scaling, eye, 1.0),
+            "transported": lambda: transported_decomposition(maps, w),
+        }[builder]
+        message = {
+            "schmidt": "Schmidt reconstruction residual nan too large",
+            "transported": "transported decomposition residual nan; inconsistent inputs",
+        }.get(builder, "decomposition residual nan exceeds 1.0e-09")
+        if builder == "schmidt":
+            monkeypatch.setattr(schmidt, "_canonical_order", poisoned(schmidt._canonical_order))
+        else:
+            monkeypatch.setattr(transport if builder == "transported" else decompositions, "combine", poisoned(core.combine))
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_minimal_quantum_spaces_draws_no_samples(self, monkeypatch):
         """Condition B is spectral: neither it nor the spaces it guards draw a random number."""

@@ -4,9 +4,9 @@ decompositions."""
 import numpy as np
 import pytest
 
-from conftest import apply_map, near_max_entangled
+from conftest import apply_map, frob_norm, near_max_entangled
 from minsep.bases import OperatorBasis, hermitian_basis, pauli_basis, phase_point_operators
-from minsep.core import frob_norm, kron, realign, unrealign
+from minsep.core import kron, realign, unrealign
 from minsep.feasibility import quantum_augmented_feasible
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import BipartiteState, bell_state, haar_projectors, max_entangled, random_density, random_pure_state
