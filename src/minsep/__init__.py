@@ -9,14 +9,8 @@ testing, and extracts local hidden variable models for restricted
 measurements from the results.
 """
 
-from .bases import (
-    OperatorBasis,
-    hermitian_basis,
-    heisenberg_weyl_basis,
-    pauli_basis,
-    phase_point_operators,
-)
-from .core import kron, realign, svd, unrealign
+from .bases import OperatorBasis, hermitian_basis, phase_point_operators
+from .core import kron, realign, unrealign
 from .crossnorm import (
     DiagonalScaling,
     cross_norm_value,

@@ -1,4 +1,4 @@
-"""Orthogonal operator bases: Pauli, Heisenberg-Weyl, Gell-Mann, phase-point.
+"""Orthogonal operator bases: the Hermitian (Gell-Mann) basis and the qubit phase points.
 
 A basis is stored together with its normalisation constant kappa, defined by
 tr(C_i^dag C_j) = kappa * delta_ij.  Complete bases contain d^2 elements;
@@ -65,35 +65,6 @@ class OperatorBasis:
         """Expansion coefficients of x in this basis: x = sum_i c_i C_i."""
         x = as_matrix(x, "x")
         return self.vecs.conj() @ x.reshape(-1) / self.normalization
-
-
-def pauli_basis() -> OperatorBasis:
-    """The qubit basis {I, sigma_x, sigma_y, sigma_z} with kappa = 2."""
-    return OperatorBasis(2, (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z), 2.0)
-
-
-def heisenberg_weyl_basis(d: int) -> OperatorBasis:
-    """The d^2 unitaries X^a Z^b with kappa = d, ordered row-major in (a, b).
-
-    X is the cyclic shift |j> -> |j+1 mod d| and Z = diag(omega^j) with
-    omega = exp(2 pi i / d).
-    """
-    if d < 2:
-        raise ValueError("heisenberg_weyl_basis requires d >= 2")
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    clock = np.diag(omega ** np.arange(d))
-    ops = []
-    xa = np.eye(d, dtype=complex)
-    for _a in range(d):
-        zb = np.eye(d, dtype=complex)
-        for _b in range(d):
-            ops.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return OperatorBasis(d, tuple(ops), float(d))
 
 
 def phase_point_operators() -> OperatorBasis:

@@ -154,17 +154,3 @@ def unrealign(m, dA: int, dB: int) -> np.ndarray:
         )
     return m.reshape(dA, dA, dB, dB).transpose(0, 2, 1, 3).reshape(dA * dB, dA * dB)
 
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``m = U diag(s) V^dag``.
-
-    Returns (U, s, V) with s nonincreasing and nonnegative and U, V having
-    orthonormal columns.  Note the third factor is V itself, not V^dag.
-
-    Raises ``np.linalg.LinAlgError`` if the underlying iteration fails to
-    converge, which signals a numerically pathological input.
-    """
-    m = as_matrix(m, "m")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, dagger(vh)
-

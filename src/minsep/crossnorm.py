@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import OperatorBasis, hermitian_basis
+from .bases import hermitian_basis
 from .core import as_matrix, family, frozen
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL
@@ -58,29 +58,24 @@ def _scaled_norms(coeffs, scaling: DiagonalScaling, inverse: bool = False) -> np
     return np.linalg.norm(v / scaling.r if inverse else scaling.r * v, axis=1)
 
 
-def lambda_norm(x, lam, basis: OperatorBasis | None = None) -> float:
+def lambda_norm(x, lam) -> float:
     """2-norm of an operator after an invertible linear transformation.
 
-    ``lam`` is the matrix of the transformation over an orthonormal operator
-    frame derived from ``basis`` (the Hermitian basis of matching dimension
-    by default).  The norm of x is then ||lam c||_2 where c are the
+    ``lam`` is the matrix of the transformation over the orthonormal frame
+    C_i / sqrt(d) of the Hermitian basis C = :func:`hermitian_basis` of
+    x's dimension d.  The norm of x is then ||lam c||_2 where c are the
     coefficients of x in that frame.
     """
     x = as_matrix(x, "x")
     d = x.shape[0]
     if x.shape != (d, d):
         raise ValueError("x must be square")
-    if basis is None:
-        basis = hermitian_basis(d)
-    if basis.dim != d or not basis.complete:
-        raise ValueError("basis must be complete and match the dimension of x")
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (d * d, d * d):
         raise ValueError(f"lam has shape {lam.shape}, expected {(d * d, d * d)}")
     if np.linalg.cond(lam) > 1e12:
         raise ValueError("lam is not invertible (condition number too large)")
-    scale = np.sqrt(basis.normalization)
-    coeffs = basis.coefficients(x) * scale  # coefficients in the kappa=1 frame
+    coeffs = hermitian_basis(d).coefficients(x) * np.sqrt(d)  # coefficients in the kappa=1 frame
     return float(np.linalg.norm(lam @ coeffs))
 
 

@@ -85,6 +85,8 @@ class SeparableDecomposition:
         p = frozen(self.p, float)
         if p.ndim != 1 or len(p) == 0:
             raise ValueError("p must be a nonempty 1-d array")
+        if not np.isfinite(p).all():
+            raise ValueError("p must be finite")
         if (p < MIN_WEIGHT).any():
             raise ValueError(f"weights below {MIN_WEIGHT:.0e} are rejected")
         if len(self.A) != len(p) or len(self.B) != len(p):

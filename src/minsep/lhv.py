@@ -62,6 +62,9 @@ class LhvModel:
     def __post_init__(self):
         p, ra, rb = (frozen(x, float) for x in (self.hidden_weights, self.response_a, self.response_b))
         dropped = tuple(int(i) for i in self.dropped)
+        for name, x in (("hidden_weights", p), ("response_a", ra), ("response_b", rb)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite")
         for name, table in (("response_a", ra), ("response_b", rb)):
             if table.ndim != 2 or len(table) != len(p):
                 raise ValueError(f"{name} must have one row per term")

@@ -1,16 +1,13 @@
-"""Operator-Schmidt decomposition of bipartite operators.
+"""Operator-Schmidt decomposition of bipartite states.
 
-Any operator rho on A tensor B can be written rho = sum_i s_i X_i tensor Y_i
+A state rho on A tensor B can be written rho = sum_i s_i X_i tensor Y_i
 with s_i > 0 nonincreasing and {X_i}, {Y_i} Frobenius-orthonormal.  The
 coefficients are the singular values of the realignment of rho.
 
-For Hermitian inputs the decomposition is computed in a Hermitian product
-basis, where the coefficient matrix is real; the real SVD then yields real
-orthogonal mixings of Hermitian operators, so every X_i and Y_i comes out
-Hermitian even when the Schmidt spectrum is degenerate.  Non-Hermitian
-operators fall back to the complex realignment SVD with a per-pair phase
-rotation; pairs whose residual non-Hermiticity survives the best phase are
-flagged rather than rejected.
+A state is Hermitian, so the decomposition is computed in a Hermitian
+product basis, where the coefficient matrix is real; the real SVD then
+yields real orthogonal mixings of Hermitian operators, so every X_i and Y_i
+comes out Hermitian even when the Schmidt spectrum is degenerate.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import (Family, as_matrix, dagger, family, frozen, hermitian_mask, product_sum, realign,
-                   realigned_sum, relative_residual, svd)
+from .core import (Family, dagger, family, frozen, hermitian_mask, product_sum, realign, realigned_sum,
+                   relative_residual)
 from .states import BipartiteState
 from .tolerances import RANK_CUTOFF, RECON_TOL
 
@@ -42,6 +39,8 @@ class OperatorSchmidt:
         s = frozen(self.s, float)
         if s.ndim != 1 or len(s) == 0:
             raise ValueError("s must be a nonempty 1-d array")
+        if not np.isfinite(s).all():
+            raise ValueError("Schmidt coefficients must be finite")
         if (s <= 0).any():
             raise ValueError("Schmidt coefficients must be strictly positive")
         if (s[1:] - s[:-1] > 1e-12).any():
@@ -73,23 +72,7 @@ class OperatorSchmidt:
         return all(self.hermitian)
 
 
-def _phase_fix(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Rotate a singular pair by the phase that best symmetrises X.
-
-    If X equals exp(i theta) H for Hermitian H, then tr(X^2) has phase
-    2 theta, so dividing by exp(i theta) recovers H; Y absorbs the opposite
-    phase.  Returns the rotated pair and whether both ended up Hermitian.
-    """
-    t = complex(np.trace(x @ x))
-    if abs(t) > 1e-12:
-        phase = np.exp(-0.5j * np.angle(t))
-        x = phase * x
-        y = np.conj(phase) * y
-    ok = bool(hermitian_mask(x) and hermitian_mask(y))
-    return x, y, ok
-
-
-def _canonical_order(s, Xs, Ys, herm):
+def _canonical_order(s, Xs, Ys):
     """Deterministic ordering and sign convention for Schmidt pairs.
 
     Pairs are sorted by decreasing coefficient; ties are broken by the
@@ -118,11 +101,11 @@ def _canonical_order(s, Xs, Ys, herm):
     bits = key.view(np.int64)
     rows = (bits ^ ((bits >> 63) | np.int64(-2**63))).astype(">i8").view(f"V{key[0].nbytes}")
     order = np.argsort(rows[:, 0], kind="stable")
-    return s[order], Family(X[order]), Family(Y[order]), tuple(herm[i] for i in order)
+    return s[order], Family(X[order]), Family(Y[order])
 
 
 def _schmidt_hermitian(m, dA, dB, cutoff):
-    """Schmidt pairs of a Hermitian operator from its realignment ``m``, via a real coefficient SVD."""
+    """Schmidt pairs of a state from its realignment ``m``, via a real coefficient SVD."""
     # Discard Hermiticity dust within tolerance: realign((rho + rho^dag) / 2),
     # as rho^dag realigns to the conjugate of m with both index pairs swapped.
     m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
@@ -135,42 +118,25 @@ def _schmidt_hermitian(m, dA, dB, cutoff):
     keep = np.flatnonzero(s > cutoff)  # o1, o2t are square, so index, not mask
     xs = (pa @ o1[:, keep]).T.reshape(-1, dA, dA)
     ys = (o2t[keep, :] @ pb.T).reshape(-1, dB, dB)
-    return s[keep], xs, ys, [True] * len(xs)
+    return s[keep], xs, ys
 
 
-def _schmidt_general(m, dA, dB, cutoff):
-    """Schmidt pairs of an arbitrary operator from its realignment ``m``, via its complex SVD."""
-    u, s, v = svd(m)
-    keep = np.flatnonzero(s > cutoff)
-    pairs = [_phase_fix(u[:, i].reshape(dA, dA), np.conj(v[:, i]).reshape(dB, dB)) for i in keep]
-    xs, ys, herm = zip(*pairs) if pairs else ((), (), ())
-    return s[keep], xs, ys, herm
+def operator_schmidt(state: BipartiteState, rank_cutoff: float = RANK_CUTOFF) -> OperatorSchmidt:
+    """Operator-Schmidt decomposition of a bipartite state, with Hermitian frames.
 
-
-def operator_schmidt(state, rank_cutoff: float = RANK_CUTOFF, dims=None) -> OperatorSchmidt:
-    """Operator-Schmidt decomposition of a bipartite state or raw operator.
-
-    ``state`` is a :class:`BipartiteState`, or any square array together
-    with ``dims=(dA, dB)``.  Singular values at or below ``rank_cutoff``
-    are dropped.
+    Singular values at or below ``rank_cutoff`` are dropped.
     """
-    if isinstance(state, BipartiteState):
-        rho, dA, dB = state.rho, state.dA, state.dB
-    else:
-        if dims is None:
-            raise ValueError("dims=(dA, dB) is required for raw operators")
-        dA, dB = dims
-        rho = as_matrix(state, "state")
+    if not isinstance(state, BipartiteState):
+        raise TypeError(f"operator_schmidt takes a BipartiteState, got {type(state).__name__}")
     if not 0 <= rank_cutoff < np.inf:  # nan fails both comparisons
         raise ValueError(f"rank_cutoff must be finite and nonnegative, got {rank_cutoff}")
 
-    hermitian = isinstance(state, BipartiteState) or hermitian_mask(rho)  # a state is checked Hermitian
-    m = realign(rho, dA, dB)
-    schmidt_pairs = _schmidt_hermitian if hermitian else _schmidt_general
-    s, xs, ys, herm = schmidt_pairs(m, dA, dB, rank_cutoff)
+    dA, dB = state.dA, state.dB
+    m = realign(state.rho, dA, dB)
+    s, xs, ys = _schmidt_hermitian(m, dA, dB, rank_cutoff)
     if len(s) == 0:
         raise ValueError("operator is zero at the requested rank cutoff")
-    out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys, herm))
+    out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys), (True,) * len(s))
 
     residual = relative_residual(out.realigned, m)
     if not residual <= RECON_TOL:

@@ -137,7 +137,10 @@ def encode_meta(meta: DecompositionMeta | None) -> dict | None:
 def _numbers(obj, field: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(is_number(x) for x in obj):
         raise FormatError(field, "expected a nonempty list of numbers")
-    return np.asarray(obj, dtype=float)
+    out = np.asarray(obj, dtype=float)
+    if not np.isfinite(out).all():  # json.load reads NaN, Infinity and -Infinity
+        raise FormatError(field, f"expected finite numbers, got {obj[np.argmin(np.isfinite(out))]}")
+    return out
 
 
 def decode_scaling(obj, field: str = "R") -> DiagonalScaling:

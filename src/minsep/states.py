@@ -19,15 +19,14 @@ from .tolerances import ATOL, PSD_TOL
 class BipartiteState:
     """A density operator on A tensor B with local dimensions (dA, dB).
 
-    Construction verifies Hermiticity, unit trace and (by default) positive
-    semidefiniteness up to the shared tolerances.  ``check_psd=False`` admits
-    intermediate Hermitian unit-trace operators that are not quantum states.
+    Construction verifies Hermiticity, unit trace and positive
+    semidefiniteness (no eigenvalue below -``PSD_TOL``) up to the shared
+    tolerances.
     """
 
     dA: int
     dB: int
     rho: np.ndarray = field(repr=False)
-    check_psd: bool = True
 
     def __post_init__(self):
         if self.dA < 1 or self.dB < 1:
@@ -41,10 +40,9 @@ class BipartiteState:
         tr = complex(np.trace(rho))
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"tr(rho) = {tr:.12g}, expected 1")
-        if self.check_psd:
-            lo = float(np.linalg.eigvalsh(rho)[0])
-            if lo < -PSD_TOL:
-                raise ValueError(f"rho has eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
+        lo = float(np.linalg.eigvalsh(rho)[0])
+        if lo < -PSD_TOL:
+            raise ValueError(f"rho has eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
         object.__setattr__(self, "rho", frozen(rho))
 
     @property

@@ -39,10 +39,10 @@ from .tolerances import ATOL, RECON_TOL
 class SchmidtMaps:
     """The invertible local maps built from a full-rank Schmidt form.
 
-    Stores (s, X, Y) of the decomposition together with a complete reference
-    basis C normalised to tr(C_i^dag C_j) = d delta_ij.  The forward maps
-    act as sigma -> sum_j sqrt(s_j) X_j tr(C_j^dag sigma) (A side) and
-    sigma -> sum_j sqrt(s_j) Y_j tr((C_j^T)^dag sigma) (B side).
+    Stores (s, X, Y) of the decomposition; the reference basis C is
+    ``hermitian_basis(d)``, complete with tr(C_i^dag C_j) = d delta_ij.  The
+    forward maps act as sigma -> sum_j sqrt(s_j) X_j tr(C_j^dag sigma)
+    (A side) and sigma -> sum_j sqrt(s_j) Y_j tr((C_j^T)^dag sigma) (B side).
 
     Each map is held as one d^2 x d^2 matrix acting on the row-major
     vec(sigma) (see :mod:`minsep.core`).  With the frames as columns,
@@ -59,7 +59,7 @@ class SchmidtMaps:
     s: np.ndarray = field(repr=False)
     X: tuple = field(repr=False)
     Y: tuple = field(repr=False)
-    basis: OperatorBasis
+    basis: OperatorBasis = field(init=False, repr=False, compare=False)
     fwd_a: np.ndarray = field(init=False, repr=False, compare=False)
     fwd_b: np.ndarray = field(init=False, repr=False, compare=False)
     inv_a: np.ndarray = field(init=False, repr=False, compare=False)
@@ -67,6 +67,7 @@ class SchmidtMaps:
 
     def __post_init__(self):
         d, n = self.d, len(self.s)
+        object.__setattr__(self, "basis", hermitian_basis(d))
         sqrt_s = np.sqrt(self.s)
         x = np.asarray(self.X).reshape(n, -1).T
         y = np.asarray(self.Y).reshape(n, -1).T
@@ -78,26 +79,21 @@ class SchmidtMaps:
         object.__setattr__(self, "inv_b", (ct / (d * sqrt_s)) @ y.conj().T)
 
 
-def build_maps(os: OperatorSchmidt, basis: OperatorBasis | None = None) -> SchmidtMaps:
+def build_maps(os: OperatorSchmidt) -> SchmidtMaps:
     """Construct the local maps of a full-rank Schmidt form.
 
     Requires dA = dB = d and operator-Schmidt rank exactly d^2 (the maps are
-    not invertible otherwise).  ``basis`` defaults to the Hermitian basis;
-    a Hermitian reference keeps the rotated frames Hermitian under the real
-    orthogonal alignments produced by :func:`construct_alignment`.
+    not invertible otherwise).  The reference basis is the Hermitian basis
+    :func:`hermitian_basis`, complete with kappa = d; a Hermitian reference
+    keeps the rotated frames Hermitian under the real orthogonal alignments
+    produced by :func:`construct_alignment`.
     """
     if os.dA != os.dB:
         raise ValueError("the construction needs equal local dimensions")
     d = os.dA
     if os.D != d * d:
         raise ValueError(f"operator-Schmidt rank {os.D} is deficient; need d^2 = {d * d}")
-    if basis is None:
-        basis = hermitian_basis(d)
-    if basis.dim != d or not basis.complete:
-        raise ValueError("reference basis must be complete and match the local dimension")
-    if abs(basis.normalization - d) > 1e-12:
-        raise ValueError(f"reference basis must satisfy tr(C_i C_j^dag) = {d} delta_ij")
-    return SchmidtMaps(d, np.array(os.s), os.X, os.Y, basis)
+    return SchmidtMaps(d, np.array(os.s), os.X, os.Y)
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,7 @@ def construct_alignment(report: ConditionAReport, seed: int | None = None) -> Tr
     g = np.full(D, 1.0 / d)
     t = _householder(e, g)
     if seed is not None:
-        to_axis = _householder(e, np.eye(D)[:, 0])
+        to_axis = _householder(e, np.eye(1, D)[0])  # to the unit vector e_0
         stab = np.eye(D)
         stab[1:, 1:] = random_orthogonal(D - 1, seed)
         t = t @ to_axis.T @ stab @ to_axis

@@ -1,15 +1,9 @@
-"""Operator bases: Gram matrices, phase-point identities, Weyl unitaries."""
+"""Operator bases: Gram matrices and phase-point identities."""
 
 import numpy as np
 import pytest
 
-from minsep.bases import (
-    OperatorBasis,
-    hermitian_basis,
-    heisenberg_weyl_basis,
-    pauli_basis,
-    phase_point_operators,
-)
+from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, hermitian_basis, phase_point_operators
 from minsep.core import combine, kron
 from minsep.states import bell_state, max_entangled
 
@@ -21,31 +15,6 @@ def gram(ops):
         for j in range(n):
             g[i, j] = np.trace(ops[i].conj().T @ ops[j])
     return g
-
-
-class TestPauli:
-    def test_gram(self):
-        basis = pauli_basis()
-        np.testing.assert_allclose(gram(basis.ops), 2 * np.eye(4), atol=1e-14)
-
-    def test_complete(self):
-        assert pauli_basis().complete
-
-
-class TestHeisenbergWeyl:
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_gram(self, d):
-        basis = heisenberg_weyl_basis(d)
-        assert len(basis) == d * d
-        np.testing.assert_allclose(gram(basis.ops), d * np.eye(d * d), atol=1e-12)
-
-    def test_unitary_elements(self):
-        for op in heisenberg_weyl_basis(3).ops:
-            np.testing.assert_allclose(op.conj().T @ op, np.eye(3), atol=1e-12)
-
-    def test_rejects_small_dim(self):
-        with pytest.raises(ValueError, match="d >= 2"):
-            heisenberg_weyl_basis(1)
 
 
 class TestPhasePoints:
@@ -73,15 +42,14 @@ class TestHermitianBasis:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_gram_and_hermiticity(self, d):
         basis = hermitian_basis(d)
-        assert len(basis) == d * d
+        assert len(basis) == d * d and basis.complete
         np.testing.assert_allclose(gram(basis.ops), d * np.eye(d * d), atol=1e-12)
         for op in basis.ops:
             np.testing.assert_allclose(op, op.conj().T, atol=1e-14)
 
     def test_d2_is_pauli(self):
         ours = hermitian_basis(2).ops
-        ref = pauli_basis().ops
-        for a, b in zip(ours, ref):
+        for a, b in zip(ours, (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_validate_and_rescale(self):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -484,6 +485,27 @@ class TestErrors:
             assert proc.returncode == 1
             assert proc.stdout == ""
             assert proc.stderr == "error: c must be finite\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_file_names_p(self, capsys, tmp_path, value):
+        """json.load reads NaN and Infinity; the decoder rejects them before any arithmetic."""
+        dec = json.loads(Path(phase_point_file(tmp_path)).read_text())
+        dec["p"][0] = value
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dec))
+        for argv in (
+            ["verify-minimal", "--state", "bell"],
+            ["lhv", "--povm-a", "z"],
+            ["scan", "--family", "pauli"],
+            ["scan", "--family", "magic"],
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([*argv, "--decomposition", str(path)])
+            captured = capsys.readouterr()
+            assert caught == []
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: decomposition.p: expected finite numbers, got {value}\n"
 
     def test_mixed_shape_decomposition_file_exits_1(self, capsys, tmp_path):
         eye2, eye3 = np.eye(2), np.eye(3)

@@ -1,4 +1,4 @@
-"""Matrix arithmetic: Kronecker products, realignment, SVD, operator families."""
+"""Matrix arithmetic: Kronecker products, realignment, operator families."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frob_norm
-from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, pauli_basis
-from minsep.core import family, kron, realign, svd, unrealign
+from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, hermitian_basis
+from minsep.core import family, kron, realign, unrealign
 from minsep.crossnorm import operator_coefficients
 from minsep.decompositions import SeparableDecomposition
 from minsep.feasibility import StateSpace
@@ -114,42 +114,6 @@ class TestRealign:
             realign(np.eye(4), 2, 3)
 
 
-class TestSvd:
-    def test_identity(self):
-        _, s, _ = svd(np.eye(3))
-        np.testing.assert_allclose(s, [1, 1, 1])
-
-    def test_diagonal(self):
-        _, s, _ = svd(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(s, [3, 2, 1])
-
-    def test_bell_realignment_vs_charpoly_oracle(self):
-        m = realign(bell_state().rho, 2, 2)
-        _, s, _ = svd(m)
-        np.testing.assert_allclose(s, singular_values_charpoly(m), atol=1e-4)
-        np.testing.assert_allclose(s, singular_values_gram(m), atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_matrix_vs_charpoly_oracle(self, seed):
-        # Generic spectra are simple, so the companion-matrix roots are
-        # well conditioned here.
-        rng = np.random.default_rng(seed)
-        m = random_complex(rng, 4, 4)
-        _, s, _ = svd(m)
-        np.testing.assert_allclose(s, singular_values_charpoly(m), atol=1e-8)
-
-    @pytest.mark.parametrize("seed", range(100))
-    def test_reconstruction_residual(self, seed):
-        rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(1, 17, size=2)
-        m = random_complex(rng, rows, cols)
-        u, s, v = svd(m)
-        assert np.linalg.norm((u * s) @ v.conj().T - m) <= 1e-12 * np.linalg.norm(m)
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
-
-
 class TestFamily:
     """One validator for every tuple of d x d operators; a single fault is
     reported with the message the per-member checks gave."""
@@ -219,7 +183,7 @@ class TestFamily:
                 "effects[0] is not positive semidefinite",
             ),
             (
-                lambda: operator_coefficients(bad, pauli_basis().ops),
+                lambda: operator_coefficients(bad, hermitian_basis(2).ops),
                 "ops[1] has shape (3, 3), expected (2, 2)",
             ),
         ]

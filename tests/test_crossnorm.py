@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import proportionality_violation, random_mixed_decomposition
-from minsep.bases import PAULI_X, pauli_basis
+from minsep.bases import PAULI_X
 from minsep.crossnorm import (
     DiagonalScaling,
     cross_norm_value,
@@ -28,7 +28,7 @@ class TestLambdaNorm:
     def test_diagonal_transform_on_identity(self):
         lam = np.diag([2.0, 1.0, 1.0, 1.0])
         x = np.eye(2) / np.sqrt(2)
-        assert abs(lambda_norm(x, lam, basis=pauli_basis()) - 2.0) < 1e-12
+        assert abs(lambda_norm(x, lam) - 2.0) < 1e-12
 
     def test_homogeneity_in_operator(self):
         rng = np.random.default_rng(3)

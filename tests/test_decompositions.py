@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import dft, hadamard
 
-from minsep.bases import pauli_basis, phase_point_operators
+from minsep.bases import hermitian_basis, phase_point_operators
 from minsep.core import kron
 from minsep.crossnorm import DiagonalScaling, decomposition_cost
 from minsep.decompositions import (
@@ -20,7 +20,7 @@ from minsep.decompositions import (
     random_orthogonal,
     random_unitary,
 )
-from minsep.schmidt import operator_schmidt
+from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import bell_state, random_density
 
 
@@ -240,11 +240,18 @@ class TestEqualNormCheck:
         assert report.passed
 
 
+def matrix_unit_schmidt():
+    """A Schmidt form built directly on the matrix units |i><j|, whose
+    off-diagonal members are not Hermitian: operator_schmidt never returns one."""
+    units = tuple(np.eye(4, dtype=complex).reshape(4, 2, 2))
+    return OperatorSchmidt(2, 2, np.array([0.4, 0.3, 0.2, 0.1]), units, units)
+
+
 class TestHermitianVariant:
     def test_bell_identity_gives_paulis(self):
         os = operator_schmidt(bell_state())
         dec = hermitian_decomposition(os, DiagonalScaling.identity(4), np.eye(4), 1.0)
-        paulis = pauli_basis().ops
+        paulis = hermitian_basis(2).ops
         for a in dec.A:
             np.testing.assert_allclose(a, a.conj().T, atol=1e-12)
             assert any(np.allclose(a, sgn * p, atol=1e-10) for p in paulis for sgn in (1, -1))
@@ -271,10 +278,8 @@ class TestHermitianVariant:
             hermitian_decomposition(os, DiagonalScaling.identity(4), random_unitary(4, 0), 1.0)
 
     def test_rejects_non_hermitian_frame(self):
-        rng = np.random.default_rng(31)
-        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        os = operator_schmidt(op, dims=(2, 2))
-        assert not os.hermitisable
+        os = matrix_unit_schmidt()
+        assert os.hermitian == (True, False, False, True) and not os.hermitisable
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_decomposition(os, DiagonalScaling.identity(os.D), np.eye(os.D), 1.0)
 
@@ -337,11 +342,8 @@ REJECTED = {
                     "c must be strictly positive"),
     "herm-scaling-size": (lambda os, r: hermitian_decomposition(os, DiagonalScaling.identity(2), np.eye(4), 1.0),
                           "scaling has size 2, expected 4"),
-    "herm-frame-not-hermitian": (
-        lambda os, r: hermitian_decomposition(
-            operator_schmidt(np.random.default_rng(31).normal(size=(4, 4)) + 1j, dims=(2, 2)), r, np.eye(4), 1.0),
-        "Schmidt frame is not Hermitian; no Hermitian variant exists",
-    ),
+    "herm-frame-not-hermitian": (lambda os, r: hermitian_decomposition(matrix_unit_schmidt(), r, np.eye(4), 1.0),
+                                 "Schmidt frame is not Hermitian; no Hermitian variant exists"),
     "sd-p-matrix": (lambda os, r: SeparableDecomposition(np.full((1, 1), 1.0), (np.eye(2),), (np.eye(2),)),
                     "p must be a nonempty 1-d array"),
     "sd-p-empty": (lambda os, r: SeparableDecomposition(np.zeros(0), (), ()),
@@ -350,6 +352,9 @@ REJECTED = {
                               "weights below 1e-12 are rejected"),
     "sd-p-negative": (lambda os, r: SeparableDecomposition([1.0, -1.0], (np.eye(2),) * 2, (np.eye(2),) * 2),
                       "weights below 1e-12 are rejected"),
+    "sd-p-nan": (lambda os, r: SeparableDecomposition([np.nan, 0.5], (np.eye(2),) * 2, (np.eye(2),) * 2),
+                 "p must be finite"),
+    "sd-p-inf": (lambda os, r: SeparableDecomposition([np.inf], (np.eye(2),), (np.eye(2),)), "p must be finite"),
     "sd-lengths": (lambda os, r: SeparableDecomposition([0.5, 0.5], (np.eye(2),) * 2, (np.eye(2),)),
                    "A and B must match the number of weights"),
     "sd-b-non-finite": (lambda os, r: SeparableDecomposition([1.0], (np.eye(2),), (np.full((2, 2), np.inf),)),

@@ -159,6 +159,11 @@ class TestLhvModelChecks:
             ([0.5, 0.5], [[1, 0], [-0.5, 1.5]], [[1, 0], [-0.5, 1.5]], (), "response_a row 1 is not a probability distribution"),
             ([0.5, 0.5], [[1, 0], [0.3, 0.3]], np.eye(2), (0,), "response_a row 1 is not a probability distribution"),
             ([-0.5, 0.5], [[1, 0], [0.5, 0.2]], np.eye(2), (), "hidden weights must be nonnegative"),
+            ([np.nan], [[1.0]], [[1.0]], (), "hidden_weights must be finite"),
+            ([np.inf], [[1.0]], [[1.0]], (), "hidden_weights must be finite"),
+            ([1.0], [[np.nan, 0.0]], [[1.0]], (), "response_a must be finite"),
+            ([1.0], [[1.0]], [[np.inf, -np.inf]], (), "response_b must be finite"),
+            ([1.0, 0.0], np.eye(2), [[1.0, 0.0], [np.nan, 0.0]], (1,), "response_b must be finite"),
         ],
     )
     def test_messages(self, weights, ra, rb, dropped, message):

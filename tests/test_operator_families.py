@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import apply_map
-from minsep.bases import OperatorBasis, heisenberg_weyl_basis, hermitian_basis
+from minsep.bases import OperatorBasis, hermitian_basis
 from minsep.core import combine, product_sum, realign, unrealign
 from minsep.decompositions import random_unitary
 from minsep.schmidt import operator_schmidt, reconstruct
 from minsep.states import random_density
 from minsep.transport import build_maps
-
-BASES = {"hermitian": hermitian_basis, "heisenberg-weyl": heisenberg_weyl_basis}
-
 
 def inner(a, b):
     """tr(A^dag B), the loop oracle's inner product."""
@@ -68,15 +65,14 @@ def random_operator(rng, n):
     return m / np.linalg.norm(m)
 
 
-def maps_for(d, basis_name, seed=11):
-    return build_maps(operator_schmidt(random_density(seed, d, d)), BASES[basis_name](d))
+def maps_for(d, seed=11):
+    return build_maps(operator_schmidt(random_density(seed, d, d)))
 
 
-@pytest.mark.parametrize("basis_name", sorted(BASES))
 @pytest.mark.parametrize("d", [2, 3, 4])
 class TestSchmidtMapsAgainstLoops:
-    def test_local_maps(self, d, basis_name):
-        maps = maps_for(d, basis_name)
+    def test_local_maps(self, d):
+        maps = maps_for(d)
         rng = np.random.default_rng(d)
         for _ in range(3):
             sigma = random_operator(rng, d)
@@ -88,14 +84,14 @@ class TestSchmidtMapsAgainstLoops:
             ):
                 np.testing.assert_allclose(apply_map(m, sigma), oracle(maps, sigma), rtol=0, atol=1e-12)
 
-    def test_apply_joint(self, d, basis_name):
-        maps = maps_for(d, basis_name)
+    def test_apply_joint(self, d):
+        maps = maps_for(d)
         op = random_operator(np.random.default_rng(100 + d), d * d)
         joint = unrealign(maps.fwd_a @ realign(op, d, d) @ maps.fwd_b.T, d, d)
         np.testing.assert_allclose(joint, loop_apply_joint(maps, op), rtol=0, atol=1e-12)
 
-    def test_inverse_is_closed_form_inverse(self, d, basis_name):
-        maps = maps_for(d, basis_name)
+    def test_inverse_is_closed_form_inverse(self, d):
+        maps = maps_for(d)
         eye = np.eye(d * d)
         np.testing.assert_allclose(maps.inv_a @ maps.fwd_a, eye, atol=1e-12)
         np.testing.assert_allclose(maps.inv_b @ maps.fwd_b, eye, atol=1e-12)
@@ -126,7 +122,7 @@ class TestFamilyHelpers:
 class TestOperatorBasisAgainstLoops:
     @pytest.mark.parametrize("d", [2, 3])
     def test_gram_coefficients_assemble(self, d):
-        basis = heisenberg_weyl_basis(d)
+        basis = hermitian_basis(d)
         gram = np.array([[inner(a, b) for b in basis.ops] for a in basis.ops])
         np.testing.assert_allclose(basis.gram(), gram, atol=1e-13)
         x = random_operator(np.random.default_rng(d), d)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from minsep import schmidt
-from minsep.bases import pauli_basis
-from minsep.core import hermitian_mask, realign
+from minsep.bases import hermitian_basis
+from minsep.core import realign
 from minsep.decompositions import normalized_form
 from minsep.schmidt import OperatorSchmidt, operator_schmidt, reconstruct
 from minsep.states import bell_state, max_entangled, product_state, random_density
 from minsep.tolerances import RANK_CUTOFF, RECON_TOL
 
 from conftest import near_max_entangled
-from test_core import singular_values_gram
+from test_core import singular_values_charpoly, singular_values_gram
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 I_NORMED = np.eye(2, dtype=complex) / np.sqrt(2)
@@ -53,6 +53,29 @@ class TestSpectrum:
             m = realign(state.rho, state.dA, state.dB)
             assert os.D == np.linalg.matrix_rank(m, tol=1e-10)
 
+    def test_bell_vs_charpoly_oracle(self):
+        m = realign(bell_state().rho, 2, 2)
+        np.testing.assert_allclose(operator_schmidt(bell_state()).s, singular_values_charpoly(m), atol=1e-4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_state_vs_charpoly_oracle(self, seed):
+        # Generic spectra are simple, so the companion-matrix roots are
+        # well conditioned here.
+        state = random_density(seed, 2, 2)
+        m = realign(state.rho, 2, 2)
+        np.testing.assert_allclose(operator_schmidt(state).s, singular_values_charpoly(m), atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_reconstruction_residual(self, seed):
+        dA, dB = np.random.default_rng(seed).integers(1, 5, size=2)
+        state = random_density(seed, dA, dB)
+        os = operator_schmidt(state)
+        assert np.linalg.norm(reconstruct(os) - state.rho) <= 1e-12 * np.linalg.norm(state.rho)
+        assert os.D == min(dA, dB) ** 2 and np.all(np.diff(os.s) <= 0) and np.all(os.s > 0)
+        for frame in (os.X, os.Y):
+            v = np.asarray(frame).reshape(os.D, -1)
+            np.testing.assert_allclose(v.conj() @ v.T, np.eye(os.D), atol=1e-12)
+
     def test_two_norm_preserved(self):
         for state in seeded_states(3):
             os = operator_schmidt(state)
@@ -87,7 +110,7 @@ class TestFrames:
 
     def test_bell_frame_is_pauli_up_to_sign(self):
         os = operator_schmidt(bell_state())
-        paulis = pauli_basis().ops
+        paulis = hermitian_basis(2).ops
         for x in os.X:
             scaled = np.sqrt(2) * x
             assert any(
@@ -120,18 +143,12 @@ class TestReconstruct:
         os = OperatorSchmidt(2, 2, np.array([1.0]), (x,), (x,))
         np.testing.assert_allclose(reconstruct(os), np.eye(4) / 2, atol=1e-14)
 
-    def test_non_hermitian_operator_path(self):
-        rng = np.random.default_rng(11)
-        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        os = operator_schmidt(op, dims=(2, 2))
-        np.testing.assert_allclose(reconstruct(os), op, atol=1e-9)
-
 
 class TestNormalizedForm:
     def test_bell_weights_and_operators(self):
         dec = normalized_form(operator_schmidt(bell_state()))
         np.testing.assert_allclose(dec.p, [0.25] * 4, atol=1e-12)
-        paulis = pauli_basis().ops
+        paulis = hermitian_basis(2).ops
         for a in dec.A:
             # sqrt(lambda) X_i with lambda = 2: exactly a signed Pauli.
             assert any(
@@ -155,9 +172,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
             operator_schmidt(bell_state(), rank_cutoff=cutoff)
 
-    def test_requires_dims_for_raw_operators(self):
-        with pytest.raises(ValueError, match="dims"):
-            operator_schmidt(np.eye(4) / 4)
+    @pytest.mark.parametrize("arg", [np.eye(4) / 4, [[1.0]], None], ids=["ndarray", "list", "none"])
+    def test_takes_a_state_only(self, arg):
+        with pytest.raises(TypeError) as info:
+            operator_schmidt(arg)
+        assert str(info.value) == f"operator_schmidt takes a BipartiteState, got {type(arg).__name__}"
 
     def test_rejects_increasing_s(self):
         x = np.eye(2, dtype=complex) / np.sqrt(2)
@@ -180,16 +199,15 @@ class TestValidation:
             ((2, 2), [1.0, 0.5], (I_NORMED, np.eye(3)), (I_NORMED,) * 2, "X[1] has shape (3, 3), expected (2, 2)"),
             ((2, 2), [1.0], (np.ones(4),), (I_NORMED,), "X[0] must be two-dimensional, got shape (4,)"),
             ((2, 2), [1.0], (I_NORMED,), (np.diag([np.nan, 1.0]),), "Y[0] contains non-finite entries"),
+            ((2, 2), [np.nan], (I_NORMED,), (I_NORMED,), "Schmidt coefficients must be finite"),
+            ((2, 2), [np.inf], (I_NORMED,), (I_NORMED,), "Schmidt coefficients must be finite"),
+            ((2, 2), [0.5, -np.inf], (I_NORMED,) * 2, (I_NORMED,) * 2, "Schmidt coefficients must be finite"),
         ],
     )
     def test_constructor_messages(self, dims, s, X, Y, message):
         with pytest.raises(ValueError) as info:
             OperatorSchmidt(*dims, np.array(s, dtype=float), X, Y)
         assert str(info.value) == message
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            operator_schmidt(np.eye(4) / 4, dims=(2, 3))
 
     def test_outputs_immutable(self):
         os = operator_schmidt(bell_state())
@@ -200,9 +218,9 @@ class TestValidation:
 
 
 # The tuple-key sort _canonical_order used to be, kept as the oracle.
-def tuple_key_order(s, Xs, Ys, herm):
+def tuple_key_order(s, Xs, Ys):
     fixed = []
-    for si, x, y, h in zip(s, Xs, Ys, herm):
+    for si, x, y in zip(s, Xs, Ys):
         v = x.reshape(-1)
         idx = np.flatnonzero(np.abs(v) > 1e-8)
         if len(idx):
@@ -211,52 +229,38 @@ def tuple_key_order(s, Xs, Ys, herm):
             if flip:
                 x, y = -x, -y
         key = tuple((round(c.real, 10), round(c.imag, 10)) for c in x.reshape(-1))
-        fixed.append((si, key, x, y, h))
+        fixed.append((si, key, x, y))
     fixed.sort(key=lambda t: (-round(t[0], 12), t[1]))
     s_out = np.array([t[0] for t in fixed])
-    return s_out, [t[2] for t in fixed], [t[3] for t in fixed], [t[4] for t in fixed]
-
-
-def random_operator(seed, dA, dB):
-    rng = np.random.default_rng(seed)
-    n = dA * dB
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return s_out, [t[2] for t in fixed], [t[3] for t in fixed]
 
 
 ORDER_CASES = (
-    [("bell", bell_state().rho, 2, 2)]
-    + [(f"max-entangled-{d}", max_entangled(d).rho, d, d) for d in range(2, 9)]
+    [("bell", bell_state())]
+    + [(f"max-entangled-{d}", max_entangled(d)) for d in range(2, 9)]
+    + [(f"near-max-{d}/{seed}", near_max_entangled(seed, d)) for d in (2, 3, 4, 6, 8) for seed in (7, 8)]
     + [
-        (f"near-max-{d}/{seed}", near_max_entangled(seed, d).rho, d, d)
-        for d in (2, 3, 4, 6, 8)
-        for seed in (7, 8)
-    ]
-    + [
-        (f"random-{dA}x{dB}/{seed}", random_density(seed, dA, dB).rho, dA, dB)
+        (f"random-{dA}x{dB}/{seed}", random_density(seed, dA, dB))
         for dA, dB in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
         for seed in (5, 6)
     ]
-    + [(f"general-{dA}x{dB}", random_operator(9, dA, dB), dA, dB) for dA, dB in ((2, 2), (2, 3))]
 )
-# Unequal local dimensions up to 8: four densities and one non-Hermitian operator.
-UNEQUAL_CASES = [
-    (f"random-{dA}x{dB}/5", random_density(5, dA, dB).rho, dA, dB) for dA, dB in ((2, 8), (8, 2), (6, 8), (8, 6))
-] + [("general-2x8", random_operator(9, 2, 8), 2, 8)]
+# Unequal local dimensions up to 8.
+UNEQUAL_CASES = [(f"random-{dA}x{dB}/5", random_density(5, dA, dB)) for dA, dB in ((2, 8), (8, 2), (6, 8), (8, 6))]
 ORDER_CASES += UNEQUAL_CASES
 
 
-@pytest.mark.parametrize("name, rho, dA, dB", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
-def test_lexsort_order_matches_tuple_key_sort(name, rho, dA, dB):
+@pytest.mark.parametrize("name, state", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
+def test_lexsort_order_matches_tuple_key_sort(name, state):
     """The array sort gives bit-identical s, X and Y, signed zeros included,
     on degenerate (Bell, max_entangled) and generic spectra alike."""
-    raw = schmidt._schmidt_hermitian if hermitian_mask(rho) else schmidt._schmidt_general
-    s, xs, ys, herm = raw(realign(rho, dA, dB), dA, dB, RANK_CUTOFF)
-    s_ref, xs_ref, ys_ref, herm_ref = tuple_key_order(s, xs, ys, herm)
-    os = operator_schmidt(rho, dims=(dA, dB))
+    s, xs, ys = schmidt._schmidt_hermitian(realign(state.rho, state.dA, state.dB), state.dA, state.dB, RANK_CUTOFF)
+    s_ref, xs_ref, ys_ref = tuple_key_order(s, xs, ys)
+    os = operator_schmidt(state)
     assert os.s.tobytes() == s_ref.tobytes()
     assert np.array(os.X).tobytes() == np.array(xs_ref).tobytes()
     assert np.array(os.Y).tobytes() == np.array(ys_ref).tobytes()
-    assert os.hermitian == tuple(bool(h) for h in herm_ref)
+    assert os.hermitian == (True,) * os.D
 
 
 def tied_frames(last):
@@ -266,21 +270,21 @@ def tied_frames(last):
     return [np.append(head, v).reshape(2, 2) for v in last]
 
 
-# (s, X, hermitian flags) given straight to _canonical_order, with a distinct Y per pair.
+# (s, X) given straight to _canonical_order, with a distinct Y per pair.
 DIRECT_ORDER_CASES = {
     # Tied coefficients; the frames split only at the last key column, the
     # imaginary part of the last entry, given in descending order.
-    "split-at-last-imag": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.3 + 0.1j]), (True, False)),
-    "split-at-last-real": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.1 + 0.2j]), (False, True)),
+    "split-at-last-imag": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.3 + 0.1j])),
+    "split-at-last-real": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.1 + 0.2j])),
     # The same after the sign fix: both leading entries are negative.
-    "split-after-flip": ([0.5, 0.5], [-x for x in tied_frames([0.3 + 0.2j, 0.3 + 0.1j])], (True, False)),
+    "split-after-flip": ([0.5, 0.5], [-x for x in tied_frames([0.3 + 0.2j, 0.3 + 0.1j])]),
     # Coefficients equal after rounding to 12 decimals, so the frames decide.
-    "s-tied-by-rounding": ([0.5 + 1e-14, 0.5], tied_frames([0.9, 0.1]), (True, False)),
+    "s-tied-by-rounding": ([0.5 + 1e-14, 0.5], tied_frames([0.9, 0.1])),
     # Entries equal after rounding to 10 decimals, and -0.0 against 0.0: full ties.
-    "x-tied-by-rounding": ([0.5, 0.5], tied_frames([0.3 + 4e-12, 0.3]), (True, False)),
-    "signed-zero-tie": ([0.5, 0.5], tied_frames([1e-12j, -1e-12j]), (True, False)),
+    "x-tied-by-rounding": ([0.5, 0.5], tied_frames([0.3 + 4e-12, 0.3])),
+    "signed-zero-tie": ([0.5, 0.5], tied_frames([1e-12j, -1e-12j])),
     # An exactly repeated coefficient and frame: a full tie keeps its input order.
-    "repeated-pair": ([0.5, 0.5, 0.5], tied_frames([0.2, 0.3, 0.2]), (False, True, True)),
+    "repeated-pair": ([0.5, 0.5, 0.5], tied_frames([0.2, 0.3, 0.2])),
 }
 
 
@@ -288,27 +292,25 @@ DIRECT_ORDER_CASES = {
 def test_canonical_order_on_tied_keys(name):
     """_canonical_order against the tuple-key oracle, bit for bit, where only
     the last key column, or no column at all, separates tied pairs.  Each Y
-    is distinct, so the order of full ties shows in Y and the flags."""
-    s, xs, herm = DIRECT_ORDER_CASES[name]
+    is distinct, so the order of full ties shows in Y."""
+    s, xs = DIRECT_ORDER_CASES[name]
     s = np.array(s)
     ys = [np.full((3, 3), k + 1j * k) for k in range(len(xs))]
-    out = schmidt._canonical_order(s, tuple(xs), tuple(ys), herm)
-    ref = tuple_key_order(s, xs, ys, herm)
+    out = schmidt._canonical_order(s, tuple(xs), tuple(ys))
+    ref = tuple_key_order(s, xs, ys)
     assert out[0].tobytes() == ref[0].tobytes()
     assert np.array(out[1]).tobytes() == np.array(ref[1]).tobytes()
     assert np.array(out[2]).tobytes() == np.array(ref[2]).tobytes()
-    assert out[3] == tuple(ref[3])
 
 
-@pytest.mark.parametrize("name, rho, dA, dB", UNEQUAL_CASES, ids=[c[0] for c in UNEQUAL_CASES])
-def test_unequal_dimensions_up_to_8(name, rho, dA, dB):
-    """Reconstruction, orthonormal frames and, for Hermitian input, Hermitian frames."""
-    os = operator_schmidt(rho, dims=(dA, dB))
-    assert os.D == min(dA, dB) ** 2
-    assert np.linalg.norm(reconstruct(os) - rho) <= RECON_TOL * np.linalg.norm(rho)
+@pytest.mark.parametrize("name, state", UNEQUAL_CASES, ids=[c[0] for c in UNEQUAL_CASES])
+def test_unequal_dimensions_up_to_8(name, state):
+    """Reconstruction, orthonormal frames and Hermitian frames."""
+    os = operator_schmidt(state)
+    assert os.D == min(state.dA, state.dB) ** 2
+    assert np.linalg.norm(reconstruct(os) - state.rho) <= RECON_TOL * np.linalg.norm(state.rho)
     for frame in (os.X, os.Y):
         v = np.asarray(frame).reshape(os.D, -1)
         np.testing.assert_allclose(v.conj() @ v.T, np.eye(os.D), rtol=0, atol=1e-12)
-        if hermitian_mask(rho):
-            np.testing.assert_allclose(frame, np.conj(np.asarray(frame)).transpose(0, 2, 1), rtol=0, atol=1e-12)
-    assert os.hermitisable == bool(hermitian_mask(rho)) == name.startswith("random")
+        np.testing.assert_allclose(frame, np.conj(np.asarray(frame)).transpose(0, 2, 1), rtol=0, atol=1e-12)
+    assert os.hermitisable

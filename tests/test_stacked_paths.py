@@ -18,7 +18,8 @@ import pytest
 
 from conftest import apply_map, frob_norm, near_max_entangled, random_mixed_decomposition
 from test_lhv import oracle_magic_threshold  # the closed form from one table per side, written out
-from minsep import bases, core, crossnorm, decompositions, lhv, schmidt, serialize, tolerances, transport
+import minsep
+from minsep import bases, core, crossnorm, decompositions, lhv, schmidt, serialize, states, tolerances, transport
 from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
 from minsep.core import Family
 from minsep.crossnorm import DiagonalScaling, decomposition_cost
@@ -448,6 +449,15 @@ class TestFamilyArray:
                 (core, "svd_residual", None),
                 (core, "is_hermitian", None),
                 (tolerances, "SVD_RTOL", None),
+                (schmidt, "operator_schmidt", {"dims"}),
+                (transport, "build_maps", {"basis"}),
+                (crossnorm, "lambda_norm", {"basis"}),
+                (states, "BipartiteState", {"check_psd"}),
+                (core, "svd", None),
+                (bases, "pauli_basis", None),
+                (bases, "heisenberg_weyl_basis", None),
+                (schmidt, "_schmidt_general", None),
+                (schmidt, "_phase_fix", None),
             ]
         ],
     )
@@ -457,6 +467,9 @@ class TestFamilyArray:
             assert not hasattr(owner, name)
         else:
             assert not removed & set(inspect.signature(getattr(owner, name)).parameters)
+
+    def test_removed_exports_are_gone(self):
+        assert not {"svd", "pauli_basis", "heisenberg_weyl_basis"} & set(dir(minsep))
 
     def test_removed_fields_and_report_keys_are_gone(self):
         assert "T" not in {f.name for f in dataclasses.fields(DecompositionMeta)}

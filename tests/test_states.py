@@ -57,6 +57,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             BipartiteState(2, 2, m)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError) as info:
+            BipartiteState(2, 3, np.eye(4) / 4)
+        assert str(info.value) == "rho has shape (4, 4), expected (6, 6)"
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="tr"):
             BipartiteState(2, 2, np.eye(4))
@@ -65,11 +70,6 @@ class TestValidation:
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             BipartiteState(2, 2, m)
-
-    def test_psd_check_can_be_skipped(self):
-        m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        state = BipartiteState(2, 2, m, check_psd=False)
-        assert state.dim == 4
 
     def test_state_is_immutable(self):
         state = bell_state()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import apply_map, frob_norm, near_max_entangled
-from minsep.bases import OperatorBasis, hermitian_basis, pauli_basis, phase_point_operators
+from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
 from minsep.core import kron, realign, unrealign
 from minsep.feasibility import quantum_augmented_feasible
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
@@ -69,12 +69,13 @@ class TestBuildMaps:
         d = 2
         os = canonical_max_entangled_schmidt(d)
         maps = build_maps(os)
+        assert maps.basis is hermitian_basis(d)
         for c, x in zip(maps.basis.ops, os.X):
             np.testing.assert_allclose(apply_map(maps.fwd_a, c), np.sqrt(d) * x, atol=1e-12)
 
     def test_bell_with_pauli_reference(self):
         os = operator_schmidt(bell_state())
-        maps = build_maps(os, pauli_basis())
+        maps = build_maps(os)
         for c, x in zip(maps.basis.ops, os.X):
             np.testing.assert_allclose(apply_map(maps.fwd_a, c), np.sqrt(2) * x, atol=1e-12)
             # 2 * sqrt(1/2) = sqrt(2)
@@ -199,7 +200,7 @@ class TestWBasis:
         # For the canonical maximally entangled frame the alignment rows
         # (1, r_k)/2 rotate the Pauli reference onto the phase points.
         os = canonical_max_entangled_schmidt(2)
-        maps = build_maps(os, pauli_basis())
+        maps = build_maps(os)
         bloch = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
         t = 0.5 * np.array([[1.0, *r] for r in bloch])
         report = check_condition_a(os)
@@ -273,17 +274,17 @@ class TestTransportedDecomposition:
     def test_max_entangled_with_reference_basis(self):
         # W = C reproduces the uniform reference decomposition of Psi.
         os = canonical_max_entangled_schmidt(2)
-        maps = build_maps(os, pauli_basis())
-        dec = transported_decomposition(maps, pauli_basis())
+        maps = build_maps(os)
+        dec = transported_decomposition(maps, hermitian_basis(2))
         np.testing.assert_allclose(dec.p, np.full(4, 0.25), atol=1e-14)
-        for a, c in zip(dec.A, pauli_basis().ops):
+        for a, c in zip(dec.A, hermitian_basis(2).ops):
             np.testing.assert_allclose(a, c, atol=1e-10)
-        for b, c in zip(dec.B, pauli_basis().ops):
+        for b, c in zip(dec.B, hermitian_basis(2).ops):
             np.testing.assert_allclose(b, c.T, atol=1e-10)
 
     def test_bell_phase_point_images(self):
         os = canonical_max_entangled_schmidt(2)
-        maps = build_maps(os, pauli_basis())
+        maps = build_maps(os)
         dec = transported_decomposition(maps, phase_point_operators())
         expected = sum(kron(w, w.T) for w in phase_point_operators().ops) / 4
         np.testing.assert_allclose(dec.reconstruct(), expected, atol=1e-12)
