@@ -21,7 +21,6 @@ from .decompositions import (
     DecompositionMeta,
     EqualNormReport,
     SeparableDecomposition,
-    attach_coefficients,
     cross_norm_decomposition,
     equal_norm_check,
     equal_norm_decomposition,

@@ -51,20 +51,15 @@ class OperatorBasis:
     def complete(self) -> bool:
         return len(self.ops) == self.dim**2
 
-    @property
-    def vecs(self) -> np.ndarray:
-        """The operators as the rows vec(C_k) of an (N, d^2) array."""
-        return np.asarray(self.ops).reshape(len(self.ops), self.dim**2)
-
     def gram(self) -> np.ndarray:
         """Gram matrix tr(C_i^dag C_j)."""
-        v = self.vecs
+        v = self.ops.vecs
         return v.conj() @ v.T
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of x in this basis: x = sum_i c_i C_i."""
         x = as_matrix(x, "x")
-        return self.vecs.conj() @ x.reshape(-1) / self.normalization
+        return self.ops.vecs.conj() @ x.reshape(-1) / self.normalization
 
 
 def phase_point_operators() -> OperatorBasis:

@@ -171,7 +171,7 @@ def cmd_schmidt(args) -> tuple[dict, list]:
         _claim("schmidt.reconstruction_residual", residual, RECON_TOL),
         _claim("schmidt.two_norm_preserved", purity_dev, ATOL),
     ]
-    v = np.asarray(os.X).reshape(os.D, -1)
+    v = os.X.vecs
     gram_x = np.max(np.abs(v.conj() @ v.T - np.eye(os.D)))
     return {**serialize.encode_schmidt(os), "orthonormality_deviation": float(gram_x)}, claims
 

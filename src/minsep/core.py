@@ -58,6 +58,12 @@ class Family(tuple):
     def __array__(self, dtype=None, copy=None):
         return np.array(self._array, dtype=dtype, copy=copy)
 
+    @property
+    def vecs(self) -> np.ndarray:
+        """The rows vec(O_k) as a read-only (N, d^2) view of the array; (0, d^2) when empty."""
+        n, d, _ = self._array.shape
+        return self._array.reshape(n, d * d)
+
 
 def family(ops, name: str, d: int | None = None) -> Family:
     """Check that every member is a finite (d, d) matrix, ``d`` defaulting to

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import as_matrix, family, frozen
+from .core import as_matrix, frozen
 from .schmidt import OperatorSchmidt
-from .tolerances import ATOL
 
 
 @dataclass(frozen=True)
@@ -89,37 +88,13 @@ def cross_norm_value(os: OperatorSchmidt) -> float:
     return os.lambda_total
 
 
-def operator_coefficients(ops, frame, conjugate: bool = False) -> list[np.ndarray]:
-    """Project operators onto an orthonormal operator frame.
-
-    Returns, for each operator O, the vector of tr(F_i^dag O) (conjugated
-    when ``conjugate`` is set, matching the B-side convention
-    B = sum_i conj(b_i) Y_i).  Raises if any operator has a component
-    outside the span of the frame.
-    """
-    d = np.shape(frame[0])[0]
-    ops = family(ops, "ops", d)
-    vo = np.asarray(ops).reshape(len(ops), d * d)
-    vf = np.asarray(frame).reshape(len(frame), -1)
-    c = vo @ vf.conj().T  # row k: tr(F_i^dag O_k)
-    res = np.linalg.norm(vo - c @ vf, axis=1)
-    outside = np.flatnonzero(res > ATOL * np.maximum(1.0, np.linalg.norm(vo, axis=1)))
-    if outside.size:
-        k = outside[0]
-        raise ValueError(
-            f"operator {k} lies outside the span of the Schmidt frame "
-            f"(projection residual {res[k]:.3e})"
-        )
-    return list(np.conj(c) if conjugate else c)
-
-
 def decomposition_cost(dec, scaling: DiagonalScaling) -> float:
     """Cost sum_k p_k ||R a^k||_2 ||R^-1 b^k||_2 of a separable decomposition.
 
-    The decomposition must carry coefficient vectors in the Schmidt frame
-    of the target operator (see ``attach_coefficients``).
+    a^k and b^k are the Schmidt-frame coefficient vectors that every construction in
+    :mod:`minsep.decompositions` attaches; a decomposition read from a file has none.
     """
     if dec.a_coeff is None or dec.b_coeff is None:
-        raise ValueError("decomposition has no coefficient vectors; attach them first")
+        raise ValueError("decomposition has no coefficient vectors")
     na, nb = _scaled_norms(dec.a_coeff, scaling), _scaled_norms(dec.b_coeff, scaling, inverse=True)
     return float(np.sum(dec.p * na * nb))

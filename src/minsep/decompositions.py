@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Family, combine, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
-from .crossnorm import DiagonalScaling, _scaled_norms, operator_coefficients
+from .crossnorm import DiagonalScaling, _scaled_norms
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL, MIN_WEIGHT, RECON_TOL
 
@@ -105,17 +105,6 @@ class SeparableDecomposition:
     def reconstruct(self) -> np.ndarray:
         """sum_k p_k A^k tensor B^k."""
         return product_sum(self.p, self.A, self.B)
-
-
-def attach_coefficients(dec: SeparableDecomposition, os: OperatorSchmidt) -> SeparableDecomposition:
-    """Return a copy of ``dec`` carrying Schmidt-frame coefficient vectors.
-
-    The projections must be lossless: every local operator has to lie in the
-    span of the corresponding Schmidt frame.
-    """
-    a = operator_coefficients(dec.A, os.X)
-    b = operator_coefficients(dec.B, os.Y, conjugate=True)
-    return SeparableDecomposition(dec.p, dec.A, dec.B, tuple(a), tuple(b), dec.meta)
 
 
 def cross_norm_decomposition(

@@ -97,11 +97,6 @@ class FeasibilityResult:
         object.__setattr__(self, "weights", frozen(self.weights, float))
 
 
-def _vecs(space: StateSpace) -> np.ndarray:
-    """The generators as the columns vec(A_i) of a dim^2 x n matrix."""
-    return np.asarray(space.generators).reshape(len(space), space.dim**2).T
-
-
 def _active_set(ga, gb, realigned, convex):
     """Q >= 0 (and sum Q = 1 if ``convex``) minimising ||R - G_A Q G_B^T||:
     Lawson-Hanson NNLS in the "fast" form of Bro and de Jong (J. Chemometrics
@@ -170,7 +165,7 @@ def _check_spaces(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> None:
 def _verdict(rho, va, vb, q) -> FeasibilityResult:
     """Residual ||R - G_A Q G_B^T||, simplex violation and verdict of the
     weights Q; a negative weight is outside the hull."""
-    fit = _vecs(va) @ q @ _vecs(vb).T
+    fit = va.generators.vecs.T @ q @ vb.generators.vecs
     residual = float(np.linalg.norm(realign(rho.rho, rho.dA, rho.dB) - fit))
     violation = abs(float(np.sum(q)) - 1.0) if va.mode == "convex" else 0.0
     feasible = bool(np.all(q >= 0)) and residual <= FEAS_TOL and violation <= 1e-6
@@ -190,7 +185,8 @@ def separable_feasible(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> F
     _check_spaces(rho, va, vb)
     q = np.zeros((len(va), len(vb)))
     if q.size:
-        q = _active_set(_vecs(va), _vecs(vb), realign(rho.rho, rho.dA, rho.dB), va.mode == "convex")
+        ga, gb = va.generators.vecs.T, vb.generators.vecs.T
+        q = _active_set(ga, gb, realign(rho.rho, rho.dA, rho.dB), va.mode == "convex")
     return _verdict(rho, va, vb, q)
 
 
@@ -274,9 +270,9 @@ def deletion_minimality(
     records = []
     for side, space, other, target in (("A", va, vb, realigned), ("B", vb, va, realigned.T)):
         n, j = len(space), np.arange(len(space) - 1)
-        q_other = np.linalg.qr(_vecs(other))[0]
+        q_other = np.linalg.qr(other.generators.vecs.T)[0]
         # Row k of the stack is G without column k: its columns j + (j >= k).
-        q = np.linalg.qr(_vecs(space)[:, j + (j >= np.arange(n)[:, None])].transpose(1, 0, 2))[0]
+        q = np.linalg.qr(space.generators.vecs.T[:, j + (j >= np.arange(n)[:, None])].transpose(1, 0, 2))[0]
         fits = q @ (q.conj().swapaxes(1, 2) @ (target @ q_other.conj())) @ q_other.T
         for k, fit in enumerate(fits):
             bound = float(np.linalg.norm(target - fit))

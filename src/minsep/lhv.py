@@ -196,10 +196,9 @@ def _attempts(dec: SeparableDecomposition, dims: tuple, vt_a: np.ndarray, vt_b: 
     its LhvConstructionError (None for a model).  The products are stacked
     ``np.matmul`` in ``build_lhv``'s order of operations, so every pair's
     numbers are those of its own pass; Python only names failures."""
-    A, B = np.asarray(dec.A), np.asarray(dec.B)
-    for povm_dim, ops in zip(dims, (A, B)):
+    for povm_dim, ops in zip(dims, (dec.A, dec.B)):
         _check_dimension(povm_dim, len(ops[0]))
-    terms = _rules(dec.p, (A.reshape(len(A), -1) @ vt_a, B.reshape(len(B), -1) @ vt_b))
+    terms = _rules(dec.p, (dec.A.vecs @ vt_a, dec.B.vecs @ vt_b))
     passed = (~terms.bad.any(axis=(0, 2)) & terms.normalised).tolist()
     ra = rb = None
     deviation = [None] * len(passed)

@@ -25,14 +25,15 @@ from .tolerances import RANK_CUTOFF, RECON_TOL
 
 @dataclass(frozen=True)
 class OperatorSchmidt:
-    """Schmidt coefficients and orthonormal local operator frames."""
+    """Schmidt coefficients and orthonormal local operator frames, from which ``realigned`` and
+    ``hermitian`` (one flag per pair: X_i and Y_i both Hermitian within ``ATOL``) are derived."""
 
     dA: int
     dB: int
     s: np.ndarray = field(repr=False)
     X: tuple = field(repr=False)
     Y: tuple = field(repr=False)
-    hermitian: tuple = ()
+    hermitian: tuple = field(init=False)
     realigned: np.ndarray = field(init=False, repr=False, compare=False)  # sum_i s_i vec(X_i) vec(Y_i)^T
 
     def __post_init__(self):
@@ -51,11 +52,10 @@ class OperatorSchmidt:
             raise ValueError("rank exceeds min(dA^2, dB^2)")
         X = family(self.X, "X", self.dA)
         Y = family(self.Y, "Y", self.dB)
-        hermitian = self.hermitian or hermitian_mask(X) & hermitian_mask(Y)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "hermitian", tuple(bool(h) for h in hermitian))
+        object.__setattr__(self, "hermitian", tuple(bool(h) for h in hermitian_mask(X) & hermitian_mask(Y)))
         object.__setattr__(self, "realigned", frozen(realigned_sum(s, X, Y)))
 
     @property
@@ -109,8 +109,8 @@ def _schmidt_hermitian(m, dA, dB, cutoff):
     # Discard Hermiticity dust within tolerance: realign((rho + rho^dag) / 2),
     # as rho^dag realigns to the conjugate of m with both index pairs swapped.
     m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
-    pa = hermitian_basis(dA).vecs.T / np.sqrt(dA)  # orthonormal frames as columns
-    pb = pa if dB == dA else hermitian_basis(dB).vecs.T / np.sqrt(dB)
+    pa = hermitian_basis(dA).ops.vecs.T / np.sqrt(dA)  # orthonormal frames as columns
+    pb = pa if dB == dA else hermitian_basis(dB).ops.vecs.T / np.sqrt(dB)
     g = dagger(pa) @ m @ np.conj(pb)
     if np.abs(g.imag).max() > 1e-10:
         raise ValueError("coefficient matrix is not real; input not Hermitian")
@@ -136,7 +136,7 @@ def operator_schmidt(state: BipartiteState, rank_cutoff: float = RANK_CUTOFF) ->
     s, xs, ys = _schmidt_hermitian(m, dA, dB, rank_cutoff)
     if len(s) == 0:
         raise ValueError("operator is zero at the requested rank cutoff")
-    out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys), (True,) * len(s))
+    out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys))
 
     residual = relative_residual(out.realigned, m)
     if not residual <= RECON_TOL:

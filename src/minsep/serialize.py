@@ -69,6 +69,9 @@ def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
         ):
             raise FormatError(f"{field}.entries[{i}]", "expected [re, im]")
         out[i] = complex(pair[0], pair[1])
+    if not np.isfinite(out).all():  # json.load reads NaN, Infinity and -Infinity
+        i = np.argmin(np.isfinite(out))
+        raise FormatError(f"{field}.entries[{i}]", f"expected finite numbers, got {entries[i]}")
     return out.reshape(rows, cols)
 
 
@@ -161,6 +164,9 @@ def decode_meta(obj, field: str = "meta") -> DecompositionMeta | None:
     scaling = decode_scaling(obj["R"], f"{field}.R") if "R" in obj else None
     u = decode_matrix(obj["U"], f"{field}.U") if "U" in obj else None
     c = _numbers(obj["c"], f"{field}.c") if "c" in obj else None
+    for axis, name, v in ((0, "s", s), (1, "c", c)):  # U is D x N, s has D entries and c has N
+        if u is not None and v is not None and u.shape[axis] != len(v):
+            raise FormatError(f"{field}.U", f"shape {u.shape} does not match len({name}) = {len(v)}")
     return DecompositionMeta(kind=kind, s=s, scaling=scaling, U=u, c=c)
 
 

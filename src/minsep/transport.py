@@ -39,7 +39,9 @@ from .tolerances import ATOL, RECON_TOL
 class SchmidtMaps:
     """The invertible local maps built from a full-rank Schmidt form.
 
-    Stores (s, X, Y) of the decomposition; the reference basis C is
+    Holds the :class:`OperatorSchmidt` ``os`` = (s, X, Y) it is built from,
+    which must have dA = dB = d and rank d^2 (the maps are not invertible
+    otherwise); the reference basis C is
     ``hermitian_basis(d)``, complete with tr(C_i^dag C_j) = d delta_ij.  The
     forward maps act as sigma -> sum_j sqrt(s_j) X_j tr(C_j^dag sigma)
     (A side) and sigma -> sum_j sqrt(s_j) Y_j tr((C_j^T)^dag sigma) (B side).
@@ -55,10 +57,8 @@ class SchmidtMaps:
     joint map F_A (x) F_B acts on a realigned operator as R -> F_A R F_B^T.
     """
 
-    d: int
-    s: np.ndarray = field(repr=False)
-    X: tuple = field(repr=False)
-    Y: tuple = field(repr=False)
+    os: OperatorSchmidt = field(repr=False)
+    d: int = field(init=False)
     basis: OperatorBasis = field(init=False, repr=False, compare=False)
     fwd_a: np.ndarray = field(init=False, repr=False, compare=False)
     fwd_b: np.ndarray = field(init=False, repr=False, compare=False)
@@ -66,13 +66,16 @@ class SchmidtMaps:
     inv_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d, n = self.d, len(self.s)
+        os, d = self.os, self.os.dA
+        if os.dB != d:
+            raise ValueError("the construction needs equal local dimensions")
+        if os.D != d * d:
+            raise ValueError(f"operator-Schmidt rank {os.D} is deficient; need d^2 = {d * d}")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "basis", hermitian_basis(d))
-        sqrt_s = np.sqrt(self.s)
-        x = np.asarray(self.X).reshape(n, -1).T
-        y = np.asarray(self.Y).reshape(n, -1).T
-        c = self.basis.vecs.T
-        ct = np.asarray(self.basis.ops).transpose(0, 2, 1).reshape(n, -1).T
+        sqrt_s = np.sqrt(os.s)
+        x, y, c = os.X.vecs.T, os.Y.vecs.T, self.basis.ops.vecs.T
+        ct = np.asarray(self.basis.ops).transpose(0, 2, 1).reshape(d * d, -1).T
         object.__setattr__(self, "fwd_a", (x * sqrt_s) @ c.conj().T)
         object.__setattr__(self, "fwd_b", (y * sqrt_s) @ ct.conj().T)
         object.__setattr__(self, "inv_a", (c / (d * sqrt_s)) @ x.conj().T)
@@ -80,20 +83,14 @@ class SchmidtMaps:
 
 
 def build_maps(os: OperatorSchmidt) -> SchmidtMaps:
-    """Construct the local maps of a full-rank Schmidt form.
+    """Construct the local maps of a full-rank Schmidt form (:class:`SchmidtMaps`).
 
-    Requires dA = dB = d and operator-Schmidt rank exactly d^2 (the maps are
-    not invertible otherwise).  The reference basis is the Hermitian basis
-    :func:`hermitian_basis`, complete with kappa = d; a Hermitian reference
-    keeps the rotated frames Hermitian under the real orthogonal alignments
-    produced by :func:`construct_alignment`.
+    The reference basis is the Hermitian basis :func:`hermitian_basis`,
+    complete with kappa = d; a Hermitian reference keeps the rotated frames
+    Hermitian under the real orthogonal alignments produced by
+    :func:`construct_alignment`.
     """
-    if os.dA != os.dB:
-        raise ValueError("the construction needs equal local dimensions")
-    d = os.dA
-    if os.D != d * d:
-        raise ValueError(f"operator-Schmidt rank {os.D} is deficient; need d^2 = {d * d}")
-    return SchmidtMaps(d, np.array(os.s), os.X, os.Y)
+    return SchmidtMaps(os)
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ def check_condition_b(maps: SchmidtMaps) -> ConditionBReport:
     min_k s_k > 1/d^2 (strict).  Exactly critical is marginal, not passed.
     """
     d = maps.d
-    min_s = float(np.min(maps.s))
+    min_s = float(np.min(maps.os.s))
     threshold = 1.0 / d**2
     marginal = abs(min_s - threshold) <= 1e-12
     passed = min_s - threshold > 1e-12  # never marginal
@@ -228,14 +225,15 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
         raise ValueError("W must be a complete basis with normalisation d")
     # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that F_A W_k =
     # sum_j a^k_j X_j and F_B W_k^T = sum_j a^k_j Y_j.
-    a = (w.vecs @ maps.basis.vecs.conj().T) * np.sqrt(maps.s)
-    ops_a = Family(combine(a, maps.X))
-    ops_b = Family(combine(a, maps.Y))
+    os = maps.os
+    a = (w.ops.vecs @ maps.basis.ops.vecs.conj().T) * np.sqrt(os.s)
+    ops_a = Family(combine(a, os.X))
+    ops_b = Family(combine(a, os.Y))
     p = np.full(d * d, 1.0 / d**2)
-    residual = relative_residual(realigned_sum(p, ops_a, ops_b), realigned_sum(maps.s, maps.X, maps.Y))
+    residual = relative_residual(realigned_sum(p, ops_a, ops_b), os.realigned)
     if not residual <= RECON_TOL:
         raise ValueError(f"transported decomposition residual {residual:.3e}; inconsistent inputs")
-    meta = DecompositionMeta(kind="transported", s=np.array(maps.s))
+    meta = DecompositionMeta(kind="transported", s=np.array(os.s))
     return SeparableDecomposition(p, ops_a, ops_b, a, np.conj(a), meta)
 
 
@@ -245,9 +243,8 @@ def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
     For the transported decomposition itself every term has both norms equal
     to sqrt(d), so the total is d.  Each side's norms are one stacked product.
     """
-    n = dec.terms
-    na = np.linalg.norm(np.asarray(dec.A).reshape(n, -1) @ maps.inv_a.T, axis=1)
-    nb = np.linalg.norm(np.asarray(dec.B).reshape(n, -1) @ maps.inv_b.T, axis=1)
+    na = np.linalg.norm(dec.A.vecs @ maps.inv_a.T, axis=1)
+    nb = np.linalg.norm(dec.B.vecs @ maps.inv_b.T, axis=1)
     return float(np.sum(dec.p * na * nb))
 
 
@@ -267,7 +264,7 @@ def minimal_quantum_spaces(
             f"is not above 1/d^2 = {1.0 / maps.d**2:.6g}"
         )
     d, n = maps.d, len(w)
-    gens_a = (w.vecs @ maps.fwd_a.T).reshape(n, d, d)
+    gens_a = (w.ops.vecs @ maps.fwd_a.T).reshape(n, d, d)
     gens_b = (np.asarray(w.ops).transpose(0, 2, 1).reshape(n, -1) @ maps.fwd_b.T).reshape(n, d, d)
     traces = np.trace(np.concatenate([gens_a, gens_b]), axis1=1, axis2=2)
     if np.max(np.abs(traces - 1.0)) > 1e-6:

@@ -522,6 +522,60 @@ class TestErrors:
         assert err == "error: decomposition: A[1] has shape (3, 3), expected (2, 2)\n"
 
 
+    # Each reads a decomposition file; decoding fails before any model or fit.
+    DECOMPOSITION_COMMANDS = (
+        ["verify-minimal", "--state", "bell"],
+        ["lhv", "--povm-a", "z"],
+        ["scan", "--family", "pauli"],
+    )
+
+    def theorem2_report(self, capsys, tmp_path):
+        path = tmp_path / "dec2.json"
+        assert main(["decompose", "--theorem", "2", "--state", "bell", "--unitary", "identity", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return json.loads(path.read_text())
+
+    def assert_decomposition_commands_exit_1(self, capsys, path, message):
+        for argv in self.DECOMPOSITION_COMMANDS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([*argv, "--decomposition", str(path)])
+            captured = capsys.readouterr()
+            assert caught == []
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_meta_u_names_its_entry(self, capsys, tmp_path, value):
+        report = self.theorem2_report(capsys, tmp_path)
+        report["result"]["meta"]["U"]["entries"][5] = [1.0, value]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(report))
+        message = f"decomposition.meta.U.entries[5]: expected finite numbers, got [1.0, {value}]"
+        self.assert_decomposition_commands_exit_1(capsys, path, message)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (5, 4)])
+    def test_mis_shaped_meta_u_exits_1(self, capsys, tmp_path, shape):
+        report = self.theorem2_report(capsys, tmp_path)
+        report["result"]["meta"]["U"] = serialize.encode_matrix(np.eye(*shape))
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(report))
+        name = "s" if shape[0] != 4 else "c"  # U is D x N: its rows match s, its columns c
+        message = f"decomposition.meta.U: shape {shape} does not match len({name}) = 4"
+        self.assert_decomposition_commands_exit_1(capsys, path, message)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_unitary_file_names_its_entry(self, capsys, tmp_path, value):
+        u = serialize.encode_matrix(np.eye(4))
+        u["entries"][7] = [value, 0.0]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(u))
+        code = main(["decompose", "--theorem", "2", "--state", "bell", "--unitary", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: unitary.entries[7]: expected finite numbers, got [{value}, 0.0]\n"
+
+
 class TestDeterminism:
     def test_outputs_byte_identical(self, capsys, tmp_path):
         dec = phase_point_file(tmp_path)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frob_norm
-from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, hermitian_basis
+from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis
 from minsep.core import family, kron, realign, unrealign
-from minsep.crossnorm import operator_coefficients
 from minsep.decompositions import SeparableDecomposition
 from minsep.feasibility import StateSpace
 from minsep.schmidt import OperatorSchmidt
@@ -137,6 +136,16 @@ class TestFamily:
         assert family((), "ops", 3) == ()
         assert family((), "ops") == ()
 
+    @pytest.mark.parametrize("n, d", [(0, 3), (1, 2), (4, 3), (2, 8)])
+    def test_vecs_are_a_read_only_view_of_the_rows(self, n, d):
+        ops = np.random.default_rng(n + d).normal(size=(n, d, d)) + 0j
+        fam = family(ops, "ops", d)
+        vecs = fam.vecs
+        assert vecs.shape == (n, d * d) and not vecs.flags.writeable
+        assert np.shares_memory(vecs, np.asarray(fam)) or n == 0
+        for k in range(n):
+            np.testing.assert_array_equal(vecs[k], ops[k].reshape(-1))
+
     @pytest.mark.parametrize(
         "ops, d, message",
         [
@@ -182,10 +191,7 @@ class TestFamily:
                 lambda: Povm(2, (PAULI_I + 0.1j * PAULI_X, -0.1j * PAULI_X)),
                 "effects[0] is not positive semidefinite",
             ),
-            (
-                lambda: operator_coefficients(bad, hermitian_basis(2).ops),
-                "ops[1] has shape (3, 3), expected (2, 2)",
-            ),
+            (lambda: family(bad, "ops", 2), "ops[1] has shape (3, 3), expected (2, 2)"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError) as info:

@@ -11,9 +11,8 @@ from minsep.crossnorm import (
     decomposition_cost,
     lambda_norm,
     _scaled_norms,
-    operator_coefficients,
 )
-from minsep.decompositions import attach_coefficients, cross_norm_decomposition, normalized_form
+from minsep.decompositions import cross_norm_decomposition, normalized_form
 from minsep.schmidt import operator_schmidt
 from minsep.states import bell_state, max_entangled, product_state, random_density
 
@@ -158,20 +157,7 @@ class TestDecompositionCost:
         os = operator_schmidt(bell_state())
         dec = normalized_form(os)
         stripped = type(dec)(dec.p, dec.A, dec.B)
-        with pytest.raises(ValueError, match="coefficient"):
+        with pytest.raises(ValueError) as info:
             decomposition_cost(stripped, DiagonalScaling.identity(4))
-        reattached = attach_coefficients(stripped, os)
-        assert abs(decomposition_cost(reattached, DiagonalScaling.identity(4)) - 2.0) < 1e-12
-
-
-class TestCoefficientProjection:
-    def test_lossless_round_trip(self):
-        os = operator_schmidt(random_density(9, 2, 2))
-        coeffs = operator_coefficients([os.X[0] + 2 * os.X[1]], os.X)
-        np.testing.assert_allclose(coeffs[0][:2], [1.0, 2.0], atol=1e-10)
-
-    def test_rejects_operator_outside_span(self):
-        # A product state has a one-dimensional Schmidt span on each side.
-        os = operator_schmidt(product_state(np.eye(2) / 2, np.eye(2) / 2))
-        with pytest.raises(ValueError, match="outside the span"):
-            operator_coefficients([PAULI_X], os.X)
+        assert str(info.value) == "decomposition has no coefficient vectors"
+        assert abs(decomposition_cost(dec, DiagonalScaling.identity(4)) - 2.0) < 1e-12

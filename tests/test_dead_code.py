@@ -1,6 +1,7 @@
 """Nothing in the package goes unused: every import is read, every
-top-level function and class is called from the package or exported, and
-every method and property of a class is read in the package.
+top-level function and class is called from the package or exported, every
+method and property of a class is read in the package, and every export is
+read in the package, the demos or the benchmark.
 
 The checks read the source with ``ast`` only.  A name counts as used
 wherever it appears as a bare name, as an attribute (``serialize.dumps``)
@@ -8,6 +9,7 @@ or in a ``from ... import`` of another module.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,10 @@ import minsep
 
 PACKAGE = Path(minsep.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+REPO = Path(__file__).resolve().parents[1]
+# The scripts that use the package as a library: the demos and the benchmark.
+CLIENTS = [ast.parse(path.read_text(encoding="utf-8")) for folder in ("demos", "perfbench")
+           for path in sorted((REPO / folder).glob("*.py"))]
 
 # The encoders of the wire format, kept beside their decoders for writers of input files.
 UNREFERENCED_API = {("serialize", "encode_state"), ("serialize", "encode_povm")}
@@ -90,6 +96,26 @@ def test_every_method_is_read():
         if name not in REFERENCED and (module, cls, name) not in UNREFERENCED_METHODS
     ]
     assert dead == [], "methods and properties that nothing in minsep reads"
+
+
+def test_every_export_is_read_outside_tests():
+    trees = [tree for module, tree in MODULES.items() if module != "__init__"] + CLIENTS
+    read = {name for tree in trees for name in read_names(tree)}
+    assert len(CLIENTS) >= 6
+    assert sorted(EXPORTED - read) == [], "exports that only tests read"
+
+
+def test_readme_lists_every_export_under_its_module():
+    """The first sentence of each README "Library API" bullet lists what ``minsep`` imports from that module."""
+    exports = {}
+    for node in MODULES["__init__"].body:
+        if isinstance(node, ast.ImportFrom):
+            exports[node.module] = sorted(alias.name for alias in node.names)
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library API", 1)[1].split("\n## ", 1)[0]
+    listed = {module: sorted(re.findall(r"`(\w+)`", names))
+              for module, names in re.findall(r"^\* `minsep\.(\w+)`: ([^.]*)\.", section, re.M)}
+    assert listed == exports
 
 
 def test_the_allowlist_is_still_needed():

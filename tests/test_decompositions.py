@@ -22,6 +22,7 @@ from minsep.decompositions import (
 )
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import bell_state, random_density
+from minsep.tolerances import RECON_TOL
 
 
 def phase_point_mixing(os):
@@ -376,3 +377,40 @@ def test_rejected_input_message(case):
     with pytest.raises(ValueError) as info:
         build(os, DiagonalScaling.identity(4))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dims", [(2, 5), (5, 2), (3, 8), (6, 6), (8, 8)])
+class TestBuildersAcrossScope:
+    """The three builders at unequal dimensions and up to d = 8, as far as the package is
+    advertised, each on one seeded state, positive scaling and mixing."""
+
+    @staticmethod
+    def families(dims):
+        state = random_density(900 + sum(dims), *dims)
+        os = operator_schmidt(state)
+        rng = np.random.default_rng(dims)
+        scaling = DiagonalScaling(np.exp(rng.normal(0, 0.3, os.D)))
+        n = os.D + 3
+        p = rng.uniform(0.5, 1.5, n)
+        c = rng.uniform(0.5, 2.0, n)
+        decs = {
+            "cross-norm": (cross_norm_decomposition(os, scaling, random_unitary(n, 1)[: os.D], p / p.sum(), c), c),
+            "equal-norm": (equal_norm_decomposition(os, scaling, random_unitary(os.D, 2), 1.5), 1.5),
+            "hermitian": (hermitian_decomposition(os, scaling, random_orthogonal(os.D, 3), 0.7), 0.7),
+        }
+        return state, os, scaling, decs
+
+    def test_reconstruction_cost_and_coefficients(self, dims):
+        state, os, scaling, decs = self.families(dims)
+        assert os.D == min(dims) ** 2
+        for name, (dec, c) in decs.items():
+            assert np.linalg.norm(dec.reconstruct() - state.rho) <= RECON_TOL * np.linalg.norm(state.rho), name
+            assert abs(decomposition_cost(dec, scaling) - os.lambda_total) <= 1e-9 * os.lambda_total, name
+            a = scaling.r * np.asarray(dec.a_coeff)  # row k: R a^k
+            b = np.asarray(dec.b_coeff) / scaling.r  # row k: R^-1 b^k
+            np.testing.assert_allclose(b, np.reshape(c, (-1, 1)) * a, rtol=0, atol=1e-12 * np.abs(b).max())
+        for name in ("equal-norm", "hermitian"):
+            assert equal_norm_check(decs[name][0], scaling).passed, name
+        herm = decs["hermitian"][0]
+        for ops in (herm.A, herm.B):
+            np.testing.assert_allclose(ops, np.conj(np.swapaxes(ops, 1, 2)), rtol=0, atol=1e-12)

@@ -22,28 +22,28 @@ def inner(a, b):
 
 def loop_forward_a(maps, sigma):
     out = np.zeros((maps.d, maps.d), dtype=complex)
-    for sj, xj, cj in zip(maps.s, maps.X, maps.basis.ops):
+    for sj, xj, cj in zip(maps.os.s, maps.os.X, maps.basis.ops):
         out = out + np.sqrt(sj) * inner(cj, sigma) * xj
     return out
 
 
 def loop_forward_b(maps, sigma):
     out = np.zeros((maps.d, maps.d), dtype=complex)
-    for sj, yj, cj in zip(maps.s, maps.Y, maps.basis.ops):
+    for sj, yj, cj in zip(maps.os.s, maps.os.Y, maps.basis.ops):
         out = out + np.sqrt(sj) * inner(cj.T, sigma) * yj
     return out
 
 
 def loop_inverse_a(maps, sigma):
     out = np.zeros((maps.d, maps.d), dtype=complex)
-    for sk, xk, ck in zip(maps.s, maps.X, maps.basis.ops):
+    for sk, xk, ck in zip(maps.os.s, maps.os.X, maps.basis.ops):
         out = out + inner(xk, sigma) / (maps.d * np.sqrt(sk)) * ck
     return out
 
 
 def loop_inverse_b(maps, sigma):
     out = np.zeros((maps.d, maps.d), dtype=complex)
-    for sk, yk, ck in zip(maps.s, maps.Y, maps.basis.ops):
+    for sk, yk, ck in zip(maps.os.s, maps.os.Y, maps.basis.ops):
         out = out + inner(yk, sigma) / (maps.d * np.sqrt(sk)) * ck.T
     return out
 
@@ -52,10 +52,10 @@ def loop_apply_joint(maps, op):
     d = maps.d
     out = np.zeros_like(op)
     for i, ci in enumerate(maps.basis.ops):
-        ai = d * np.sqrt(maps.s[i]) * maps.X[i]
+        ai = d * np.sqrt(maps.os.s[i]) * maps.os.X[i]
         for j, cj in enumerate(maps.basis.ops):
             gij = inner(np.kron(ci, cj.T), op) / d**2
-            bj = d * np.sqrt(maps.s[j]) * maps.Y[j]
+            bj = d * np.sqrt(maps.os.s[j]) * maps.os.Y[j]
             out = out + gij * np.kron(ai, bj)
     return out
 

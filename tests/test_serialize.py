@@ -30,6 +30,15 @@ class TestMatrix:
         with pytest.raises(serialize.FormatError, match=r"entries\[3\]"):
             serialize.decode_matrix(obj)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_names_index(self, value):
+        obj = serialize.encode_matrix(np.eye(2))
+        obj["entries"][2] = [0.0, value]  # json.load reads NaN and Infinity
+        with pytest.raises(serialize.FormatError) as info:
+            serialize.decode_matrix(obj, "m")
+        assert info.value.field == "m.entries[2]"
+        assert str(info.value) == f"m.entries[2]: expected finite numbers, got [0.0, {value}]"
+
 
 class TestState:
     def test_round_trip(self):
@@ -108,6 +117,29 @@ class TestMeta:
         with pytest.raises(serialize.FormatError) as info:
             serialize.decode_decomposition(obj)
         assert info.value.field == f"decomposition.meta.{key}"
+
+    @pytest.mark.parametrize(
+        "shape, drop, message",
+        [
+            ((1, 4), None, "shape (1, 4) does not match len(s) = 4"),
+            ((4, 3), None, "shape (4, 3) does not match len(c) = 4"),
+            ((4, 3), "s", "shape (4, 3) does not match len(c) = 4"),
+            ((3, 4), "c", "shape (3, 4) does not match len(s) = 4"),
+        ],
+    )
+    def test_u_must_match_s_and_c(self, shape, drop, message):
+        obj = self.encoded()
+        obj["meta"]["U"] = serialize.encode_matrix(np.eye(*shape))
+        obj["meta"].pop(drop, None)
+        with pytest.raises(serialize.FormatError) as info:
+            serialize.decode_decomposition(obj)
+        assert str(info.value) == f"decomposition.meta.U: {message}"
+
+    def test_u_is_free_without_s_and_c(self):
+        obj = self.encoded()
+        obj["meta"]["U"] = serialize.encode_matrix(np.eye(2, 3))
+        del obj["meta"]["s"], obj["meta"]["c"]
+        assert serialize.decode_decomposition(obj).meta.U.shape == (2, 3)
 
     def test_meta_must_be_an_object(self):
         obj = self.encoded()

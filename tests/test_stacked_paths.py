@@ -19,7 +19,7 @@ import pytest
 from conftest import apply_map, frob_norm, near_max_entangled, random_mixed_decomposition
 from test_lhv import oracle_magic_threshold  # the closed form from one table per side, written out
 import minsep
-from minsep import bases, core, crossnorm, decompositions, lhv, schmidt, serialize, states, tolerances, transport
+from minsep import bases, core, crossnorm, decompositions, feasibility, lhv, schmidt, serialize, states, tolerances, transport
 from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
 from minsep.core import Family
 from minsep.crossnorm import DiagonalScaling, decomposition_cost
@@ -216,23 +216,27 @@ class TestStackedMatchesPerTerm:
         for m in ops:
             assert core.hermitian_mask(m).shape == () and bool(core.hermitian_mask(m)) == is_hermitian(m)
 
-    @pytest.mark.parametrize("side, bad", [("A", (2, 3)), ("B", (1,)), ("A", (1, 3))])
-    def test_non_hermitian_term_named_by_first_index(self, side, bad):
-        """Frames declared Hermitian that are not: the stacked check names the
-        first failing term, as the per-term loop did."""
+    @pytest.mark.parametrize("side, bad, c", [("A", (2, 3), 0.25), ("B", (1,), 4.0), ("A", (1, 3), 0.25)])
+    def test_non_hermitian_term_named_by_first_index(self, side, bad, c):
+        """Frames whose anti-Hermitian part is just under ATOL count as Hermitian; the
+        construction scales them past ATOL (A^k by sqrt(lambda / c), B^k by sqrt(lambda c)),
+        and the stacked check names the first failing term, as the per-term loop did."""
         os = operator_schmidt(random_density(11, 2, 3))
         X, Y = list(os.X), list(os.Y)
         frame = X if side == "A" else Y
+        sym = np.zeros_like(frame[0])
+        sym[0, 1] = sym[1, 0] = 1.0  # sigma_x in the first two levels
         for k in bad:
-            frame[k] = 1j * frame[k]
-        forged = OperatorSchmidt(2, 3, os.s, X, Y, hermitian=(True,) * os.D)
+            frame[k] = frame[k] + 0.45 * ATOL * 1j * sym  # M - M^dag has largest entry 0.9 ATOL
+        nearly = OperatorSchmidt(2, 3, os.s, X, Y)
+        assert nearly.hermitisable
         scaling = DiagonalScaling.identity(os.D)
         for o in (np.eye(os.D), np.eye(os.D)[::-1]):
             # equal_norm_decomposition does not check Hermiticity: the oracle's input.
-            plain = equal_norm_decomposition(forged, scaling, o, 1.0)
+            plain = equal_norm_decomposition(nearly, scaling, o, c)
             first = oracle_hermitian_terms(plain.A, plain.B).index(False)
             with pytest.raises(ValueError, match=rf"^term {first} failed to come out Hermitian$"):
-                hermitian_decomposition(forged, scaling, o, 1.0)
+                hermitian_decomposition(nearly, scaling, o, c)
 
     @pytest.mark.parametrize("name", ["decomposition_cost", "equal_norm_check"])
     def test_scaling_of_the_wrong_size_still_raises(self, name):
@@ -458,6 +462,12 @@ class TestFamilyArray:
                 (bases, "heisenberg_weyl_basis", None),
                 (schmidt, "_schmidt_general", None),
                 (schmidt, "_phase_fix", None),
+                (schmidt, "OperatorSchmidt", {"hermitian"}),
+                (decompositions, "attach_coefficients", None),
+                (crossnorm, "operator_coefficients", None),
+                (feasibility, "_vecs", None),
+                (bases.OperatorBasis, "vecs", None),
+                (transport, "SchmidtMaps", {"d", "s", "X", "Y"}),
             ]
         ],
     )
@@ -469,7 +479,7 @@ class TestFamilyArray:
             assert not removed & set(inspect.signature(getattr(owner, name)).parameters)
 
     def test_removed_exports_are_gone(self):
-        assert not {"svd", "pauli_basis", "heisenberg_weyl_basis"} & set(dir(minsep))
+        assert not {"svd", "pauli_basis", "heisenberg_weyl_basis", "attach_coefficients"} & set(dir(minsep))
 
     def test_removed_fields_and_report_keys_are_gone(self):
         assert "T" not in {f.name for f in dataclasses.fields(DecompositionMeta)}

@@ -12,6 +12,7 @@ from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import BipartiteState, bell_state, haar_projectors, max_entangled, random_density, random_pure_state
 from minsep.transport import (
     ConditionAReport,
+    SchmidtMaps,
     build_maps,
     build_w_basis,
     check_condition_a,
@@ -87,10 +88,16 @@ class TestBuildMaps:
         joint = maps.fwd_a @ realign(max_entangled(2).rho, 2, 2) @ maps.fwd_b.T
         np.testing.assert_allclose(unrealign(joint, 2, 2), state.rho, atol=1e-9)
 
-    def test_rejects_rank_deficient(self):
+    @pytest.mark.parametrize("build", [build_maps, SchmidtMaps])
+    def test_rejects_rank_deficient(self, build):
         state = pure_theta(0.0)  # product state, rank 1
         with pytest.raises(ValueError, match="deficient"):
-            build_maps(operator_schmidt(state))
+            build(operator_schmidt(state))
+
+    @pytest.mark.parametrize("build", [build_maps, SchmidtMaps])
+    def test_rejects_unequal_dimensions(self, build):
+        with pytest.raises(ValueError, match="^the construction needs equal local dimensions$"):
+            build(operator_schmidt(random_density(4, 2, 3)))
 
     def test_linearity(self):
         maps = build_maps(operator_schmidt(random_density(3, 2, 2)))
