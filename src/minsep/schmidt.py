@@ -55,7 +55,7 @@ class OperatorSchmidt:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "hermitian", tuple(bool(h) for h in hermitian_mask(X) & hermitian_mask(Y)))
+        object.__setattr__(self, "hermitian", tuple((hermitian_mask(X) & hermitian_mask(Y)).tolist()))
         object.__setattr__(self, "realigned", frozen(realigned_sum(s, X, Y)))
 
     @property

@@ -35,15 +35,19 @@ from .schmidt import OperatorSchmidt
 from .tolerances import ATOL, RECON_TOL
 
 
+def _transposed_vecs(ops: Family) -> np.ndarray:
+    """The rows vec(O_k^T) of a family, the layout the B-side maps act on."""
+    return np.asarray(ops).transpose(0, 2, 1).reshape(len(ops), -1)
+
+
 @dataclass(frozen=True)
 class SchmidtMaps:
     """The invertible local maps built from a full-rank Schmidt form.
 
-    Holds the :class:`OperatorSchmidt` ``os`` = (s, X, Y) it is built from,
-    which must have dA = dB = d and rank d^2 (the maps are not invertible
-    otherwise); the reference basis C is
-    ``hermitian_basis(d)``, complete with tr(C_i^dag C_j) = d delta_ij.  The
-    forward maps act as sigma -> sum_j sqrt(s_j) X_j tr(C_j^dag sigma)
+    Holds the :class:`OperatorSchmidt` ``os`` = (s, X, Y) it is built from, which
+    must have dA = dB = d and rank d^2 (the maps are not invertible otherwise);
+    the reference basis C is ``hermitian_basis(d)``, complete with tr(C_i^dag C_j) =
+    d delta_ij.  The forward maps act as sigma -> sum_j sqrt(s_j) X_j tr(C_j^dag sigma)
     (A side) and sigma -> sum_j sqrt(s_j) Y_j tr((C_j^T)^dag sigma) (B side).
 
     Each map is held as one d^2 x d^2 matrix acting on the row-major
@@ -75,7 +79,7 @@ class SchmidtMaps:
         object.__setattr__(self, "basis", hermitian_basis(d))
         sqrt_s = np.sqrt(os.s)
         x, y, c = os.X.vecs.T, os.Y.vecs.T, self.basis.ops.vecs.T
-        ct = np.asarray(self.basis.ops).transpose(0, 2, 1).reshape(d * d, -1).T
+        ct = _transposed_vecs(self.basis.ops).T
         object.__setattr__(self, "fwd_a", (x * sqrt_s) @ c.conj().T)
         object.__setattr__(self, "fwd_b", (y * sqrt_s) @ ct.conj().T)
         object.__setattr__(self, "inv_a", (c / (d * sqrt_s)) @ x.conj().T)
@@ -265,7 +269,7 @@ def minimal_quantum_spaces(
         )
     d, n = maps.d, len(w)
     gens_a = (w.ops.vecs @ maps.fwd_a.T).reshape(n, d, d)
-    gens_b = (np.asarray(w.ops).transpose(0, 2, 1).reshape(n, -1) @ maps.fwd_b.T).reshape(n, d, d)
+    gens_b = (_transposed_vecs(w.ops) @ maps.fwd_b.T).reshape(n, d, d)
     traces = np.trace(np.concatenate([gens_a, gens_b]), axis1=1, axis2=2)
     if np.max(np.abs(traces - 1.0)) > 1e-6:
         raise ValueError("image operators are not unit trace; condition A alignment missing")

@@ -545,13 +545,16 @@ class TestErrors:
             assert code == 1 and captured.out == ""
             assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_meta_u_names_its_entry(self, capsys, tmp_path, value):
+    @pytest.mark.parametrize("field, value", [
+        ("meta.U", float("nan")), ("meta.U", float("inf")), ("meta.U", -float("inf")), ("A[1]", float("nan")),
+    ])
+    def test_non_finite_matrix_names_its_entry(self, capsys, tmp_path, field, value):
         report = self.theorem2_report(capsys, tmp_path)
-        report["result"]["meta"]["U"]["entries"][5] = [1.0, value]
+        matrix = report["result"]["meta"]["U"] if field == "meta.U" else report["result"]["A"][1]
+        matrix["entries"][2] = [1.0, value]
         path = tmp_path / "u.json"
         path.write_text(json.dumps(report))
-        message = f"decomposition.meta.U.entries[5]: expected finite numbers, got [1.0, {value}]"
+        message = f"decomposition.{field}.entries[2]: expected finite numbers, got [1.0, {value}]"
         self.assert_decomposition_commands_exit_1(capsys, path, message)
 
     @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (5, 4)])
