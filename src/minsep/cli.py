@@ -257,8 +257,9 @@ def cmd_verify_minimal(args) -> tuple[dict, list]:
         raise CliInputError(f"--threshold must be finite, got {args.threshold}")
     state = parse_state(args.state)
     dec = _load_decomposition(args.decomposition)
-    va = StateSpace(state.dA, dec.A, args.mode)
-    vb = StateSpace(state.dB, dec.B, args.mode)
+    # At the decomposition's own dimensions, so that the fits name a mismatch with the state's.
+    va = StateSpace(len(dec.A[0]), dec.A, args.mode)
+    vb = StateSpace(len(dec.B[0]), dec.B, args.mode)
     # The decomposition's own point q_ij = p_i delta_ij certifies membership in
     # both modes; only a state it does not reconstruct needs the fit.
     baseline = weights_feasible(state, va, vb, np.diag(dec.p))

@@ -8,7 +8,9 @@ for a matrix or a family).  Two conventions carry the rest of the package:
   vec(sigma) = ``sigma.reshape(-1)``, so tr(C^dag sigma) = vec(C)^dag vec(sigma)
   and a linear map on d x d operators is one d^2 x d^2 matrix acting on
   vec(sigma).  A family of N operators is one read-only (N, d, d) array
-  (:class:`Family`), whose rows of vec(O_k) form an (N, d^2) matrix.
+  (:class:`Family`), whose rows of vec(O_k) form an (N, d^2) matrix
+  (``Family.vecs``); ``Family.tvecs`` is the one writer of the transposed
+  layout, the rows vec(O_k^T), on which tr(O M) = vec(O) . vec(M^T).
 * The realignment map permutes a bipartite operator (acting on A tensor B)
   into the ``dA^2 x dB^2`` matrix whose singular value decomposition
   produces the operator-Schmidt form; it sends A tensor B to
@@ -38,8 +40,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frozen(m, dtype=complex) -> np.ndarray:
-    """A read-only copy of ``m``, complex128 unless ``dtype`` says otherwise."""
-    out = np.array(m, dtype=dtype)
+    """A read-only C-ordered copy of ``m``, complex128 unless ``dtype`` says otherwise."""
+    out = np.array(m, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -63,6 +65,12 @@ class Family(tuple):
         """The rows vec(O_k) as a read-only (N, d^2) view of the array; (0, d^2) when empty."""
         n, d, _ = self._array.shape
         return self._array.reshape(n, d * d)
+
+    @property
+    def tvecs(self) -> np.ndarray:
+        """The rows vec(O_k^T) as an (N, d^2) array, (0, d^2) when empty; no write to it reaches the family."""
+        n, d, _ = self._array.shape
+        return self._array.transpose(0, 2, 1).reshape(n, d * d)
 
 
 def family(ops, name: str, d: int | None = None) -> Family:

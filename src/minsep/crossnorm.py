@@ -20,7 +20,7 @@ from .core import as_matrix, frozen
 from .schmidt import OperatorSchmidt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalScaling:
     """A positive diagonal scaling of Schmidt-frame coefficient vectors."""
 

@@ -55,7 +55,7 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diagonal(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionMeta:
     """Construction parameters retained for later verification."""
 
@@ -66,19 +66,20 @@ class DecompositionMeta:
     c: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparableDecomposition:
     """Weights p_k with local operators A^k, B^k summing to a target operator.
 
     ``a_coeff`` and ``b_coeff``, when present, are the expansion vectors in
-    the Schmidt frames: A^k = sum_i a^k_i X_i and B^k = sum_i conj(b^k_i) Y_i.
+    the Schmidt frames, one read-only C-ordered (N, D) array each, row k for
+    term k: A^k = sum_i a^k_i X_i and B^k = sum_i conj(b^k_i) Y_i.
     """
 
     p: np.ndarray = field(repr=False)
     A: tuple = field(repr=False)
     B: tuple = field(repr=False)
-    a_coeff: tuple | None = field(default=None, repr=False)
-    b_coeff: tuple | None = field(default=None, repr=False)
+    a_coeff: np.ndarray | None = field(default=None, repr=False)
+    b_coeff: np.ndarray | None = field(default=None, repr=False)
     meta: DecompositionMeta | None = None
 
     def __post_init__(self):
@@ -96,7 +97,10 @@ class SeparableDecomposition:
             object.__setattr__(self, name, family(getattr(self, name), name))
         for name in ("a_coeff", "b_coeff"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(frozen(getattr(self, name))))
+                coeff = frozen(getattr(self, name))
+                if coeff.ndim != 2 or len(coeff) != len(p):
+                    raise ValueError(f"{name} must have one row per weight, got shape {coeff.shape}")
+                object.__setattr__(self, name, coeff)
 
     @property
     def terms(self) -> int:
@@ -131,7 +135,7 @@ def cross_norm_decomposition(
 
 
 def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
-    """The member for an already checked U, its reconstruction checked once on the realigned products."""
+    """The member for an already checked U (:func:`_assemble`)."""
     if scaling.D != os.D:
         raise ValueError(f"scaling has size {scaling.D}, expected {os.D}")
     n = u.shape[1]
@@ -152,12 +156,17 @@ def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
     zb = (sqrt_s * scaling.r)[:, None] * u  # sqrt(S) R U
     a_coeff = za.T / np.sqrt(p * c)[:, None]  # row k: column k of za / sqrt(p_k c_k)
     b_coeff = zb.T * np.sqrt(c / p)[:, None]
+    return _assemble(os, p, a_coeff, b_coeff, DecompositionMeta(kind=kind, s=os.s, scaling=scaling, U=u, c=c))
+
+
+def _assemble(os, p, a_coeff, b_coeff, meta) -> SeparableDecomposition:
+    """The decomposition with terms A^k = sum_i a^k_i X_i and B^k = sum_i conj(b^k_i) Y_i in the
+    frames of ``os``, its reconstruction checked once on the realigned products."""
     ops_a = Family(combine(a_coeff, os.X))
     ops_b = Family(combine(np.conj(b_coeff), os.Y))
     residual = relative_residual(realigned_sum(p, ops_a, ops_b), os.realigned)
     if not residual <= RECON_TOL:
         raise ValueError(f"decomposition residual {residual:.3e} exceeds {RECON_TOL:.1e}")
-    meta = DecompositionMeta(kind=kind, s=np.array(os.s), scaling=scaling, U=u, c=c)
     return SeparableDecomposition(p, ops_a, ops_b, a_coeff, b_coeff, meta)
 
 
@@ -234,7 +243,7 @@ def hermitian_decomposition(
     return dec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqualNormReport:
     """Per-term coefficient norms of a decomposition and their spread."""
 

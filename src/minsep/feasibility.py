@@ -42,7 +42,7 @@ from .tolerances import ATOL, FEAS_TOL, INFEAS_THRESHOLD
 MODES = ("convex", "conic")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """A local operator space given by finitely many generators.
 
@@ -84,7 +84,7 @@ class StateSpace:
         return StateSpace(self.dim, gens, self.mode, self.include_quantum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """Outcome of a nonnegative separable fit."""
 

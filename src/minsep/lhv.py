@@ -44,7 +44,7 @@ class LhvConstructionError(ValueError):
         self.effect = effect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhvModel:
     """Hidden-variable weights and local response tables.
 
@@ -100,8 +100,7 @@ def _columns(povms) -> np.ndarray:
     """The effects M of POVMs with equal effect counts as the columns
     vec(M^T), [povm, d^2, effect]: as tr(O M) = vec(O) . vec(M^T), a stack's
     response table is one product."""
-    rows = np.array([np.asarray(m.effects).swapaxes(1, 2) for m in povms])
-    return rows.reshape(*rows.shape[:2], -1).swapaxes(1, 2)
+    return np.array([m.effects.tvecs for m in povms]).swapaxes(1, 2)
 
 
 def _stack(triples) -> tuple:

@@ -23,7 +23,7 @@ from .states import BipartiteState
 from .tolerances import RANK_CUTOFF, RECON_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSchmidt:
     """Schmidt coefficients and orthonormal local operator frames, from which ``realigned`` and
     ``hermitian`` (one flag per pair: X_i and Y_i both Hermitian within ``ATOL``) are derived."""
@@ -34,7 +34,7 @@ class OperatorSchmidt:
     X: tuple = field(repr=False)
     Y: tuple = field(repr=False)
     hermitian: tuple = field(init=False)
-    realigned: np.ndarray = field(init=False, repr=False, compare=False)  # sum_i s_i vec(X_i) vec(Y_i)^T
+    realigned: np.ndarray = field(init=False, repr=False)  # sum_i s_i vec(X_i) vec(Y_i)^T
 
     def __post_init__(self):
         s = frozen(self.s, float)

@@ -35,6 +35,14 @@ def _require(obj, key, field):
     return obj[key]
 
 
+def _built(field: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError raised again as a FormatError naming ``field``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(field, str(exc)) from exc
+
+
 def is_number(x, kind=(int, float)) -> bool:
     """Whether a JSON value is a ``kind`` number, not a true/false (Python bools are ints)."""
     return isinstance(x, kind) and not isinstance(x, bool)
@@ -87,11 +95,7 @@ def decode_state(obj, field: str = "state") -> BipartiteState:
     dB = _require(obj, "dB", field)
     if not is_number(dA, int) or not is_number(dB, int):
         raise FormatError(f"{field}.dA", "dA and dB must be integers")
-    rho = decode_matrix(obj, field)
-    try:
-        return BipartiteState(dA, dB, rho)
-    except ValueError as exc:
-        raise FormatError(field, str(exc)) from exc
+    return _built(field, BipartiteState, dA, dB, decode_matrix(obj, field))
 
 
 def encode_schmidt(os: OperatorSchmidt) -> dict:
@@ -116,10 +120,7 @@ def decode_povm(obj, field: str = "povm") -> Povm:
     if not isinstance(effects, list) or not effects:
         raise FormatError(f"{field}.effects", "expected a nonempty list of matrices")
     mats = [decode_matrix(e, f"{field}.effects[{i}]") for i, e in enumerate(effects)]
-    try:
-        return Povm(dim, tuple(mats))
-    except ValueError as exc:
-        raise FormatError(field, str(exc)) from exc
+    return _built(field, Povm, dim, tuple(mats))
 
 
 def encode_meta(meta: DecompositionMeta | None) -> dict | None:
@@ -147,11 +148,7 @@ def _numbers(obj, field: str) -> np.ndarray:
 
 
 def decode_scaling(obj, field: str = "R") -> DiagonalScaling:
-    r = _numbers(obj, field)
-    try:
-        return DiagonalScaling(r)
-    except ValueError as exc:
-        raise FormatError(field, str(exc)) from exc
+    return _built(field, DiagonalScaling, _numbers(obj, field))
 
 
 def decode_meta(obj, field: str = "meta") -> DecompositionMeta | None:
@@ -190,10 +187,7 @@ def decode_decomposition(obj, field: str = "decomposition") -> SeparableDecompos
     mats_a = [decode_matrix(a, f"{field}.A[{k}]") for k, a in enumerate(terms_a)]
     mats_b = [decode_matrix(b, f"{field}.B[{k}]") for k, b in enumerate(terms_b)]
     meta = decode_meta(obj.get("meta"), f"{field}.meta")
-    try:
-        return SeparableDecomposition(p, tuple(mats_a), tuple(mats_b), meta=meta)
-    except ValueError as exc:
-        raise FormatError(field, str(exc)) from exc
+    return _built(field, SeparableDecomposition, p, tuple(mats_a), tuple(mats_b), meta=meta)
 
 
 # Decompositions, Schmidt forms and their meta hold complex matrices and keep

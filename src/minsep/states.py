@@ -15,7 +15,7 @@ from .core import as_matrix, dagger, family, frozen, hermitian_mask
 from .tolerances import ATOL, PSD_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """A density operator on A tensor B with local dimensions (dA, dB).
 
@@ -50,7 +50,7 @@ class BipartiteState:
         return self.dA * self.dB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A positive-operator-valued measure: PSD effects summing to identity."""
 

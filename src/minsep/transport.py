@@ -28,19 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import Family, combine, realigned_sum, relative_residual
-from .decompositions import DecompositionMeta, SeparableDecomposition, random_orthogonal
+from .core import combine
+from .decompositions import DecompositionMeta, SeparableDecomposition, _assemble, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
-from .tolerances import ATOL, RECON_TOL
+from .tolerances import ATOL
 
 
-def _transposed_vecs(ops: Family) -> np.ndarray:
-    """The rows vec(O_k^T) of a family, the layout the B-side maps act on."""
-    return np.asarray(ops).transpose(0, 2, 1).reshape(len(ops), -1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtMaps:
     """The invertible local maps built from a full-rank Schmidt form.
 
@@ -63,11 +58,11 @@ class SchmidtMaps:
 
     os: OperatorSchmidt = field(repr=False)
     d: int = field(init=False)
-    basis: OperatorBasis = field(init=False, repr=False, compare=False)
-    fwd_a: np.ndarray = field(init=False, repr=False, compare=False)
-    fwd_b: np.ndarray = field(init=False, repr=False, compare=False)
-    inv_a: np.ndarray = field(init=False, repr=False, compare=False)
-    inv_b: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: OperatorBasis = field(init=False, repr=False)
+    fwd_a: np.ndarray = field(init=False, repr=False)
+    fwd_b: np.ndarray = field(init=False, repr=False)
+    inv_a: np.ndarray = field(init=False, repr=False)
+    inv_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         os, d = self.os, self.os.dA
@@ -78,8 +73,7 @@ class SchmidtMaps:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "basis", hermitian_basis(d))
         sqrt_s = np.sqrt(os.s)
-        x, y, c = os.X.vecs.T, os.Y.vecs.T, self.basis.ops.vecs.T
-        ct = _transposed_vecs(self.basis.ops).T
+        x, y, c, ct = os.X.vecs.T, os.Y.vecs.T, self.basis.ops.vecs.T, self.basis.ops.tvecs.T
         object.__setattr__(self, "fwd_a", (x * sqrt_s) @ c.conj().T)
         object.__setattr__(self, "fwd_b", (y * sqrt_s) @ ct.conj().T)
         object.__setattr__(self, "inv_a", (c / (d * sqrt_s)) @ x.conj().T)
@@ -97,7 +91,7 @@ def build_maps(os: OperatorSchmidt) -> SchmidtMaps:
     return SchmidtMaps(os)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionAReport:
     """Trace-alignment vectors of a Schmidt form and whether they coincide."""
 
@@ -159,7 +153,7 @@ def check_condition_b(maps: SchmidtMaps) -> ConditionBReport:
     return ConditionBReport(min_s, float(1.0 / np.sqrt(d * min_s)), float(np.sqrt(d)), marginal, passed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceAlignment:
     """A real orthogonal T taking the trace vector e to the uniform vector g."""
 
@@ -228,17 +222,10 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     if w.dim != d or not w.complete or abs(w.normalization - d) > 1e-12:
         raise ValueError("W must be a complete basis with normalisation d")
     # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that F_A W_k =
-    # sum_j a^k_j X_j and F_B W_k^T = sum_j a^k_j Y_j.
+    # sum_j a^k_j X_j and F_B W_k^T = sum_j a^k_j Y_j: b = conj(a).
     os = maps.os
     a = (w.ops.vecs @ maps.basis.ops.vecs.conj().T) * np.sqrt(os.s)
-    ops_a = Family(combine(a, os.X))
-    ops_b = Family(combine(a, os.Y))
-    p = np.full(d * d, 1.0 / d**2)
-    residual = relative_residual(realigned_sum(p, ops_a, ops_b), os.realigned)
-    if not residual <= RECON_TOL:
-        raise ValueError(f"transported decomposition residual {residual:.3e}; inconsistent inputs")
-    meta = DecompositionMeta(kind="transported", s=np.array(os.s))
-    return SeparableDecomposition(p, ops_a, ops_b, a, np.conj(a), meta)
+    return _assemble(os, np.full(d * d, 1.0 / d**2), a, np.conj(a), DecompositionMeta(kind="transported", s=os.s))
 
 
 def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
@@ -269,7 +256,7 @@ def minimal_quantum_spaces(
         )
     d, n = maps.d, len(w)
     gens_a = (w.ops.vecs @ maps.fwd_a.T).reshape(n, d, d)
-    gens_b = (_transposed_vecs(w.ops) @ maps.fwd_b.T).reshape(n, d, d)
+    gens_b = (w.ops.tvecs @ maps.fwd_b.T).reshape(n, d, d)
     traces = np.trace(np.concatenate([gens_a, gens_b]), axis1=1, axis2=2)
     if np.max(np.abs(traces - 1.0)) > 1e-6:
         raise ValueError("image operators are not unit trace; condition A alignment missing")

@@ -401,6 +401,13 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {field}: ") and captured.err.count("\n") == 1
 
+    def test_verify_minimal_names_the_dimension_mismatch(self, capsys, tmp_path):
+        dec = bell_theorem_2_file(capsys, tmp_path)
+        code = main(["verify-minimal", "--state", "max-entangled:3", "--decomposition", dec])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: state space dims (2, 2) do not match state dims (3, 3)\n"
+
     def test_json_boolean_in_p_dim_or_r_is_one_error_line(self, capsys, tmp_path):
         dec = json.loads(Path(phase_point_file(tmp_path)).read_text())
         dec["p"][0] = True

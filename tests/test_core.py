@@ -140,11 +140,12 @@ class TestFamily:
     def test_vecs_are_a_read_only_view_of_the_rows(self, n, d):
         ops = np.random.default_rng(n + d).normal(size=(n, d, d)) + 0j
         fam = family(ops, "ops", d)
-        vecs = fam.vecs
-        assert vecs.shape == (n, d * d) and not vecs.flags.writeable
+        vecs, tvecs = fam.vecs, fam.tvecs
+        assert vecs.shape == tvecs.shape == (n, d * d) and not vecs.flags.writeable
         assert np.shares_memory(vecs, np.asarray(fam)) or n == 0
         for k in range(n):
             np.testing.assert_array_equal(vecs[k], ops[k].reshape(-1))
+            np.testing.assert_array_equal(tvecs[k], ops[k].T.reshape(-1))
 
     @pytest.mark.parametrize(
         "ops, d, message",

@@ -362,6 +362,10 @@ REJECTED = {
                         "B[0] contains non-finite entries"),
     "sd-a-vector": (lambda os, r: SeparableDecomposition([1.0], (np.ones(4),), (np.eye(2),)),
                     "A[0] must be two-dimensional, got shape (4,)"),
+    "sd-a-coeff-rows": (lambda os, r: SeparableDecomposition([1.0], (np.eye(2),), (np.eye(2),), np.ones((2, 4))),
+                        "a_coeff must have one row per weight, got shape (2, 4)"),
+    "sd-b-coeff-vector": (lambda os, r: SeparableDecomposition([1.0], (np.eye(2),), (np.eye(2),), np.ones((1, 4)), np.ones(4)),
+                          "b_coeff must have one row per weight, got shape (4,)"),
 }
 
 

@@ -8,6 +8,7 @@ must not repeat.  The last groups pin the family format: every family is a
 ``core.Family`` whose ``np.asarray`` is its one read-only (N, d, d) array.
 """
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -34,8 +35,8 @@ from minsep.decompositions import (
     random_orthogonal,
     random_unitary,
 )
-from minsep.feasibility import StateSpace, quantum_augmented_feasible
-from minsep.lhv import LhvConstructionError, ScanRecord, build_lhv, povm_scan
+from minsep.feasibility import StateSpace, quantum_augmented_feasible, weights_feasible
+from minsep.lhv import LhvConstructionError, LhvModel, ScanRecord, build_lhv, povm_scan
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
 from minsep.states import Povm, bell_state, magic_povm, random_density
 from minsep.tolerances import ATOL
@@ -328,14 +329,12 @@ class TestCheckOnce:
             "hermitian": lambda: hermitian_decomposition(os, scaling, eye, 1.0),
             "transported": lambda: transported_decomposition(maps, w),
         }[builder]
-        message = {
-            "schmidt": "Schmidt reconstruction residual nan too large",
-            "transported": "transported decomposition residual nan; inconsistent inputs",
-        }.get(builder, "decomposition residual nan exceeds 1.0e-09")
+        message = {"schmidt": "Schmidt reconstruction residual nan too large"}.get(
+            builder, "decomposition residual nan exceeds 1.0e-09")
         if builder == "schmidt":
             monkeypatch.setattr(schmidt, "_canonical_order", poisoned(schmidt._canonical_order))
-        else:
-            monkeypatch.setattr(transport if builder == "transported" else decompositions, "combine", poisoned(core.combine))
+        else:  # every decomposition is assembled, and gated, in one place
+            monkeypatch.setattr(decompositions, "combine", poisoned(core.combine))
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
@@ -382,6 +381,31 @@ class TestFamilyArray:
             assert not arr.flags.writeable, owner
             assert all(np.shares_memory(arr, member) for member in fam), owner
             np.testing.assert_array_equal(arr, np.stack(list(fam)))
+
+    def test_coefficients_are_read_only_c_ordered_rows(self):
+        """Every builder's a_coeff and b_coeff are one (N, D) array each, which the norms read without a copy."""
+        os, _, decs = seeded_decompositions(2, 3, seed=2)
+        for dec, D in [*((dec, os.D) for dec in decs[:3]), (transported_parts(2, 3)[2], 9)]:
+            for coeff in (dec.a_coeff, dec.b_coeff):
+                assert isinstance(coeff, np.ndarray) and coeff.shape == (dec.terms, D)
+                assert coeff.flags.c_contiguous and not coeff.flags.writeable
+                assert np.asarray(coeff, dtype=complex) is coeff  # as crossnorm._scaled_norms reads it
+
+    def test_records_holding_arrays_compare_by_identity(self):
+        """==, in and hash() work on every record that holds an array; a copy is another record."""
+        state = bell_state()
+        os = operator_schmidt(state)
+        dec, scaling, cond_a = normalized_form(os), DiagonalScaling.identity(os.D), check_condition_a(os)
+        va, vb = StateSpace(2, dec.A), StateSpace(2, dec.B)
+        records = [
+            state, magic_povm(0.5), os, dec, dec.meta, scaling, hermitian_basis(2), va,
+            weights_feasible(state, va, vb, np.diag(dec.p)), LhvModel(np.ones(1), np.ones((1, 1)), np.ones((1, 1))),
+            build_maps(os), cond_a, construct_alignment(cond_a), equal_norm_check(dec, scaling),
+        ]
+        assert len({type(r) for r in records}) == 14
+        for r in records:
+            twin = copy.copy(r)
+            assert r == r and r != twin and r in [twin, r] and r in {r} and hash(r) == hash(r), type(r).__name__
 
     def test_array_copy_is_writable_and_dtype_is_honoured(self):
         fam = operator_schmidt(random_density(3, 2, 3)).X
@@ -468,6 +492,7 @@ class TestFamilyArray:
                 (feasibility, "_vecs", None),
                 (bases.OperatorBasis, "vecs", None),
                 (transport, "SchmidtMaps", {"d", "s", "X", "Y"}),
+                (transport, "_transposed_vecs", None),
             ]
         ],
     )
