@@ -1,8 +1,8 @@
 """Orthogonal operator bases: the Hermitian (Gell-Mann) basis and the qubit phase points.
 
-A basis is stored together with its normalisation constant kappa, defined by
-tr(C_i^dag C_j) = kappa * delta_ij.  Complete bases contain d^2 elements;
-partial collections (used as fixtures) are allowed.
+A basis is normalised by its dimension: tr(C_i^dag C_j) = d delta_ij.
+Complete bases contain d^2 elements; partial collections (used as fixtures)
+are allowed.
 """
 
 from __future__ import annotations
@@ -22,14 +22,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class OperatorBasis:
-    """A set of pairwise Frobenius-orthogonal d x d operators.
-
-    ``normalization`` is kappa with tr(C_i^dag C_j) = kappa delta_ij.
-    """
+    """A set of d x d operators with tr(C_i^dag C_j) = d delta_ij."""
 
     dim: int
     ops: tuple = field(repr=False)
-    normalization: float
 
     def __post_init__(self):
         if self.dim < 1:
@@ -39,10 +35,10 @@ class OperatorBasis:
         if len(ops) > self.dim**2:
             raise ValueError(f"{len(ops)} operators exceed d^2 = {self.dim**2}")
         gram = self.gram()
-        target = self.normalization * np.eye(len(ops))
+        target = self.dim * np.eye(len(ops))
         dev = np.max(np.abs(gram - target)) if len(ops) else 0.0
         if dev > 1e-8:
-            raise ValueError(f"basis is not orthogonal with kappa={self.normalization}: deviation {dev:.3e}")
+            raise ValueError(f"basis is not orthogonal with kappa={self.dim}: deviation {dev:.3e}")
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -59,7 +55,7 @@ class OperatorBasis:
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of x in this basis: x = sum_i c_i C_i."""
         x = as_matrix(x, "x")
-        return self.ops.vecs.conj() @ x.reshape(-1) / self.normalization
+        return self.ops.vecs.conj() @ x.reshape(-1) / self.dim
 
 
 def phase_point_operators() -> OperatorBasis:
@@ -73,12 +69,12 @@ def phase_point_operators() -> OperatorBasis:
         0.5 * (PAULI_I + rx * PAULI_X + ry * PAULI_Y + rz * PAULI_Z)
         for rx, ry, rz in bloch
     )
-    return OperatorBasis(2, ops, 2.0)
+    return OperatorBasis(2, ops)
 
 
 @cache
 def hermitian_basis(d: int) -> OperatorBasis:
-    """A complete Hermitian basis with kappa = d: identity plus generalised
+    """A complete Hermitian basis: identity plus generalised
     Gell-Mann matrices scaled to tr(G_i G_j) = d delta_ij.
 
     The identity comes first; at d = 2 this reproduces the Pauli basis.  The
@@ -105,5 +101,5 @@ def hermitian_basis(d: int) -> OperatorBasis:
         diag[m] = -m
         diag *= np.sqrt(d / (m * (m + 1)))
         ops.append(np.diag(diag).astype(complex))
-    return OperatorBasis(d, tuple(ops), float(d))
+    return OperatorBasis(d, tuple(ops))
 

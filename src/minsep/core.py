@@ -26,8 +26,11 @@ from .tolerances import ATOL
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d complex128 array and require finite entries."""
-    arr = np.asarray(m, dtype=complex)
+    """Coerce to a 2-d complex128 array and require finite numbers as entries."""
+    try:
+        arr = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} has entries that are not numbers") from exc
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -87,16 +90,10 @@ def family(ops, name: str, d: int | None = None) -> Family:
     except (TypeError, ValueError):  # differing shapes or non-numbers: the loop names a member
         arr = np.empty(0)
     for k, op in enumerate(ops if arr.ndim != 3 or arr.shape[1:] != (d or arr.shape[1],) * 2 else ()):
-        shape = np.shape(op)
-        if len(shape) != 2:
-            raise ValueError(f"{name}[{k}] must be two-dimensional, got shape {shape}")
+        shape = as_matrix(op, f"{name}[{k}]").shape
         d = shape[0] if d is None else d
         if shape != (d, d):
             raise ValueError(f"{name}[{k}] has shape {shape}, expected {(d, d)}")
-        try:
-            np.asarray(op, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}[{k}] has entries that are not numbers") from exc
     if not np.isfinite(arr).all():
         k = np.argmin(np.isfinite(arr).all(axis=(1, 2)))
         raise ValueError(f"{name}[{k}] contains non-finite entries")

@@ -74,7 +74,7 @@ def lambda_norm(x, lam) -> float:
         raise ValueError(f"lam has shape {lam.shape}, expected {(d * d, d * d)}")
     if np.linalg.cond(lam) > 1e12:
         raise ValueError("lam is not invertible (condition number too large)")
-    coeffs = hermitian_basis(d).coefficients(x) * np.sqrt(d)  # coefficients in the kappa=1 frame
+    coeffs = hermitian_basis(d).coefficients(x) * np.sqrt(d)  # in the orthonormal frame C_i / sqrt(d)
     return float(np.linalg.norm(lam @ coeffs))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import family, frozen, realign
+from .core import family, frozen
 from .states import BipartiteState, haar_projectors
 from .tolerances import ATOL, FEAS_TOL, INFEAS_THRESHOLD
 
@@ -166,7 +166,7 @@ def _verdict(rho, va, vb, q) -> FeasibilityResult:
     """Residual ||R - G_A Q G_B^T||, simplex violation and verdict of the
     weights Q; a negative weight is outside the hull."""
     fit = va.generators.vecs.T @ q @ vb.generators.vecs
-    residual = float(np.linalg.norm(realign(rho.rho, rho.dA, rho.dB) - fit))
+    residual = float(np.linalg.norm(rho.realigned - fit))
     violation = abs(float(np.sum(q)) - 1.0) if va.mode == "convex" else 0.0
     feasible = bool(np.all(q >= 0)) and residual <= FEAS_TOL and violation <= 1e-6
     return FeasibilityResult(feasible, q, residual, violation)
@@ -186,7 +186,7 @@ def separable_feasible(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> F
     q = np.zeros((len(va), len(vb)))
     if q.size:
         ga, gb = va.generators.vecs.T, vb.generators.vecs.T
-        q = _active_set(ga, gb, realign(rho.rho, rho.dA, rho.dB), va.mode == "convex")
+        q = _active_set(ga, gb, rho.realigned, va.mode == "convex")
     return _verdict(rho, va, vb, q)
 
 
@@ -266,9 +266,8 @@ def deletion_minimality(
     ``threshold``.
     """
     _check_spaces(rho, va, vb)
-    realigned = realign(rho.rho, rho.dA, rho.dB)
     records = []
-    for side, space, other, target in (("A", va, vb, realigned), ("B", vb, va, realigned.T)):
+    for side, space, other, target in (("A", va, vb, rho.realigned), ("B", vb, va, rho.realigned.T)):
         n, j = len(space), np.arange(len(space) - 1)
         q_other = np.linalg.qr(other.generators.vecs.T)[0]
         # Row k of the stack is G without column k: its columns j + (j >= k).

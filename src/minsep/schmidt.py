@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import (Family, dagger, family, frozen, hermitian_mask, product_sum, realign, realigned_sum,
-                   relative_residual)
+from .core import Family, dagger, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
 from .states import BipartiteState
 from .tolerances import RANK_CUTOFF, RECON_TOL
 
@@ -106,7 +105,7 @@ def _canonical_order(s, Xs, Ys):
 
 def _schmidt_hermitian(m, dA, dB, cutoff):
     """Schmidt pairs of a state from its realignment ``m``, via a real coefficient SVD."""
-    # Discard Hermiticity dust within tolerance: realign((rho + rho^dag) / 2),
+    # Discard Hermiticity dust within tolerance: the realignment of (rho + rho^dag) / 2,
     # as rho^dag realigns to the conjugate of m with both index pairs swapped.
     m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
     pa = hermitian_basis(dA).ops.vecs.T / np.sqrt(dA)  # orthonormal frames as columns
@@ -132,13 +131,12 @@ def operator_schmidt(state: BipartiteState, rank_cutoff: float = RANK_CUTOFF) ->
         raise ValueError(f"rank_cutoff must be finite and nonnegative, got {rank_cutoff}")
 
     dA, dB = state.dA, state.dB
-    m = realign(state.rho, dA, dB)
-    s, xs, ys = _schmidt_hermitian(m, dA, dB, rank_cutoff)
+    s, xs, ys = _schmidt_hermitian(state.realigned, dA, dB, rank_cutoff)
     if len(s) == 0:
         raise ValueError("operator is zero at the requested rank cutoff")
     out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys))
 
-    residual = relative_residual(out.realigned, m)
+    residual = relative_residual(out.realigned, state.realigned)
     if not residual <= RECON_TOL:
         raise ValueError(f"Schmidt reconstruction residual {residual:.3e} too large")
     return out

@@ -191,8 +191,7 @@ def decode_decomposition(obj, field: str = "decomposition") -> SeparableDecompos
 
 
 # Decompositions, Schmidt forms and their meta hold complex matrices and keep
-# the {"rows", "cols", "entries"} format above; a record whose report omits
-# fields (condition A drops norm_e and norm_f) is built by hand as well.
+# the {"rows", "cols", "entries"} format above.
 def plain(obj):
     """A library record as JSON values: a dataclass becomes the dict of its
     fields, tuples, lists and arrays become lists, numpy scalars Python numbers."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .core import as_matrix, dagger, family, frozen, hermitian_mask
+from .core import as_matrix, dagger, family, frozen, hermitian_mask, realign
 from .tolerances import ATOL, PSD_TOL
 
 
@@ -21,12 +21,13 @@ class BipartiteState:
 
     Construction verifies Hermiticity, unit trace and positive
     semidefiniteness (no eigenvalue below -``PSD_TOL``) up to the shared
-    tolerances.
+    tolerances, and derives the read-only ``realigned`` (:func:`realign`).
     """
 
     dA: int
     dB: int
     rho: np.ndarray = field(repr=False)
+    realigned: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dA < 1 or self.dB < 1:
@@ -44,6 +45,7 @@ class BipartiteState:
         if lo < -PSD_TOL:
             raise ValueError(f"rho has eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
         object.__setattr__(self, "rho", frozen(rho))
+        object.__setattr__(self, "realigned", frozen(realign(rho, self.dA, self.dB)))
 
     @property
     def dim(self) -> int:

@@ -84,8 +84,8 @@ def build_maps(os: OperatorSchmidt) -> SchmidtMaps:
     """Construct the local maps of a full-rank Schmidt form (:class:`SchmidtMaps`).
 
     The reference basis is the Hermitian basis :func:`hermitian_basis`,
-    complete with kappa = d; a Hermitian reference keeps the rotated frames
-    Hermitian under the real orthogonal alignments produced by
+    complete and normalised by d; a Hermitian reference keeps the rotated
+    frames Hermitian under the real orthogonal alignments produced by
     :func:`construct_alignment`.
     """
     return SchmidtMaps(os)
@@ -98,8 +98,6 @@ class ConditionAReport:
     e: np.ndarray
     f: np.ndarray
     deviation: float
-    norm_e: float
-    norm_f: float
     passed: bool
 
 
@@ -120,10 +118,8 @@ def check_condition_a(os: OperatorSchmidt) -> ConditionAReport:
     e = np.sqrt(os.s) * tr_x.real
     f = np.sqrt(os.s) * tr_y.real
     deviation = float(np.linalg.norm(e - f))
-    norm_e = float(np.linalg.norm(e))
-    norm_f = float(np.linalg.norm(f))
-    passed = deviation <= ATOL and abs(norm_e - 1.0) <= ATOL and abs(norm_f - 1.0) <= ATOL
-    return ConditionAReport(e, f, deviation, norm_e, norm_f, bool(passed))
+    passed = deviation <= ATOL and all(abs(np.linalg.norm(v) - 1.0) <= ATOL for v in (e, f))
+    return ConditionAReport(e, f, deviation, bool(passed))
 
 
 @dataclass(frozen=True)
@@ -204,9 +200,8 @@ def build_w_basis(maps: SchmidtMaps, alignment: TraceAlignment) -> OperatorBasis
     The result is again orthogonal with the same normalisation, and the
     forward images of W_k (A side) and W_k^T (B side) all have unit trace.
     """
-    d = maps.d
     ws = combine(alignment.T, maps.basis.ops)
-    return OperatorBasis(d, ws, float(d))
+    return OperatorBasis(maps.d, ws)
 
 
 def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableDecomposition:
@@ -214,12 +209,12 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     the maps: d^2 terms with weights 1/d^2 on the images F_A W_k and
     F_B W_k^T.
 
-    Accepts any complete basis with tr(W_i^dag W_j) = d delta_ij; unit
-    traces of the local operators additionally require W to come from a
-    trace alignment (or the maps to be trace preserving).
+    Accepts any complete basis of dimension d, so tr(W_i^dag W_j) =
+    d delta_ij; unit traces of the local operators additionally require W
+    to come from a trace alignment (or the maps to be trace preserving).
     """
     d = maps.d
-    if w.dim != d or not w.complete or abs(w.normalization - d) > 1e-12:
+    if w.dim != d or not w.complete:
         raise ValueError("W must be a complete basis with normalisation d")
     # Row k: a^k_j = sqrt(s_j) tr(C_j^dag W_k), so that F_A W_k =
     # sum_j a^k_j X_j and F_B W_k^T = sum_j a^k_j Y_j: b = conj(a).
@@ -242,11 +237,13 @@ def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
 def minimal_quantum_spaces(
     maps: SchmidtMaps, w: OperatorBasis, mode: str = "convex"
 ) -> tuple[StateSpace, StateSpace]:
-    """The quantum-augmented local state spaces generated by the images of W.
+    """The quantum-augmented local state spaces generated by the transported
+    terms F_A W_k and F_B W_k^T (:func:`transported_decomposition`), so W
+    must be a complete basis of the maps' dimension.
 
     ``mode="convex"`` gives the unit-trace convex hulls, ``mode="conic"``
     the positive-trace conic hulls.  Both conditions of the construction
-    must hold; the unit traces of the images are re-verified directly.
+    must hold; the unit traces of the terms are re-verified directly.
     """
     cond_b = check_condition_b(maps)
     if not cond_b.passed:
@@ -254,10 +251,8 @@ def minimal_quantum_spaces(
             f"condition B fails: min Schmidt coefficient {cond_b.min_s:.6g} "
             f"is not above 1/d^2 = {1.0 / maps.d**2:.6g}"
         )
-    d, n = maps.d, len(w)
-    gens_a = (w.ops.vecs @ maps.fwd_a.T).reshape(n, d, d)
-    gens_b = (w.ops.tvecs @ maps.fwd_b.T).reshape(n, d, d)
-    traces = np.trace(np.concatenate([gens_a, gens_b]), axis1=1, axis2=2)
+    dec = transported_decomposition(maps, w)
+    traces = np.trace(np.concatenate([dec.A, dec.B]), axis1=1, axis2=2)
     if np.max(np.abs(traces - 1.0)) > 1e-6:
         raise ValueError("image operators are not unit trace; condition A alignment missing")
-    return StateSpace(d, gens_a, mode, include_quantum=True), StateSpace(d, gens_b, mode, include_quantum=True)
+    return tuple(StateSpace(maps.d, gens, mode, include_quantum=True) for gens in (dec.A, dec.B))

@@ -55,8 +55,8 @@ class TestHermitianBasis:
     def test_validate_and_rescale(self):
         basis = hermitian_basis(3)
         np.testing.assert_allclose(gram(basis.ops), 3 * np.eye(9), atol=1e-12)
-        unit = OperatorBasis(3, np.asarray(basis.ops) / np.sqrt(3), 1.0)
-        np.testing.assert_allclose(gram(unit.ops), np.eye(9), atol=1e-12)
+        with pytest.raises(ValueError, match="not orthogonal with kappa=3"):
+            OperatorBasis(3, np.asarray(basis.ops) / np.sqrt(3))
 
     def test_built_once_per_dimension(self):
         basis = hermitian_basis(3)

@@ -179,7 +179,7 @@ class TestFamily:
                 lambda: StateSpace(2, [np.array([["a", "b"], ["c", "d"]], dtype=object)]),
                 "generators[0] has entries that are not numbers",
             ),
-            (lambda: OperatorBasis(2, bad, 2.0), "ops[1] has shape (3, 3), expected (2, 2)"),
+            (lambda: OperatorBasis(2, bad), "ops[1] has shape (3, 3), expected (2, 2)"),
             (
                 lambda: Povm(2, (np.eye(2), np.ones(2))),
                 "effects[1] must be two-dimensional, got shape (2,)",
@@ -193,6 +193,7 @@ class TestFamily:
                 "effects[0] is not positive semidefinite",
             ),
             (lambda: family(bad, "ops", 2), "ops[1] has shape (3, 3), expected (2, 2)"),
+            (lambda: kron([["a"]], [[1]]), "a has entries that are not numbers"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError) as info:
@@ -209,4 +210,4 @@ class TestFamily:
     def test_empty_spaces_and_bases_accepted(self):
         assert len(StateSpace(3, ())) == 0
         assert len(StateSpace(3, (), "conic", include_quantum=True)) == 0
-        assert len(OperatorBasis(3, (), 3.0)) == 0
+        assert len(OperatorBasis(3, ())) == 0

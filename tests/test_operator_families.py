@@ -126,17 +126,17 @@ class TestOperatorBasisAgainstLoops:
         gram = np.array([[inner(a, b) for b in basis.ops] for a in basis.ops])
         np.testing.assert_allclose(basis.gram(), gram, atol=1e-13)
         x = random_operator(np.random.default_rng(d), d)
-        coeffs = np.array([inner(op, x) / basis.normalization for op in basis.ops])
+        coeffs = np.array([inner(op, x) / basis.dim for op in basis.ops])
         np.testing.assert_allclose(basis.coefficients(x), coeffs, atol=1e-14)
         np.testing.assert_allclose(combine(coeffs, basis.ops), x, atol=1e-13)
 
     def test_empty_basis(self):
-        empty = OperatorBasis(3, (), 3.0)
+        empty = OperatorBasis(3, ())
         assert len(empty) == 0
         assert empty.gram().shape == (0, 0)
 
     def test_unitary_rotation_of_basis_stays_orthogonal(self):
         basis = hermitian_basis(2)
         u = random_unitary(4, 1)
-        rotated = OperatorBasis(2, tuple(combine(u, np.asarray(basis.ops))), 2.0)
+        rotated = OperatorBasis(2, tuple(combine(u, np.asarray(basis.ops))))
         np.testing.assert_allclose(rotated.gram(), 2.0 * np.eye(4), atol=1e-12)

@@ -427,7 +427,7 @@ class TestFamilyArray:
 
     def test_empty_family_keeps_its_dimension(self):
         assert np.shape(StateSpace(3, ()).generators) == (0, 3, 3)
-        assert np.shape(OperatorBasis(3, (), 3.0).ops) == (0, 3, 3)
+        assert np.shape(OperatorBasis(3, ()).ops) == (0, 3, 3)
         assert np.shape(core.family((), "ops", 2)) == (0, 2, 2)
 
     def test_checked_family_passes_through(self):
@@ -493,6 +493,8 @@ class TestFamilyArray:
                 (bases.OperatorBasis, "vecs", None),
                 (transport, "SchmidtMaps", {"d", "s", "X", "Y"}),
                 (transport, "_transposed_vecs", None),
+                (bases, "OperatorBasis", {"normalization"}),
+                (transport, "ConditionAReport", {"norm_e", "norm_f"}),
             ]
         ],
     )
@@ -515,9 +517,12 @@ class TestFamilyArray:
 class TestSchmidtTarget:
     @pytest.mark.parametrize("dims", DIMS)
     def test_realigned_target_is_built_once(self, dims):
-        os = operator_schmidt(random_density(800, *dims))
+        state = random_density(800, *dims)
+        os = operator_schmidt(state)
         assert bits(os.realigned.view(float)) == bits(core.realigned_sum(os.s, os.X, os.Y).view(float))
         assert not os.realigned.flags.writeable
+        assert bits(state.realigned.view(float)) == bits(core.realign(state.rho, *dims).view(float))
+        assert not state.realigned.flags.writeable
 
 
 class TestFrobNorm:

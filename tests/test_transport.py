@@ -144,7 +144,7 @@ class TestConditionA:
         report = check_condition_a(operator_schmidt(full_rank_pure(seed)))
         assert report.passed
         assert report.deviation <= 1e-9
-        assert abs(report.norm_e - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(report.e) - 1.0) <= 1e-9
 
     def test_bell_vectors(self):
         report = check_condition_a(operator_schmidt(bell_state()))
@@ -165,7 +165,7 @@ class TestConditionA:
 class TestAlignment:
     def test_fixed_point(self):
         g = np.full(4, 0.5)
-        report = ConditionAReport(g, g, 0.0, 1.0, 1.0, True)
+        report = ConditionAReport(g, g, 0.0, True)
         alignment = construct_alignment(report)
         np.testing.assert_allclose(alignment.T, np.eye(4), atol=1e-14)
 
@@ -339,7 +339,7 @@ class TestTransportedDecomposition:
         os = operator_schmidt(bell_state())
         maps = build_maps(os)
         with pytest.raises(ValueError, match="normalisation"):
-            transported_decomposition(maps, OperatorBasis(2, np.asarray(hermitian_basis(2).ops) / np.sqrt(2), 1.0))
+            transported_decomposition(maps, OperatorBasis(2, hermitian_basis(2).ops[:3]))
 
 
 class TestNormExclusivity:
@@ -390,3 +390,25 @@ class TestMinimalQuantumSpaces:
         w = build_w_basis(maps, construct_alignment(check_condition_a(os)))
         with pytest.raises(ValueError, match="condition B"):
             minimal_quantum_spaces(maps, w)
+
+    @pytest.mark.parametrize("mode", ["convex", "conic"])
+    @pytest.mark.parametrize("t_seed", [None, 3, 11], ids=["reflection", "seed3", "seed11"])
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_generators_are_the_transported_terms(self, d, t_seed, mode):
+        os = operator_schmidt(near_max_entangled(60 + d, d))
+        maps = build_maps(os)
+        w = build_w_basis(maps, construct_alignment(check_condition_a(os), seed=t_seed))
+        dec = transported_decomposition(maps, w)
+        va, vb = minimal_quantum_spaces(maps, w, mode=mode)
+        assert np.array_equal(va.generators, dec.A) and np.array_equal(vb.generators, dec.B)
+
+    def test_rejects_an_incomplete_or_foreign_basis(self):
+        def aligned(os):
+            maps = build_maps(os)
+            return maps, build_w_basis(maps, construct_alignment(check_condition_a(os)))
+
+        maps, w = aligned(operator_schmidt(near_max_entangled(63, 3)))
+        _, qubit_w = aligned(operator_schmidt(bell_state()))
+        for bad in (OperatorBasis(3, w.ops[:5]), qubit_w):
+            with pytest.raises(ValueError, match=r"^W must be a complete basis with normalisation d$"):
+                minimal_quantum_spaces(maps, bad)
