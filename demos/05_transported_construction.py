@@ -40,11 +40,15 @@ print("condition A on Bell: passed =", cond_a.passed)
 print("  e =", cond_a.e)
 
 # The maps send the reference basis into the Schmidt frames.  Each is one
-# d^2 x d^2 matrix over vec(sigma), and the joint map carries the maximally
-# entangled state onto the target: on the realignment it acts as
-# R -> F_A R F_B^T.
+# d^2 x d^2 matrix over vec(sigma), F_A = X diag(sqrt(s)) C^dag and
+# F_B = Y diag(sqrt(s)) C'^dag (C' = [vec(C_j^T)]), and the joint map carries
+# the maximally entangled state onto the target: on the realignment it acts
+# as R -> F_A R F_B^T.
 maps = build_maps(os)
-joint = unrealign(maps.fwd_a @ realign(max_entangled(2).rho, 2, 2) @ maps.fwd_b.T, 2, 2)
+sqrt_s = np.sqrt(os.s)
+fwd_a = (os.X.vecs.T * sqrt_s) @ maps.basis.ops.vecs.conj()
+fwd_b = (os.Y.vecs.T * sqrt_s) @ maps.basis.ops.tvecs.conj()
+joint = unrealign(fwd_a @ realign(max_entangled(2).rho, 2, 2) @ fwd_b.T, 2, 2)
 print("\njoint map reproduces Bell:", np.allclose(joint, bell.rho, atol=1e-12))
 
 # Condition B: the spectral criterion min_k s_k > 1/d^2, exact, with no sampling.
@@ -57,7 +61,7 @@ print(f"condition B: min s = {cond_b.min_s}, inverse-map spectral norm = {cond_b
 alignment = construct_alignment(cond_a)
 w = build_w_basis(maps, alignment)
 print("\nalignment T e =", alignment.T @ cond_a.e)
-image = (maps.fwd_a @ w.ops[0].reshape(-1)).reshape(2, 2)
+image = (fwd_a @ w.ops[0].reshape(-1)).reshape(2, 2)
 print("trace of F_A(W_1):", np.trace(image).real)
 
 # The transported decomposition: d^2 uniform terms, cost d under the

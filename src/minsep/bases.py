@@ -36,7 +36,7 @@ class OperatorBasis:
             raise ValueError(f"{len(ops)} operators exceed d^2 = {self.dim**2}")
         gram = self.gram()
         target = self.dim * np.eye(len(ops))
-        dev = np.max(np.abs(gram - target)) if len(ops) else 0.0
+        dev = np.abs(gram - target).max() if len(ops) else 0.0
         if dev > 1e-8:
             raise ValueError(f"basis is not orthogonal with kappa={self.dim}: deviation {dev:.3e}")
 

@@ -18,38 +18,17 @@ import numpy as np
 
 from . import serialize
 from .crossnorm import DiagonalScaling, cross_norm_value, decomposition_cost
-from .decompositions import (
-    cross_norm_decomposition,
-    equal_norm_check,
-    equal_norm_decomposition,
-    hermitian_decomposition,
-    random_orthogonal,
-    random_unitary,
-)
+from .decompositions import (cross_norm_decomposition, equal_norm_check, equal_norm_decomposition,
+                             hermitian_decomposition, random_orthogonal, random_unitary)
 from .feasibility import StateSpace, deletion_minimality, separable_feasible, weights_feasible
 from .lhv import BORN_TOL, MAX_MAGIC_BUDGET, LhvConstructionError, build_lhv, povm_scan
 from .schmidt import operator_schmidt, reconstruct
 from .serialize import FormatError, dumps
-from .states import (
-    BipartiteState,
-    bell_state,
-    identity_povm,
-    magic_povm,
-    max_entangled,
-    projective_povm,
-    random_density,
-    random_pure_state,
-)
+from .states import (BipartiteState, bell_state, identity_povm, magic_povm, max_entangled, projective_povm,
+                     random_density, random_pure_state)
 from .tolerances import ATOL, INFEAS_THRESHOLD, RANK_CUTOFF, RECON_TOL, tolerance_table
-from .transport import (
-    build_maps,
-    build_w_basis,
-    check_condition_a,
-    check_condition_b,
-    construct_alignment,
-    transported_cost,
-    transported_decomposition,
-)
+from .transport import (build_maps, build_w_basis, check_condition_a, check_condition_b, construct_alignment,
+                        transported_cost, transported_decomposition)
 
 
 MAX_SAMPLES = 10_000  # crossnorm --samples: one report row per sample

@@ -20,16 +20,24 @@ for a matrix or a family).  Two conventions carry the rest of the package:
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
+
 import numpy as np
 
 from .tolerances import ATOL
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d complex128 array and require finite numbers as entries."""
+    """Coerce to a 2-d complex128 array of finite numbers; ragged rows are named by the first misfit."""
     try:
         arr = np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
+        rows = m if isinstance(m, (list, tuple)) else ()
+        sized = [len(r) for r in rows if isinstance(r, (list, tuple)) or np.ndim(r) == 1]
+        if rows and len(sized) == len(rows) and len(set(sized)) > 1:
+            k = next(k for k, n in enumerate(sized) if n != sized[0])
+            raise ValueError(f"{name} row {k} has length {sized[k]}, expected {sized[0]}") from exc
         raise ValueError(f"{name} has entries that are not numbers") from exc
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
@@ -69,11 +77,11 @@ class Family(tuple):
         n, d, _ = self._array.shape
         return self._array.reshape(n, d * d)
 
-    @property
+    @cached_property
     def tvecs(self) -> np.ndarray:
-        """The rows vec(O_k^T) as an (N, d^2) array, (0, d^2) when empty; no write to it reaches the family."""
+        """The rows vec(O_k^T) as a read-only (N, d^2) array, (0, d^2) when empty, built on first use."""
         n, d, _ = self._array.shape
-        return self._array.transpose(0, 2, 1).reshape(n, d * d)
+        return frozen(self._array.transpose(0, 2, 1).reshape(n, d * d))
 
 
 def family(ops, name: str, d: int | None = None) -> Family:
@@ -122,9 +130,10 @@ def product_sum(w, A, B) -> np.ndarray:
 
 
 def relative_residual(m, target) -> float:
-    """||m - target|| / ||target|| in the 2-norm.  It only gates ``RECON_TOL``, as ``not residual
-    <= RECON_TOL`` so that a NaN fails, and is quoted in the gate's error: its last bit is moot."""
-    return np.linalg.norm(m - target) / max(np.linalg.norm(target), 1e-300)
+    """||m - target|| / ||target|| in the 2-norm, by dot products.  It only gates ``RECON_TOL``, as ``not
+    residual <= RECON_TOL`` so that a NaN fails, and is quoted in the gate's error: its last bit is moot."""
+    diff = m - target
+    return math.sqrt(np.vdot(diff, diff).real) / max(math.sqrt(np.vdot(target, target).real), 1e-300)
 
 
 def hermitian_mask(ops) -> np.ndarray:

@@ -54,7 +54,8 @@ def _scaled_norms(coeffs, scaling: DiagonalScaling, inverse: bool = False) -> np
     v = np.asarray(coeffs, dtype=complex)
     if v.shape[1:] != (scaling.D,):
         raise ValueError(f"vector has shape {v.shape[1:]}, expected ({scaling.D},)")
-    return np.linalg.norm(v / scaling.r if inverse else scaling.r * v, axis=1)
+    x = v / scaling.r if inverse else scaling.r * v
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))  # np.linalg.norm(x, axis=1), unwrapped
 
 
 def lambda_norm(x, lam) -> float:
@@ -97,4 +98,4 @@ def decomposition_cost(dec, scaling: DiagonalScaling) -> float:
     if dec.a_coeff is None or dec.b_coeff is None:
         raise ValueError("decomposition has no coefficient vectors")
     na, nb = _scaled_norms(dec.a_coeff, scaling), _scaled_norms(dec.b_coeff, scaling, inverse=True)
-    return float(np.sum(dec.p * na * nb))
+    return float((dec.p * na * nb).sum())

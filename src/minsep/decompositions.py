@@ -139,13 +139,13 @@ def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
     if scaling.D != os.D:
         raise ValueError(f"scaling has size {scaling.D}, expected {os.D}")
     n = u.shape[1]
-    p = np.asarray(p, dtype=float)
-    c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
+    p, c = np.asarray(p, dtype=float), np.asarray(c, dtype=float)
+    c = c.copy() if c.shape == (n,) else np.broadcast_to(c, (n,)).copy()
     if p.shape != (n,):
         raise ValueError(f"p must have length {n}")
-    for name, v in (("p", p), ("c", c)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite")
+    finite = np.isfinite([p, c]).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{('p', 'c')[np.argmin(finite)]} must be finite")
     if (p < MIN_WEIGHT).any():
         raise ValueError(f"weights must be at least {MIN_WEIGHT:.0e}")
     if (c <= 0).any():
@@ -266,12 +266,12 @@ def equal_norm_check(dec: SeparableDecomposition, scaling: DiagonalScaling) -> E
         raise ValueError("decomposition has no coefficient vectors")
     w_a = _scaled_norms(dec.a_coeff, scaling) ** 2
     w_b = _scaled_norms(dec.b_coeff, scaling, inverse=True) ** 2
-    dev_a = float(np.max(w_a) - np.min(w_a))
-    dev_b = float(np.max(w_b) - np.min(w_b))
+    dev_a = float(w_a.max() - w_a.min())
+    dev_b = float(w_b.max() - w_b.min())
     expected = None
     passed = dev_a <= ATOL and dev_b <= ATOL
     meta = dec.meta
     if meta is not None and meta.s is not None and meta.c is not None:
-        expected = float(np.sum(meta.s) / np.sum(dec.p * meta.c))
-        passed = passed and abs(float(np.mean(w_a)) - expected) <= max(ATOL, ATOL * expected)
+        expected = float(np.sum(meta.s) / (dec.p * meta.c).sum())
+        passed = passed and abs(float(w_a.mean()) - expected) <= max(ATOL, ATOL * expected)
     return EqualNormReport(w_a, w_b, dev_a, dev_b, expected, bool(passed))

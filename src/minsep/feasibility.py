@@ -64,13 +64,15 @@ class StateSpace:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         gens = family(self.generators, "generators", self.dim)
         if self.include_quantum:
-            for k, tr in enumerate(np.trace(gens, axis1=1, axis2=2)):
-                if abs(tr.imag) > ATOL:
-                    raise ValueError(f"generators[{k}] has complex trace {tr:.6g}")
-                if self.mode == "convex" and abs(tr - 1.0) > ATOL:
-                    raise ValueError(f"generators[{k}] must have unit trace, got {tr.real:.6g}")
-                if self.mode == "conic" and tr.real <= ATOL:
-                    raise ValueError(f"generators[{k}] must have positive trace, got {tr.real:.6g}")
+            tr = np.asarray(gens).trace(axis1=1, axis2=2)
+            cplx = np.abs(tr.imag) > ATOL
+            off = np.abs(tr - 1.0) > ATOL if self.mode == "convex" else tr.real <= ATOL
+            if (cplx | off).any():  # name the first offender
+                k = int(np.argmax(cplx | off))
+                if cplx[k]:
+                    raise ValueError(f"generators[{k}] has complex trace {tr[k]:.6g}")
+                want = "unit" if self.mode == "convex" else "positive"
+                raise ValueError(f"generators[{k}] must have {want} trace, got {tr[k].real:.6g}")
         object.__setattr__(self, "generators", gens)
 
     def __len__(self) -> int:

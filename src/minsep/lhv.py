@@ -99,7 +99,9 @@ def _check_dimension(povm_dim: int, op_dim: int) -> None:
 def _columns(povms) -> np.ndarray:
     """The effects M of POVMs with equal effect counts as the columns
     vec(M^T), [povm, d^2, effect]: as tr(O M) = vec(O) . vec(M^T), a stack's
-    response table is one product."""
+    response table is one product.  One POVM's is a view of its effects' rows."""
+    if len(povms) == 1:
+        return povms[0].effects.tvecs.T[None]
     return np.array([m.effects.tvecs for m in povms]).swapaxes(1, 2)
 
 
@@ -139,12 +141,13 @@ class _Terms(NamedTuple):
     weights: np.ndarray  # [pair, term]: hidden weights q_k tr(A_k) tr(B_k), 0 on dropped terms
     normalised: np.ndarray  # [pair]: whether the hidden weights sum to 1
     bad: np.ndarray  # [rule, pair, term]: which of _RULES rejects which term
+    failed: np.ndarray  # [pair]: whether some rule rejects some term
+    first: list  # [pair]: term * len(_RULES) + rule of the first failing term's first failing rule
 
     def failure(self, j: int) -> LhvConstructionError | None:
         """Pair ``j``'s first failing term's first failing rule, else its weight sum."""
-        bad = self.bad[:, j].T.ravel()  # [term, rule]: the first True is the first failing term's first rule
-        if bad.any():
-            k, rule = divmod(int(bad.argmax()), len(_RULES))
+        if self.failed[j]:
+            k, rule = divmod(self.first[j], len(_RULES))
             kind, side = _RULES[rule]
             s = "AB".index(side)
             row = self.tables[s][j, k]
@@ -164,20 +167,27 @@ def _rules(p: np.ndarray, tables: tuple) -> _Terms:
     silent traceless side drops its term); a kept side fails with a response
     below -ATOL or a trace at most ATOL.  The tests run on both sides stacked,
     the one with fewer effects padded with zero responses, which change no
-    maximum or minimum that a rule compares with ATOL or names."""
+    maximum or minimum that a rule compares with ATOL or names; the traces are
+    summed over each side's own effects."""
     ta, tb = tables
-    both = np.zeros((2, *ta.shape[:-1], max(ta.shape[-1], tb.shape[-1])), complex)
-    both[0, ..., : ta.shape[-1]], both[1, ..., : tb.shape[-1]] = ta, tb
+    if ta.shape == tb.shape:
+        both = np.array(tables)
+        tr = both.real.sum(axis=-1)
+    else:
+        both = np.zeros((2, *ta.shape[:-1], max(ta.shape[-1], tb.shape[-1])), complex)
+        both[0, ..., : ta.shape[-1]], both[1, ..., : tb.shape[-1]] = ta, tb
+        tr = np.array([ta.real.sum(axis=-1), tb.real.sum(axis=-1)])
     real = both.real
     top = np.abs(both.view(float).reshape(*both.shape, 2)).max(axis=-2)  # largest |real|, |imag|
-    tr = np.array([ta.real.sum(axis=-1), tb.real.sum(axis=-1)])
     traceless = np.abs(tr) <= ATOL
     kept = ~traceless.any(axis=0)
     cplx, resp = top[..., 1] > ATOL, traceless & (top[..., 0] > ATOL)
     neg, trace = kept & (real.min(axis=-1) < -ATOL), kept & (tr <= ATOL)
     bad = np.concatenate((cplx, resp, neg[:1], trace[:1], neg[1:], trace[1:]))  # in _RULES order
     weights = np.where(kept, p * tr[0] * tr[1], 0.0)
-    return _Terms(tables, tr, kept, weights, np.abs(weights.sum(axis=-1) - 1.0) <= 1e-6, bad)
+    flat = bad.transpose(1, 2, 0).reshape(bad.shape[1], -1)  # [pair, term * rule], in reporting order
+    normalised = np.abs(weights.sum(axis=-1) - 1.0) <= 1e-6
+    return _Terms(tables, tr, kept, weights, normalised, bad, flat.any(axis=1), flat.argmax(axis=1).tolist())
 
 
 def _effect(kind: str, responses: np.ndarray):
@@ -198,7 +208,7 @@ def _attempts(dec: SeparableDecomposition, dims: tuple, vt_a: np.ndarray, vt_b: 
     for povm_dim, ops in zip(dims, (dec.A, dec.B)):
         _check_dimension(povm_dim, len(ops[0]))
     terms = _rules(dec.p, (dec.A.vecs @ vt_a, dec.B.vecs @ vt_b))
-    passed = (~terms.bad.any(axis=(0, 2)) & terms.normalised).tolist()
+    passed = (~terms.failed & terms.normalised).tolist()
     ra = rb = None
     deviation = [None] * len(passed)
     if any(passed):  # the tables mean something only where the rules pass

@@ -13,6 +13,7 @@ comes out Hermitian even when the Schmidt spectrum is degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -55,7 +56,9 @@ class OperatorSchmidt:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "hermitian", tuple((hermitian_mask(X) & hermitian_mask(Y)).tolist()))
-        object.__setattr__(self, "realigned", frozen(realigned_sum(s, X, Y)))
+        realigned = realigned_sum(s, X, Y)
+        realigned.setflags(write=False)
+        object.__setattr__(self, "realigned", realigned)
 
     @property
     def D(self) -> int:
@@ -64,7 +67,7 @@ class OperatorSchmidt:
 
     @property
     def lambda_total(self) -> float:
-        return float(np.sum(self.s))
+        return float(self.s.sum())
 
     @property
     def hermitisable(self) -> bool:
@@ -79,16 +82,18 @@ def _canonical_order(s, Xs, Ys):
     (real, imaginary) rounded to 10 decimals.  The sign of each pair is fixed
     so the first significant entry of vec(X) has positive real part (positive
     imaginary part if purely imaginary); Y flips with X, by negation: a
-    product with -1.0 would turn an imaginary -0.0 into 0.0.
+    product with -1.0 would turn an imaginary -0.0 into 0.0.  A C-ordered array
+    given is flipped in place: :func:`_schmidt_hermitian` hands over its own.
 
-    The sort uses every key column, -round(s, 12) and then each rounded entry of vec(X), real
-    before imaginary (2 d_A^2 + 1 columns, where a lexsort makes one pass each), in one stable
-    argsort of each row's bytes.  That is the lexsort's order: adding 0.0 turns -0.0 into the
-    0.0 it compares equal to, and flipping the sign bit of a nonnegative float, or every bit
-    of a negative one, maps finite floats in order onto unsigned integers, whose big-endian
-    bytes compare alike.  Rows tied in every column keep their input order.
+    ``s`` comes nonincreasing, so if round(s, 12) strictly decreases, that first key column keeps
+    the input order.  Otherwise the sort uses every key column, -round(s, 12) and then each rounded
+    entry of vec(X), real before imaginary (2 d_A^2 + 1 columns, where a lexsort makes one pass
+    each), in one stable argsort of each row's bytes.  That is the lexsort's order: adding 0.0
+    turns -0.0 into the 0.0 it compares equal to, and flipping the sign bit of a nonnegative
+    float, or every bit of a negative one, maps finite floats in order onto unsigned integers,
+    whose big-endian bytes compare alike.  Rows tied in every column keep their input order.
     """
-    X, Y = np.array(Xs, order="C"), np.array(Ys, order="C")  # copies, flipped in place
+    X, Y = np.asarray(Xs, order="C"), np.asarray(Ys, order="C")  # flipped in place
     n = len(X)
     v = X.reshape(n, -1)
     big = np.abs(v) > 1e-8
@@ -96,11 +101,22 @@ def _canonical_order(s, Xs, Ys):
     flip = big.any(axis=1) & (np.where(np.abs(lead.real) > 1e-12, lead.real, lead.imag) < 0)
     np.negative(X, out=X, where=flip[:, None, None])
     np.negative(Y, out=Y, where=flip[:, None, None])
-    key = np.column_stack([-np.round(s, 12), np.round(v.view(float), 10)]) + 0.0
+    rounded = s.round(12)
+    if (rounded[1:] < rounded[:-1]).all():
+        return s, Family(X), Family(Y)
+    key = np.column_stack([-rounded, np.round(v.view(float), 10)]) + 0.0
     bits = key.view(np.int64)
     rows = (bits ^ ((bits >> 63) | np.int64(-2**63))).astype(">i8").view(f"V{key[0].nbytes}")
     order = np.argsort(rows[:, 0], kind="stable")
     return s[order], Family(X[order]), Family(Y[order])
+
+
+@cache
+def _frame(d: int) -> tuple:
+    """The orthonormal Hermitian frame P, the vec(C_j) of ``hermitian_basis(d)`` over sqrt(d) as
+    columns, with P^dag and conj(P), built once per d: no caller writes to them."""
+    frame = hermitian_basis(d).ops.vecs.T / np.sqrt(d)
+    return frame, dagger(frame), np.conj(frame)
 
 
 def _schmidt_hermitian(m, dA, dB, cutoff):
@@ -108,9 +124,8 @@ def _schmidt_hermitian(m, dA, dB, cutoff):
     # Discard Hermiticity dust within tolerance: the realignment of (rho + rho^dag) / 2,
     # as rho^dag realigns to the conjugate of m with both index pairs swapped.
     m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
-    pa = hermitian_basis(dA).ops.vecs.T / np.sqrt(dA)  # orthonormal frames as columns
-    pb = pa if dB == dA else hermitian_basis(dB).ops.vecs.T / np.sqrt(dB)
-    g = dagger(pa) @ m @ np.conj(pb)
+    (pa, pa_dag, _), (pb, _, pb_conj) = _frame(dA), _frame(dB)
+    g = pa_dag @ m @ pb_conj
     if np.abs(g.imag).max() > 1e-10:
         raise ValueError("coefficient matrix is not real; input not Hermitian")
     o1, s, o2t = np.linalg.svd(g.real)

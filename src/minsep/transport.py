@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import OperatorBasis, hermitian_basis
-from .core import combine
+from .core import Family, combine
 from .decompositions import DecompositionMeta, SeparableDecomposition, _assemble, random_orthogonal
 from .feasibility import StateSpace
 from .schmidt import OperatorSchmidt
@@ -43,26 +43,25 @@ class SchmidtMaps:
     must have dA = dB = d and rank d^2 (the maps are not invertible otherwise);
     the reference basis C is ``hermitian_basis(d)``, complete with tr(C_i^dag C_j) =
     d delta_ij.  The forward maps act as sigma -> sum_j sqrt(s_j) X_j tr(C_j^dag sigma)
-    (A side) and sigma -> sum_j sqrt(s_j) Y_j tr((C_j^T)^dag sigma) (B side).
+    (A side) and sigma -> sum_j sqrt(s_j) Y_j tr((C_j^T)^dag sigma) (B side); their
+    images of a basis W are the terms of :func:`transported_decomposition`.
 
-    Each map is held as one d^2 x d^2 matrix acting on the row-major
-    vec(sigma) (see :mod:`minsep.core`).  With the frames as columns,
-    X = [vec(X_j)], Y = [vec(Y_j)], C = [vec(C_j)] and C' = [vec(C_j^T)],
-    the forward maps are F_A = X diag(sqrt(s)) C^dag and
-    F_B = Y diag(sqrt(s)) C'^dag.  X and Y are orthonormal and C C^dag = d I,
-    so the inverses are G_A = C diag(1 / (d sqrt(s))) X^dag and
-    G_B = C' diag(1 / (d sqrt(s))) Y^dag, with no matrix inversion.  They
-    are built once, as ``fwd_a``, ``fwd_b``, ``inv_a`` and ``inv_b``.  The
-    joint map F_A (x) F_B acts on a realigned operator as R -> F_A R F_B^T.
+    Over the row-major vec(sigma) (see :mod:`minsep.core`), with the frames as columns
+    X = [vec(X_j)], Y = [vec(Y_j)], C = [vec(C_j)] and C' = [vec(C_j^T)], the forward maps
+    are F_A = X diag(sqrt(s)) C^dag and F_B = Y diag(sqrt(s)) C'^dag.  X and Y are
+    orthonormal and C C^dag = d I, so the inverses are the d^2 x d^2 matrices ``inv_a`` =
+    C diag(1 / (d sqrt(s))) X^dag and ``inv_b`` = C' diag(1 / (d sqrt(s))) Y^dag, built
+    once with no matrix inversion.  The joint map F_A (x) F_B acts on a realigned operator
+    as R -> F_A R F_B^T.
     """
 
     os: OperatorSchmidt = field(repr=False)
     d: int = field(init=False)
     basis: OperatorBasis = field(init=False, repr=False)
-    fwd_a: np.ndarray = field(init=False, repr=False)
-    fwd_b: np.ndarray = field(init=False, repr=False)
     inv_a: np.ndarray = field(init=False, repr=False)
     inv_b: np.ndarray = field(init=False, repr=False)
+    # (w, transported_decomposition(self, w)) of the last W; holding w keeps its id unique
+    _transported: tuple = field(init=False, default=(None, None), repr=False)
 
     def __post_init__(self):
         os, d = self.os, self.os.dA
@@ -74,8 +73,6 @@ class SchmidtMaps:
         object.__setattr__(self, "basis", hermitian_basis(d))
         sqrt_s = np.sqrt(os.s)
         x, y, c, ct = os.X.vecs.T, os.Y.vecs.T, self.basis.ops.vecs.T, self.basis.ops.tvecs.T
-        object.__setattr__(self, "fwd_a", (x * sqrt_s) @ c.conj().T)
-        object.__setattr__(self, "fwd_b", (y * sqrt_s) @ ct.conj().T)
         object.__setattr__(self, "inv_a", (c / (d * sqrt_s)) @ x.conj().T)
         object.__setattr__(self, "inv_b", (ct / (d * sqrt_s)) @ y.conj().T)
 
@@ -111,12 +108,12 @@ def check_condition_a(os: OperatorSchmidt) -> ConditionAReport:
     """
     if os.dA != os.dB or os.D != os.dA**2:
         raise ValueError("condition A needs equal dimensions and full Schmidt rank")
-    tr_x = np.trace(os.X, axis1=1, axis2=2)
-    tr_y = np.trace(os.Y, axis1=1, axis2=2)
-    if max(np.max(np.abs(tr_x.imag)), np.max(np.abs(tr_y.imag))) > 1e-8:
+    tr_x = np.asarray(os.X).trace(axis1=1, axis2=2)
+    tr_y = np.asarray(os.Y).trace(axis1=1, axis2=2)
+    if max(np.abs(tr_x.imag).max(), np.abs(tr_y.imag).max()) > 1e-8:
         raise ValueError("frame traces are not real; Hermitian frames required")
-    e = np.sqrt(os.s) * tr_x.real
-    f = np.sqrt(os.s) * tr_y.real
+    sqrt_s = np.sqrt(os.s)
+    e, f = sqrt_s * tr_x.real, sqrt_s * tr_y.real
     deviation = float(np.linalg.norm(e - f))
     passed = deviation <= ATOL and all(abs(np.linalg.norm(v) - 1.0) <= ATOL for v in (e, f))
     return ConditionAReport(e, f, deviation, bool(passed))
@@ -142,7 +139,7 @@ def check_condition_b(maps: SchmidtMaps) -> ConditionBReport:
     min_k s_k > 1/d^2 (strict).  Exactly critical is marginal, not passed.
     """
     d = maps.d
-    min_s = float(np.min(maps.os.s))
+    min_s = float(maps.os.s.min())
     threshold = 1.0 / d**2
     marginal = abs(min_s - threshold) <= 1e-12
     passed = min_s - threshold > 1e-12  # never marginal
@@ -158,15 +155,11 @@ class TraceAlignment:
     T: np.ndarray = field(repr=False)
 
 
-def _householder(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Reflection mapping unit vector u to unit vector w."""
+def _reflector(u: np.ndarray, w: np.ndarray):
+    """The unit v with (I - 2 v v^T) u = w for unit vectors u and w, or None when u = w within 1e-13."""
     diff = u - w
     nrm = np.linalg.norm(diff)
-    n = len(u)
-    if nrm <= 1e-13:
-        return np.eye(n)
-    v = diff / nrm
-    return np.eye(n) - 2.0 * np.outer(v, v)
+    return None if nrm <= 1e-13 else diff / nrm
 
 
 def construct_alignment(report: ConditionAReport, seed: int | None = None) -> TraceAlignment:
@@ -183,12 +176,18 @@ def construct_alignment(report: ConditionAReport, seed: int | None = None) -> Tr
     D = len(e)
     d = int(round(np.sqrt(D)))
     g = np.full(D, 1.0 / d)
-    t = _householder(e, g)
+    v = _reflector(e, g)
+    t = np.eye(D) if v is None else np.eye(D) - 2.0 * np.outer(v, v)
     if seed is not None:
-        to_axis = _householder(e, np.eye(1, D)[0])  # to the unit vector e_0
-        stab = np.eye(D)
-        stab[1:, 1:] = random_orthogonal(D - 1, seed)
-        t = t @ to_axis.T @ stab @ to_axis
+        # t H diag(1, Q) H, H the reflection of e onto the axis e_0 (a boolean e_0 here): each H
+        # a rank-one update of t, unless e is on the axis, and Q a rotation of t's trailing columns.
+        h = _reflector(e, np.arange(D) == 0)
+        q = random_orthogonal(D - 1, seed)
+        if h is not None:
+            t -= np.multiply.outer(2.0 * (t @ h), h)
+        t[:, 1:] = t[:, 1:] @ q
+        if h is not None:
+            t -= np.multiply.outer(2.0 * (t @ h), h)
     if np.linalg.norm(t @ e - g) > 1e-10:
         raise ValueError("alignment construction failed to map e to g")
     return TraceAlignment(e, g, t)
@@ -200,8 +199,7 @@ def build_w_basis(maps: SchmidtMaps, alignment: TraceAlignment) -> OperatorBasis
     The result is again orthogonal with the same normalisation, and the
     forward images of W_k (A side) and W_k^T (B side) all have unit trace.
     """
-    ws = combine(alignment.T, maps.basis.ops)
-    return OperatorBasis(maps.d, ws)
+    return OperatorBasis(maps.d, Family(combine(alignment.T, maps.basis.ops)))
 
 
 def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableDecomposition:
@@ -211,8 +209,12 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
 
     Accepts any complete basis of dimension d, so tr(W_i^dag W_j) =
     d delta_ij; unit traces of the local operators additionally require W
-    to come from a trace alignment (or the maps to be trace preserving).
+    to come from a trace alignment (or the maps to be trace preserving).  The
+    maps keep the decomposition of the last W, by identity, to return again.
     """
+    last, dec = maps._transported
+    if last is w:
+        return dec
     d = maps.d
     if w.dim != d or not w.complete:
         raise ValueError("W must be a complete basis with normalisation d")
@@ -220,7 +222,9 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     # sum_j a^k_j X_j and F_B W_k^T = sum_j a^k_j Y_j: b = conj(a).
     os = maps.os
     a = (w.ops.vecs @ maps.basis.ops.vecs.conj().T) * np.sqrt(os.s)
-    return _assemble(os, np.full(d * d, 1.0 / d**2), a, np.conj(a), DecompositionMeta(kind="transported", s=os.s))
+    dec = _assemble(os, np.full(d * d, 1.0 / d**2), a, np.conj(a), DecompositionMeta(kind="transported", s=os.s))
+    object.__setattr__(maps, "_transported", (w, dec))
+    return dec
 
 
 def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
@@ -231,15 +235,15 @@ def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
     """
     na = np.linalg.norm(dec.A.vecs @ maps.inv_a.T, axis=1)
     nb = np.linalg.norm(dec.B.vecs @ maps.inv_b.T, axis=1)
-    return float(np.sum(dec.p * na * nb))
+    return float((dec.p * na * nb).sum())
 
 
 def minimal_quantum_spaces(
     maps: SchmidtMaps, w: OperatorBasis, mode: str = "convex"
 ) -> tuple[StateSpace, StateSpace]:
-    """The quantum-augmented local state spaces generated by the transported
-    terms F_A W_k and F_B W_k^T (:func:`transported_decomposition`), so W
-    must be a complete basis of the maps' dimension.
+    """The quantum-augmented local state spaces generated by the transported terms F_A W_k
+    and F_B W_k^T (:func:`transported_decomposition`, reused if the maps hold it for this W),
+    so W must be a complete basis of the maps' dimension.
 
     ``mode="convex"`` gives the unit-trace convex hulls, ``mode="conic"``
     the positive-trace conic hulls.  Both conditions of the construction
@@ -252,7 +256,7 @@ def minimal_quantum_spaces(
             f"is not above 1/d^2 = {1.0 / maps.d**2:.6g}"
         )
     dec = transported_decomposition(maps, w)
-    traces = np.trace(np.concatenate([dec.A, dec.B]), axis1=1, axis2=2)
-    if np.max(np.abs(traces - 1.0)) > 1e-6:
+    traces = np.concatenate([dec.A, dec.B]).trace(axis1=1, axis2=2)
+    if np.abs(traces - 1.0).max() > 1e-6:
         raise ValueError("image operators are not unit trace; condition A alignment missing")
     return tuple(StateSpace(maps.d, gens, mode, include_quantum=True) for gens in (dec.A, dec.B))

@@ -1,7 +1,7 @@
 """Shared helpers for building non-optimal decompositions and measuring how
 far a decomposition sits from the proportionality structure of the optimal
 family, seeded near-maximally-entangled states, local maps applied to one
-operator, and an order-free 2-norm."""
+operator, the forward maps of a SchmidtMaps, and an order-free 2-norm."""
 
 import math
 
@@ -16,6 +16,15 @@ def apply_map(m, sigma):
     applied to one d x d operator."""
     d = np.shape(sigma)[0]
     return (m @ np.asarray(sigma).reshape(-1)).reshape(d, d)
+
+
+def forward_maps(maps):
+    """The forward maps of a SchmidtMaps as d^2 x d^2 matrices over row-major
+    vec(sigma), built from its Schmidt form and reference basis:
+    F_A = X diag(sqrt(s)) C^dag and F_B = Y diag(sqrt(s)) C'^dag, C' = [vec(C_j^T)]."""
+    sqrt_s = np.sqrt(maps.os.s)
+    c, ct = maps.basis.ops.vecs.T, maps.basis.ops.tvecs.T
+    return (maps.os.X.vecs.T * sqrt_s) @ c.conj().T, (maps.os.Y.vecs.T * sqrt_s) @ ct.conj().T
 
 
 def frob_norm(m: np.ndarray) -> float:

@@ -161,15 +161,14 @@ def test_criterion_06_transported_pipeline_on_bell():
     w = build_w_basis(maps, construct_alignment(cond_a))
     gram = np.array([[np.trace(a.conj().T @ b) for b in w.ops] for a in w.ops])
     ok = ok and np.max(np.abs(gram - 2 * np.eye(4))) <= 1e-10
-    traces = [abs(np.trace(apply_map(maps.fwd_a, wk)) - 1.0) for wk in w.ops]
-    traces += [abs(np.trace(apply_map(maps.fwd_b, wk.T)) - 1.0) for wk in w.ops]
-    ok = ok and max(traces) <= 1e-10
+    # The terms are the images F_A W_k and F_B W_k^T.
     dec = transported_decomposition(maps, w)
+    traces = [abs(np.trace(x) - 1.0) for x in dec.A + dec.B]
+    ok = ok and max(traces) <= 1e-10
     ok = ok and np.linalg.norm(dec.reconstruct() - bell_state().rho) <= 1e-10
     ok = ok and abs(transported_cost(dec, maps) - 2.0) <= 1e-9
-    norms = [
-        abs(np.linalg.norm(apply_map(maps.inv_a, apply_map(maps.fwd_a, wk))) - np.sqrt(2)) for wk in w.ops
-    ]
+    norms = [abs(np.linalg.norm(apply_map(maps.inv_a, a)) - np.sqrt(2)) for a in dec.A]
+    norms += [abs(np.linalg.norm(apply_map(maps.inv_b, b)) - np.sqrt(2)) for b in dec.B]
     ok = ok and max(norms) <= 1e-10
     announce(6, "transported pipeline on Bell: conditions, W basis, cost, norms", ok)
 

@@ -11,7 +11,7 @@ from minsep.core import family, kron, realign, unrealign
 from minsep.decompositions import SeparableDecomposition
 from minsep.feasibility import StateSpace
 from minsep.schmidt import OperatorSchmidt
-from minsep.states import Povm, bell_state, random_density
+from minsep.states import Povm, bell_state, product_state, random_density
 
 
 def singular_values_charpoly(m: np.ndarray) -> np.ndarray:
@@ -194,6 +194,11 @@ class TestFamily:
             ),
             (lambda: family(bad, "ops", 2), "ops[1] has shape (3, 3), expected (2, 2)"),
             (lambda: kron([["a"]], [[1]]), "a has entries that are not numbers"),
+            (lambda: kron([[1, 2], [3]], [[1]]), "a row 1 has length 1, expected 2"),
+            (lambda: kron(np.eye(2), ([1], np.ones(1), [1, 2])), "b row 2 has length 2, expected 1"),
+            (lambda: product_state([[1, 0], [0, 0]], [[0.5, 0], [0.5]]), "rho_b row 1 has length 1, expected 2"),
+            (lambda: family(([[1, 0], [0]],), "ops", 2), "ops[0] row 1 has length 1, expected 2"),
+            (lambda: kron([[1, 2], 3], [[1]]), "a has entries that are not numbers"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError) as info:

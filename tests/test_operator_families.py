@@ -6,11 +6,11 @@ import pytest
 
 from conftest import apply_map
 from minsep.bases import OperatorBasis, hermitian_basis
-from minsep.core import combine, product_sum, realign, unrealign
-from minsep.decompositions import random_unitary
+from minsep.core import combine, product_sum
+from minsep.decompositions import random_orthogonal, random_unitary
 from minsep.schmidt import operator_schmidt, reconstruct
-from minsep.states import random_density
-from minsep.transport import build_maps
+from minsep.states import max_entangled, random_density
+from minsep.transport import build_maps, transported_decomposition
 
 def inner(a, b):
     """tr(A^dag B), the loop oracle's inner product."""
@@ -69,32 +69,41 @@ def maps_for(d, seed=11):
     return build_maps(operator_schmidt(random_density(seed, d, d)))
 
 
+def rotated_basis(d, seed):
+    """A complete basis of dimension d: the Hermitian basis rotated by a real orthogonal matrix."""
+    return OperatorBasis(d, combine(random_orthogonal(d * d, seed), hermitian_basis(d).ops))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 class TestSchmidtMapsAgainstLoops:
     def test_local_maps(self, d):
+        """The inverse maps against their loops, and the forward loops against
+        the transported terms F_A W_k = A^k and F_B W_k^T = B^k."""
         maps = maps_for(d)
         rng = np.random.default_rng(d)
         for _ in range(3):
             sigma = random_operator(rng, d)
-            for m, oracle in (
-                (maps.fwd_a, loop_forward_a),
-                (maps.fwd_b, loop_forward_b),
-                (maps.inv_a, loop_inverse_a),
-                (maps.inv_b, loop_inverse_b),
-            ):
+            for m, oracle in ((maps.inv_a, loop_inverse_a), (maps.inv_b, loop_inverse_b)):
                 np.testing.assert_allclose(apply_map(m, sigma), oracle(maps, sigma), rtol=0, atol=1e-12)
+        w = rotated_basis(d, 30 + d)
+        dec = transported_decomposition(maps, w)
+        for wk, a, b in zip(w.ops, dec.A, dec.B):
+            np.testing.assert_allclose(a, loop_forward_a(maps, wk), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b, loop_forward_b(maps, wk.T), rtol=0, atol=1e-12)
 
     def test_apply_joint(self, d):
+        """The joint map carries the maximally entangled state to the state the maps are built from."""
         maps = maps_for(d)
-        op = random_operator(np.random.default_rng(100 + d), d * d)
-        joint = unrealign(maps.fwd_a @ realign(op, d, d) @ maps.fwd_b.T, d, d)
-        np.testing.assert_allclose(joint, loop_apply_joint(maps, op), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            loop_apply_joint(maps, max_entangled(d).rho), reconstruct(maps.os), rtol=0, atol=1e-12
+        )
 
     def test_inverse_is_closed_form_inverse(self, d):
+        """Each inverse map undoes its forward loop on every operator of a basis."""
         maps = maps_for(d)
-        eye = np.eye(d * d)
-        np.testing.assert_allclose(maps.inv_a @ maps.fwd_a, eye, atol=1e-12)
-        np.testing.assert_allclose(maps.inv_b @ maps.fwd_b, eye, atol=1e-12)
+        for sigma in rotated_basis(d, 40 + d).ops:
+            np.testing.assert_allclose(apply_map(maps.inv_a, loop_forward_a(maps, sigma)), sigma, atol=1e-12)
+            np.testing.assert_allclose(apply_map(maps.inv_b, loop_forward_b(maps, sigma)), sigma, atol=1e-12)
 
 
 class TestFamilyHelpers:

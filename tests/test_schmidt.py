@@ -303,6 +303,40 @@ def test_canonical_order_on_tied_keys(name):
     assert np.array(out[2]).tobytes() == np.array(ref[2]).tobytes()
 
 
+# The sort _canonical_order makes on every spectrum when it has ties, kept as the
+# oracle of the tie-free path that returns the SVD order instead.
+def byte_key_order(s, Xs, Ys):
+    X, Y = np.array(Xs, order="C"), np.array(Ys, order="C")
+    n = len(X)
+    v = X.reshape(n, -1)
+    big = np.abs(v) > 1e-8
+    lead = v[np.arange(n), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (np.where(np.abs(lead.real) > 1e-12, lead.real, lead.imag) < 0)
+    np.negative(X, out=X, where=flip[:, None, None])
+    np.negative(Y, out=Y, where=flip[:, None, None])
+    key = np.column_stack([-np.round(s, 12), np.round(v.view(float), 10)]) + 0.0
+    bits = key.view(np.int64)
+    rows = (bits ^ ((bits >> 63) | np.int64(-2**63))).astype(">i8").view(f"V{key[0].nbytes}")
+    order = np.argsort(rows[:, 0], kind="stable")
+    return s[order], X[order], Y[order]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_tie_free_order_matches_byte_key_sort(d, seed):
+    """On a spectrum with no tie after rounding, the SVD order that _canonical_order
+    returns is the full byte-key sort's, bit for bit."""
+    state = random_density(seed, d, d)
+    s, xs, ys = schmidt._schmidt_hermitian(state.realigned, d, d, RANK_CUTOFF)
+    rounded = np.round(s, 12)
+    assert (rounded[1:] < rounded[:-1]).all()  # untied, so the tie-free path is the one taken
+    ref = byte_key_order(s, xs, ys)
+    out = schmidt._canonical_order(s, xs.copy(), ys.copy())
+    assert out[0].tobytes() == ref[0].tobytes()
+    assert np.array(out[1]).tobytes() == ref[1].tobytes()
+    assert np.array(out[2]).tobytes() == ref[2].tobytes()
+
+
 @pytest.mark.parametrize("name, state", UNEQUAL_CASES, ids=[c[0] for c in UNEQUAL_CASES])
 def test_unequal_dimensions_up_to_8(name, state):
     """Reconstruction, orthonormal frames and Hermitian frames."""

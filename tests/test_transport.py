@@ -4,7 +4,7 @@ decompositions."""
 import numpy as np
 import pytest
 
-from conftest import apply_map, frob_norm, near_max_entangled
+from conftest import apply_map, forward_maps, frob_norm, near_max_entangled
 from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
 from minsep.core import kron, realign, unrealign
 from minsep.feasibility import quantum_augmented_feasible
@@ -71,21 +71,23 @@ class TestBuildMaps:
         os = canonical_max_entangled_schmidt(d)
         maps = build_maps(os)
         assert maps.basis is hermitian_basis(d)
+        fwd_a, _ = forward_maps(maps)
         for c, x in zip(maps.basis.ops, os.X):
-            np.testing.assert_allclose(apply_map(maps.fwd_a, c), np.sqrt(d) * x, atol=1e-12)
+            np.testing.assert_allclose(apply_map(fwd_a, c), np.sqrt(d) * x, atol=1e-12)
 
     def test_bell_with_pauli_reference(self):
         os = operator_schmidt(bell_state())
         maps = build_maps(os)
+        fwd_a, _ = forward_maps(maps)
         for c, x in zip(maps.basis.ops, os.X):
-            np.testing.assert_allclose(apply_map(maps.fwd_a, c), np.sqrt(2) * x, atol=1e-12)
+            np.testing.assert_allclose(apply_map(fwd_a, c), np.sqrt(2) * x, atol=1e-12)
             # 2 * sqrt(1/2) = sqrt(2)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_joint_map_carries_max_entangled_to_state(self, seed):
         state = random_density(seed, 2, 2)
-        maps = build_maps(operator_schmidt(state))
-        joint = maps.fwd_a @ realign(max_entangled(2).rho, 2, 2) @ maps.fwd_b.T
+        fwd_a, fwd_b = forward_maps(build_maps(operator_schmidt(state)))
+        joint = fwd_a @ realign(max_entangled(2).rho, 2, 2) @ fwd_b.T
         np.testing.assert_allclose(unrealign(joint, 2, 2), state.rho, atol=1e-9)
 
     @pytest.mark.parametrize("build", [build_maps, SchmidtMaps])
@@ -100,12 +102,12 @@ class TestBuildMaps:
             build(operator_schmidt(random_density(4, 2, 3)))
 
     def test_linearity(self):
-        maps = build_maps(operator_schmidt(random_density(3, 2, 2)))
+        fwd_a, _ = forward_maps(build_maps(operator_schmidt(random_density(3, 2, 2))))
         rng = np.random.default_rng(0)
         sigma = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         tau = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = apply_map(maps.fwd_a, 2.0 * sigma + 3j * tau)
-        rhs = 2.0 * apply_map(maps.fwd_a, sigma) + 3j * apply_map(maps.fwd_a, tau)
+        lhs = apply_map(fwd_a, 2.0 * sigma + 3j * tau)
+        rhs = 2.0 * apply_map(fwd_a, sigma) + 3j * apply_map(fwd_a, tau)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -116,17 +118,19 @@ class TestInverses:
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sigma = h + h.conj().T
-        np.testing.assert_allclose(apply_map(maps.inv_a, apply_map(maps.fwd_a, sigma)), sigma, atol=1e-9)
-        np.testing.assert_allclose(apply_map(maps.inv_b, apply_map(maps.fwd_b, sigma)), sigma, atol=1e-9)
+        fwd_a, fwd_b = forward_maps(maps)
+        np.testing.assert_allclose(apply_map(maps.inv_a, apply_map(fwd_a, sigma)), sigma, atol=1e-9)
+        np.testing.assert_allclose(apply_map(maps.inv_b, apply_map(fwd_b, sigma)), sigma, atol=1e-9)
 
     def test_w_images_have_norm_sqrt_d(self):
         os = operator_schmidt(bell_state())
         maps = build_maps(os)
         alignment = construct_alignment(check_condition_a(os))
         w = build_w_basis(maps, alignment)
+        fwd_a, fwd_b = forward_maps(maps)
         for wk in w.ops:
-            assert abs(frob_norm(apply_map(maps.inv_a, apply_map(maps.fwd_a, wk))) - np.sqrt(2)) < 1e-10
-            assert abs(frob_norm(apply_map(maps.inv_b, apply_map(maps.fwd_b, wk.T))) - np.sqrt(2)) < 1e-10
+            assert abs(frob_norm(apply_map(maps.inv_a, apply_map(fwd_a, wk))) - np.sqrt(2)) < 1e-10
+            assert abs(frob_norm(apply_map(maps.inv_b, apply_map(fwd_b, wk.T))) - np.sqrt(2)) < 1e-10
 
     def test_inverse_norm_formula(self):
         # ||inv(sigma)||^2 = sum_k |x_k|^2 / (d s_k) with x_k = tr(X_k^dag sigma).
@@ -199,9 +203,10 @@ class TestWBasis:
             [[np.trace(a.conj().T @ b) for b in w.ops] for a in w.ops]
         )
         np.testing.assert_allclose(gram, 2 * np.eye(4), atol=1e-10)
+        fwd_a, fwd_b = forward_maps(maps)
         for wk in w.ops:
-            assert abs(np.trace(apply_map(maps.fwd_a, wk)) - 1.0) < 1e-10
-            assert abs(np.trace(apply_map(maps.fwd_b, wk.T)) - 1.0) < 1e-10
+            assert abs(np.trace(apply_map(fwd_a, wk)) - 1.0) < 1e-10
+            assert abs(np.trace(apply_map(fwd_b, wk.T)) - 1.0) < 1e-10
 
     def test_phase_point_rotation_recovers_phase_points(self):
         # For the canonical maximally entangled frame the alignment rows
@@ -342,12 +347,32 @@ class TestTransportedDecomposition:
             transported_decomposition(maps, OperatorBasis(2, hermitian_basis(2).ops[:3]))
 
 
+class TestTransportedMemo:
+    def test_each_w_gets_its_own_terms(self):
+        """The maps keep the terms of the last W, keyed by W: a second W on the same
+        maps gets its own terms, equal bit for bit to those of fresh maps, and
+        minimal_quantum_spaces is generated by exactly those terms."""
+        os = operator_schmidt(near_max_entangled(5, 3))
+        cond_a = check_condition_a(os)
+        maps = build_maps(os)
+        ws = [build_w_basis(maps, construct_alignment(cond_a, seed=seed)) for seed in (None, 3)]
+        refs = [transported_decomposition(build_maps(os), w) for w in ws]
+        assert np.array(refs[0].A).tobytes() != np.array(refs[1].A).tobytes()
+        for w, ref in [*zip(ws, refs), (ws[0], refs[0])]:
+            va, vb = minimal_quantum_spaces(maps, w)
+            dec = transported_decomposition(maps, w)
+            assert va.generators is dec.A and vb.generators is dec.B  # reused, not rebuilt
+            for got, want in ((dec.A, ref.A), (dec.B, ref.B)):
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestNormExclusivity:
     def test_strict_convex_combinations_fall_below_ceiling(self):
         os = operator_schmidt(bell_state())
         maps = build_maps(os)
         w = build_w_basis(maps, construct_alignment(check_condition_a(os)))
-        images = [apply_map(maps.fwd_a, wk) for wk in w.ops]
+        fwd_a, _ = forward_maps(maps)
+        images = [apply_map(fwd_a, wk) for wk in w.ops]
         rng = np.random.default_rng(9)
         ceiling = np.sqrt(2)
         worst = 0.0
