@@ -61,7 +61,7 @@ class SchmidtMaps:
     inv_a: np.ndarray = field(init=False, repr=False)
     inv_b: np.ndarray = field(init=False, repr=False)
     # (w, transported_decomposition(self, w)) of the last W; holding w keeps its id unique
-    _transported: tuple = field(init=False, default=(None, None), repr=False)
+    _transported: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         os, d = self.os, self.os.dA
@@ -212,9 +212,9 @@ def transported_decomposition(maps: SchmidtMaps, w: OperatorBasis) -> SeparableD
     to come from a trace alignment (or the maps to be trace preserving).  The
     maps keep the decomposition of the last W, by identity, to return again.
     """
-    last, dec = maps._transported
-    if last is w:
-        return dec
+    last = maps._transported
+    if last and last[0] is w:
+        return last[1]
     d = maps.d
     if w.dim != d or not w.complete:
         raise ValueError("W must be a complete basis with normalisation d")
