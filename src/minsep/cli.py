@@ -59,7 +59,7 @@ def parse_state(spec: str) -> BipartiteState:
     if spec == "bell":
         return bell_state()
     if spec.startswith("max-entangled:"):
-        return max_entangled(_int_field(spec.split(":")[1], "state.d"))
+        return max_entangled(serialize.local_dim(_int_field(spec.split(":")[1], "state.d"), "state.d"))
     if spec.startswith("random:") or spec.startswith("random-pure:"):
         parts = spec.split(":")
         if len(parts) != 4:
@@ -67,6 +67,8 @@ def parse_state(spec: str) -> BipartiteState:
         seed, dA, dB = (_int_field(x, "state") for x in parts[1:])
         if seed < 0:
             raise FormatError("state", f"seed must be non-negative, got {seed}")
+        serialize.local_dim(dA, "state.dA")
+        serialize.local_dim(dB, "state.dB")
         maker = random_pure_state if parts[0] == "random-pure" else random_density
         return maker(seed, dA, dB)
     return serialize.decode_state(_load_wrapped(spec, "dA", "state"), "state")

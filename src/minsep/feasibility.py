@@ -31,6 +31,7 @@ true hull is infinite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,14 +254,18 @@ def deletion_minimality(
     Q ranges over a superset of the nonnegative (and simplex) weights, so
     this bound is at most every residual the fit can reach.  QR keeps every
     column, with no rank cutoff: extra numerical directions can only lower
-    the bound.  Each side takes one stacked QR of its n deleted generator
-    matrices and one stacked product for all n projections; each bound is
-    then one norm, the same floats a QR per deletion gives.  A deletion
-    whose bound is at or above ``threshold`` and above ``FEAS_TOL`` is
-    infeasible without a solver call; any other deletion runs
-    :func:`separable_feasible` on the smaller space.  The ``FEAS_TOL``
-    condition keeps a bound at rounding level, which a tiny threshold would
-    accept, from passing a deletion that is feasible.
+    the bound.  Each side takes one stacked QR of its n generator matrices,
+    row k with generator k moved last.  Householder QR is nested, so the
+    first n - 1 columns of row k's Q are the QR basis of the side without
+    generator k, and the last row, in the side's own order, is the basis of
+    the whole side that the other side's projections need.  One stacked
+    product gives all n projections, and each bound takes the two dot
+    products ``np.linalg.norm`` takes: the same floats a QR and a norm per
+    deletion give.  A deletion whose bound is at or above ``threshold`` and
+    above ``FEAS_TOL`` is infeasible without a solver call; any other
+    deletion runs :func:`separable_feasible` on the smaller space.  The
+    ``FEAS_TOL`` condition keeps a bound at rounding level, which a tiny
+    threshold would accept, from passing a deletion that is feasible.
     Deleting a side's only generator leaves the bound ||rho||.
 
     The claim "these spaces cannot be made smaller" passes when every
@@ -268,15 +273,24 @@ def deletion_minimality(
     ``threshold``.
     """
     _check_spaces(rho, va, vb)
+    bases = []
+    for space in (va, vb):
+        g, n = space.generators.vecs.T, len(space)
+        j, k = np.arange(n - 1), np.arange(n)[:, None]
+        # Row k of the stack is G with column k moved last: the first n - 1 columns
+        # of its Q span G without generator k, and the last row is G itself.
+        q = np.linalg.qr(g[:, np.concatenate([j + (j >= k), k], axis=1)].transpose(1, 0, 2))[0]
+        bases.append((q[:, :, : n - 1], q[-1] if n else g))
+    (qa, span_a), (qb, span_b) = bases
     records = []
-    for side, space, other, target in (("A", va, vb, rho.realigned), ("B", vb, va, rho.realigned.T)):
-        n, j = len(space), np.arange(len(space) - 1)
-        q_other = np.linalg.qr(other.generators.vecs.T)[0]
-        # Row k of the stack is G without column k: its columns j + (j >= k).
-        q = np.linalg.qr(space.generators.vecs.T[:, j + (j >= np.arange(n)[:, None])].transpose(1, 0, 2))[0]
+    for side, space, other, q, q_other, target in (
+        ("A", va, vb, qa, span_b, rho.realigned),
+        ("B", vb, va, qb, span_a, rho.realigned.T),
+    ):
         fits = q @ (q.conj().swapaxes(1, 2) @ (target @ q_other.conj())) @ q_other.T
-        for k, fit in enumerate(fits):
-            bound = float(np.linalg.norm(target - fit))
+        residuals = (target - fits).reshape(len(space), target.size)
+        for k, (re, im) in enumerate(zip(residuals.real, residuals.imag)):
+            bound = math.sqrt(re.dot(re) + im.dot(im))  # the two dots np.linalg.norm takes
             if bound >= threshold and bound > FEAS_TOL:
                 records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
                 continue

@@ -4,12 +4,21 @@ Complex numbers are encoded as two-element arrays [re, im].  A matrix is
 ``{"rows": n, "cols": m, "entries": [[re, im], ...]}`` with entries in
 row-major order; a bipartite state additionally carries "dA" and "dB".
 Decoding errors name the offending field.
+
+Two bounds keep every input inside what the dense fits can hold.  A local
+dimension is at most ``MAX_DIM``, the scope the package is built and tested
+for: a deletion test at d = 8 already stacks 64 QR factorisations of
+64 x 64 matrices per side.  No number a file holds exceeds
+``MAX_MAGNITUDE`` in size: the deepest product the fits take, the squared
+residual of sum_k p_k A_k tensor B_k, is of sixth degree in them, so it
+stays far below the largest double (about 1.8e308).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -17,6 +26,9 @@ from .crossnorm import DiagonalScaling
 from .decompositions import DecompositionMeta, SeparableDecomposition
 from .schmidt import OperatorSchmidt
 from .states import BipartiteState, Povm
+
+MAX_DIM = 8
+MAX_MAGNITUDE = 1e30
 
 
 class FormatError(ValueError):
@@ -48,6 +60,18 @@ def is_number(x, kind=(int, float)) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def local_dim(d: int, field: str) -> int:
+    """The local dimension ``d``; above ``MAX_DIM``, a FormatError naming ``field``."""
+    if d > MAX_DIM:
+        raise FormatError(field, f"local dimension must be at most {MAX_DIM}, got {d}")
+    return d
+
+
+def _oversized(x) -> bool:
+    """A finite number above ``MAX_MAGNITUDE`` in size, an integer no double holds included."""
+    return MAX_MAGNITUDE < abs(x) < math.inf
+
+
 def encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
@@ -76,6 +100,8 @@ def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
             or not all(is_number(x) for x in pair)
         ):
             raise FormatError(f"{field}.entries[{i}]", "expected [re, im]")
+        if _oversized(pair[0]) or _oversized(pair[1]):
+            raise FormatError(f"{field}.entries[{i}]", f"expected magnitudes at most {MAX_MAGNITUDE:g}, got {pair}")
         out[i] = complex(pair[0], pair[1])
     if not np.isfinite(out).all():  # json.load reads NaN, Infinity and -Infinity
         i = np.argmin(np.isfinite(out))
@@ -95,6 +121,8 @@ def decode_state(obj, field: str = "state") -> BipartiteState:
     dB = _require(obj, "dB", field)
     if not is_number(dA, int) or not is_number(dB, int):
         raise FormatError(f"{field}.dA", "dA and dB must be integers")
+    local_dim(dA, f"{field}.dA")
+    local_dim(dB, f"{field}.dB")
     return _built(field, BipartiteState, dA, dB, decode_matrix(obj, field))
 
 
@@ -117,6 +145,7 @@ def decode_povm(obj, field: str = "povm") -> Povm:
     effects = _require(obj, "effects", field)
     if not is_number(dim, int):
         raise FormatError(f"{field}.dim", "must be an integer")
+    local_dim(dim, f"{field}.dim")
     if not isinstance(effects, list) or not effects:
         raise FormatError(f"{field}.effects", "expected a nonempty list of matrices")
     mats = [decode_matrix(e, f"{field}.effects[{i}]") for i, e in enumerate(effects)]
@@ -141,6 +170,9 @@ def encode_meta(meta: DecompositionMeta | None) -> dict | None:
 def _numbers(obj, field: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(is_number(x) for x in obj):
         raise FormatError(field, "expected a nonempty list of numbers")
+    big = [x for x in obj if _oversized(x)]
+    if big:
+        raise FormatError(field, f"expected magnitudes at most {MAX_MAGNITUDE:g}, got {big[0]}")
     out = np.asarray(obj, dtype=float)
     if not np.isfinite(out).all():  # json.load reads NaN, Infinity and -Infinity
         raise FormatError(field, f"expected finite numbers, got {obj[np.argmin(np.isfinite(out))]}")
@@ -186,6 +218,8 @@ def decode_decomposition(obj, field: str = "decomposition") -> SeparableDecompos
         raise FormatError(f"{field}.A", "A, B and p must have equal length")
     mats_a = [decode_matrix(a, f"{field}.A[{k}]") for k, a in enumerate(terms_a)]
     mats_b = [decode_matrix(b, f"{field}.B[{k}]") for k, b in enumerate(terms_b)]
+    local_dim(len(mats_a[0]), f"{field}.A[0].rows")  # the family check holds the others to it
+    local_dim(len(mats_b[0]), f"{field}.B[0].rows")
     meta = decode_meta(obj.get("meta"), f"{field}.meta")
     return _built(field, SeparableDecomposition, p, tuple(mats_a), tuple(mats_b), meta=meta)
 

@@ -585,6 +585,75 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: unitary.entries[7]: expected finite numbers, got [{value}, 0.0]\n"
 
+    def test_huge_entry_is_one_error_line_before_any_fit(self, capsys, tmp_path):
+        """A finite 1e308 used to overflow the fits: numpy warnings, then a
+        solver traceback.  A fresh interpreter with warnings as errors, so any
+        warning would reach stderr."""
+        dec = self.theorem2_report(capsys, tmp_path)
+        dec["result"]["A"][0]["entries"][0] = [1e308, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dec))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for mode in ("convex", "conic"):
+            argv = ["verify-minimal", "--state", "bell", "--decomposition", str(path), "--mode", mode]
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "minsep.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr == "error: decomposition.A[0].entries[0]: expected magnitudes at most 1e+30, got [1e+308, 0]\n"
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("A[1]", 1e308, "[1.0, 1e+308]"), ("B[0]", -1e31, "[1.0, -1e+31]"), ("A[0]", 10**400, f"[1.0, {10**400}]"),
+        ("p", 1e308, "1e+308"), ("meta.s", -10**400, str(-10**400)),
+    ])
+    def test_oversized_number_names_its_field(self, capsys, tmp_path, field, value, shown):
+        report = self.theorem2_report(capsys, tmp_path)
+        result = report["result"]
+        if field in ("p", "meta.s"):
+            (result["p"] if field == "p" else result["meta"]["s"])[1] = value
+            message = f"decomposition.{field}: expected magnitudes at most 1e+30, got {shown}"
+        else:
+            result[field[0]][int(field[2])]["entries"][2] = [1.0, value]
+            message = f"decomposition.{field}.entries[2]: expected magnitudes at most 1e+30, got {shown}"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(report))
+        self.assert_decomposition_commands_exit_1(capsys, path, message)
+
+    @pytest.mark.parametrize("spec, field, d", [
+        ("max-entangled:3000", "state.d", 3000),
+        ("max-entangled:9", "state.d", 9),
+        ("random:1:2:3000", "state.dB", 3000),
+        ("random-pure:4:9:2", "state.dA", 9),
+    ])
+    def test_fixture_above_the_dimension_bound_is_one_error_line(self, capsys, spec, field, d):
+        """Checked before anything is allocated: max-entangled:3000 used to ask for 1.15 PiB."""
+        code = main(["schmidt", "--state", spec])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {field}: local dimension must be at most {serialize.MAX_DIM}, got {d}\n"
+
+    def test_decoders_enforce_the_dimension_bound(self, capsys, tmp_path):
+        d = serialize.MAX_DIM + 1
+        eye = serialize.encode_matrix(np.eye(d))
+        files = {
+            "state": {"dA": 1, "dB": d, "rows": d, "cols": d, "entries": eye["entries"]},
+            "povm": {"dim": d, "effects": [eye]},
+            "terms": {"p": [1.0], "A": [serialize.encode_matrix(np.eye(2))], "B": [eye], "meta": None},
+        }
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        dec = phase_point_file(tmp_path)
+        cases = [
+            (["schmidt", "--state", str(tmp_path / "state.json")], "state.dB"),
+            (["lhv", "--decomposition", dec, "--povm-a", str(tmp_path / "povm.json")], "povm.dim"),
+            (["lhv", "--decomposition", str(tmp_path / "terms.json"), "--povm-a", "z"], "decomposition.B[0].rows"),
+        ]
+        for argv, field in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: {field}: local dimension must be at most {serialize.MAX_DIM}, got {d}\n"
+
 
 class TestDeterminism:
     def test_outputs_byte_identical(self, capsys, tmp_path):

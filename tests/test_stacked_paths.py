@@ -282,6 +282,21 @@ class TestCheckOnce:
             # Only the Born verification at the decomposition's own c* builds a pair.
             assert len(built) == per_scan
 
+    @pytest.mark.parametrize("sizes", [(9, 9), (4, 1), (3, 0)], ids=["transported", "one-generator", "empty"])
+    def test_a_verdict_factors_each_side_once(self, monkeypatch, sizes):
+        """One stacked QR per side gives every deletion basis and the other
+        side's span; each bound is taken without np.linalg.norm."""
+        d = 3
+        st, dec = near_max_entangled(0, d), transported_parts(0, d)[2]
+        va = StateSpace(d, dec.A[: sizes[0]], "conic")
+        vb = StateSpace(d, dec.B[: sizes[1]], "conic")
+        qr = count_calls(monkeypatch, [np.linalg], "qr")
+        norm = count_calls(monkeypatch, [np.linalg], "norm")
+        report = feasibility.deletion_minimality(st, va, vb)
+        assert {r.decided_by for r in report.records} == {"ls_bound"}
+        assert len(report.records) == sum(sizes)
+        assert len(qr) == 2 and norm == []
+
     @pytest.mark.parametrize("builder", ["cross-norm", "equal-norm", "hermitian"])
     def test_builders_check_once(self, monkeypatch, builder):
         os = operator_schmidt(random_density(5, 2, 3))
