@@ -210,6 +210,9 @@ def cmd_decompose(args) -> tuple[dict, list]:
     state = parse_state(args.state)
     if args.theorem == 3:
         return _decompose_transported(args, state)
+    low, high = 1 / serialize.MAX_MAGNITUDE, serialize.MAX_MAGNITUDE
+    if 0 < args.c < np.inf and not low <= args.c <= high:  # NaN, inf and c <= 0 keep the builders' messages
+        raise CliInputError(f"--c must lie in [{low:g}, {high:g}], got {args.c!r}")
     os = operator_schmidt(state)
     scaling = _parse_scaling(args.R, os)
     u = _parse_unitary(args.unitary, os.D, args.seed, args.orthogonal)

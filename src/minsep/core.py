@@ -46,10 +46,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
-
-
 def frozen(m, dtype=complex) -> np.ndarray:
     """A read-only C-ordered copy of ``m``, complex128 unless ``dtype`` says otherwise."""
     out = np.array(m, dtype=dtype, order="C")

@@ -68,27 +68,17 @@ class LhvModel:
         for name, table in (("response_a", ra), ("response_b", rb)):
             if table.ndim != 2 or len(table) != len(p):
                 raise ValueError(f"{name} must have one row per term")
-        _check_models(p[None], ra[None], rb[None], np.array([[k not in dropped for k in range(len(p))]], bool))
+        if (p < 0).any():
+            raise ValueError("hidden weights must be nonnegative")
+        if abs(p.sum() - 1.0) > 1e-6:
+            raise ValueError(f"hidden weights sum to {p.sum():.9g}, expected 1")
+        live = np.array([k not in dropped for k in range(len(p))], bool)
+        for name, table in (("response_a", ra), ("response_b", rb)):
+            bad = live & ((table < 0).any(axis=1) | (np.abs(table.sum(axis=1) - 1.0) > 1e-9))
+            if bad.any():
+                raise ValueError(f"{name} row {np.argmax(bad)} is not a probability distribution")
         for name, value in zip(("hidden_weights", "response_a", "response_b", "dropped"), (p, ra, rb, dropped)):
             object.__setattr__(self, name, value)
-
-
-def _check_models(p, ra, rb, live) -> None:
-    """LhvModel's checks over a leading pair axis, in its order: hidden weights
-    that are negative or do not sum to 1, then live rows of ``response_a`` and
-    of ``response_b`` that are not distributions.  Raises its ValueError for
-    the first pair that fails one."""
-    rows = [live & ((t < 0).any(axis=-1) | (np.abs(t.sum(axis=-1) - 1.0) > 1e-9)) for t in (ra, rb)]
-    faults = np.array([(p < 0).any(axis=-1), np.abs(p.sum(axis=-1) - 1.0) > 1e-6, *(r.any(axis=-1) for r in rows)])
-    if faults.any():
-        i = int(np.argmax(faults.any(axis=0)))
-        check = int(np.argmax(faults[:, i]))
-        if check == 0:
-            raise ValueError("hidden weights must be nonnegative")
-        if check == 1:
-            raise ValueError(f"hidden weights sum to {np.sum(p[i]):.9g}, expected 1")
-        name, bad = ("response_a", "response_b")[check - 2], rows[check - 2][i]
-        raise ValueError(f"{name} row {np.argmax(bad)} is not a probability distribution")
 
 
 def _check_dimension(povm_dim: int, op_dim: int) -> None:
@@ -99,9 +89,7 @@ def _check_dimension(povm_dim: int, op_dim: int) -> None:
 def _columns(povms) -> np.ndarray:
     """The effects M of POVMs with equal effect counts as the columns
     vec(M^T), [povm, d^2, effect]: as tr(O M) = vec(O) . vec(M^T), a stack's
-    response table is one product.  One POVM's is a view of its effects' rows."""
-    if len(povms) == 1:
-        return povms[0].effects.tvecs.T[None]
+    response table is one product."""
     return np.array([m.effects.tvecs for m in povms]).swapaxes(1, 2)
 
 
@@ -165,24 +153,16 @@ def _rules(p: np.ndarray, tables: tuple) -> _Terms:
     """Apply the classical-model rules to all terms of all pairs at once, as
     masks: a response is complex, or a traceless side responds, past ATOL (a
     silent traceless side drops its term); a kept side fails with a response
-    below -ATOL or a trace at most ATOL.  The tests run on both sides stacked,
-    the one with fewer effects padded with zero responses, which change no
-    maximum or minimum that a rule compares with ATOL or names; the traces are
-    summed over each side's own effects."""
-    ta, tb = tables
-    if ta.shape == tb.shape:
-        both = np.array(tables)
-        tr = both.real.sum(axis=-1)
-    else:
-        both = np.zeros((2, *ta.shape[:-1], max(ta.shape[-1], tb.shape[-1])), complex)
-        both[0, ..., : ta.shape[-1]], both[1, ..., : tb.shape[-1]] = ta, tb
-        tr = np.array([ta.real.sum(axis=-1), tb.real.sum(axis=-1)])
-    real = both.real
-    top = np.abs(both.view(float).reshape(*both.shape, 2)).max(axis=-2)  # largest |real|, |imag|
+    below -ATOL or a trace at most ATOL.  Each side's responses reduce over its
+    own effects to four statistics per term, stacked [side, pair, term]: the
+    trace, the largest |Re| and |Im|, and the smallest Re."""
+    stats = [(t.real.sum(axis=-1), np.abs(t.real).max(axis=-1), np.abs(t.imag).max(axis=-1), t.real.min(axis=-1))
+             for t in tables]
+    tr, top_re, top_im, low = np.array(stats).swapaxes(0, 1)
     traceless = np.abs(tr) <= ATOL
     kept = ~traceless.any(axis=0)
-    cplx, resp = top[..., 1] > ATOL, traceless & (top[..., 0] > ATOL)
-    neg, trace = kept & (real.min(axis=-1) < -ATOL), kept & (tr <= ATOL)
+    cplx, resp = top_im > ATOL, traceless & (top_re > ATOL)
+    neg, trace = kept & (low < -ATOL), kept & (tr <= ATOL)
     bad = np.concatenate((cplx, resp, neg[:1], trace[:1], neg[1:], trace[1:]))  # in _RULES order
     weights = np.where(kept, p * tr[0] * tr[1], 0.0)
     flat = bad.transpose(1, 2, 0).reshape(bad.shape[1], -1)  # [pair, term * rule], in reporting order
@@ -191,8 +171,7 @@ def _rules(p: np.ndarray, tables: tuple) -> _Terms:
 
 
 def _effect(kind: str, responses: np.ndarray):
-    """The effect a failing rule of ``kind`` names among one term's unpadded responses; a rule
-    fails only past ATOL, so the extreme it names is never a zero of :func:`_rules`' padding."""
+    """The effect a failing rule of ``kind`` names among one term's responses."""
     if kind in ("complex", "traceless"):
         return np.abs(responses.imag if kind == "complex" else responses.real).argmax(axis=-1)
     return responses.real.argmin(axis=-1)
@@ -204,7 +183,9 @@ def _attempts(dec: SeparableDecomposition, dims: tuple, vt_a: np.ndarray, vt_b: 
     response tables [pair, term, outcome], and per pair its Born deviation and
     its LhvConstructionError (None for a model).  The products are stacked
     ``np.matmul`` in ``build_lhv``'s order of operations, so every pair's
-    numbers are those of its own pass; Python only names failures."""
+    numbers are those of its own pass; Python only names failures.  A passed
+    pair needs no :class:`LhvModel` check: its weights p tr_A tr_B are positive
+    and ``normalised``, its kept rows nonnegative and renormalised."""
     for povm_dim, ops in zip(dims, (dec.A, dec.B)):
         _check_dimension(povm_dim, len(ops[0]))
     terms = _rules(dec.p, (dec.A.vecs @ vt_a, dec.B.vecs @ vt_b))
@@ -383,8 +364,6 @@ def povm_scan(
     rows, threshold, threshold_deviation = [None] * len(labels), None, None
     for index, *stack in groups:
         terms, ra, rb, deviation, errors = _attempts(dec, *stack)
-        if any(built := [error is None for error in errors]):  # the checks LhvModel makes in build_lhv
-            _check_models(terms.weights[built], ra[built], rb[built], terms.kept[built])
         for i, dev, error in zip(index, deviation, errors):
             ok = error is None
             rows[i] = ScanRecord(labels[i], ok, dev if ok else None, "" if ok else str(error))

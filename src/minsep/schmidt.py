@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .bases import hermitian_basis
-from .core import Family, dagger, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
+from .core import Family, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
 from .states import BipartiteState
 from .tolerances import RANK_CUTOFF, RECON_TOL
 
@@ -116,7 +116,7 @@ def _frame(d: int) -> tuple:
     """The orthonormal Hermitian frame P, the vec(C_j) of ``hermitian_basis(d)`` over sqrt(d) as
     columns, with P^dag and conj(P), built once per d: no caller writes to them."""
     frame = hermitian_basis(d).ops.vecs.T / np.sqrt(d)
-    return frame, dagger(frame), np.conj(frame)
+    return frame, frame.conj().T, np.conj(frame)
 
 
 def _schmidt_hermitian(m, dA, dB, cutoff):

@@ -6,7 +6,7 @@ row-major order; a bipartite state additionally carries "dA" and "dB".
 Decoding errors name the offending field.
 
 Two bounds keep every input inside what the dense fits can hold.  A local
-dimension is at most ``MAX_DIM``, the scope the package is built and tested
+dimension runs from 1 to ``MAX_DIM``, the scope the package is built and tested
 for: a deletion test at d = 8 already stacks 64 QR factorisations of
 64 x 64 matrices per side.  No number a file holds exceeds
 ``MAX_MAGNITUDE`` in size: the deepest product the fits take, the squared
@@ -61,7 +61,9 @@ def is_number(x, kind=(int, float)) -> bool:
 
 
 def local_dim(d: int, field: str) -> int:
-    """The local dimension ``d``; above ``MAX_DIM``, a FormatError naming ``field``."""
+    """The local dimension ``d``; below 1 or above ``MAX_DIM``, a FormatError naming ``field``."""
+    if d < 1:
+        raise FormatError(field, f"local dimension must be at least 1, got {d}")
     if d > MAX_DIM:
         raise FormatError(field, f"local dimension must be at most {MAX_DIM}, got {d}")
     return d

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .core import as_matrix, dagger, family, frozen, hermitian_mask, realign
+from .core import as_matrix, family, frozen, hermitian_mask, realign
 from .tolerances import ATOL, PSD_TOL
 
 
@@ -118,7 +118,7 @@ def random_density(seed: int, dA: int, dB: int) -> BipartiteState:
     rng = np.random.default_rng(seed)
     n = dA * dB
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = g @ dagger(g)
+    rho = g @ g.conj().T
     return BipartiteState(dA, dB, rho / np.trace(rho))
 
 

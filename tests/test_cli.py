@@ -654,6 +654,56 @@ class TestErrors:
             assert code == 1 and captured.out == ""
             assert captured.err == f"error: {field}: local dimension must be at most {serialize.MAX_DIM}, got {d}\n"
 
+    @pytest.mark.parametrize("spec, field, d", [
+        ("random:1:0:2", "state.dA", 0),
+        ("random:1:-1:2", "state.dA", -1),
+        ("random-pure:1:2:0", "state.dB", 0),
+        ("max-entangled:0", "state.d", 0),
+    ])
+    def test_fixture_below_one_dimension_is_one_error_line(self, capsys, spec, field, d):
+        code = main(["schmidt", "--state", spec])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {field}: local dimension must be at least 1, got {d}\n"
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_decoders_name_a_dimension_below_one(self, capsys, tmp_path, d):
+        """A POVM of dimension 0 used to end in numpy's zero-size reduction message."""
+        one = serialize.encode_matrix(np.eye(1))
+        files = {
+            "state": {"dA": d, "dB": 1, "rows": 1, "cols": 1, "entries": one["entries"]},
+            "povm": {"dim": d, "effects": [one]},
+        }
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        cases = [
+            (["schmidt", "--state", str(tmp_path / "state.json")], "state.dA"),
+            (["lhv", "--decomposition", phase_point_file(tmp_path), "--povm-a", str(tmp_path / "povm.json")], "povm.dim"),
+        ]
+        for argv, field in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: {field}: local dimension must be at least 1, got {d}\n"
+
+    def test_c_outside_the_magnitude_bound_is_one_error_line(self):
+        """A huge --c used to overflow the term coefficients: numpy warnings,
+        then a traceback under -W error.  A fresh interpreter with warnings as
+        errors, so any warning would reach stderr; the bound's own ends run."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for theorem, c, shown in (("2", "1e308", "1e+308"), ("1", "1e308", "1e+308"), ("2", "1e-320", "1e-320"),
+                                  ("1", "1e31", "1e+31"), ("2", "1e-31", "1e-31"), ("2", "1e30", None),
+                                  ("1", "1e-30", None)):
+            argv = ["decompose", "--theorem", theorem, "--state", "bell", "--c", c]
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "minsep.cli", *argv], capture_output=True, text=True, env=env
+            )
+            if shown is None:
+                assert proc.returncode == 0 and proc.stderr == "", (c, proc.stderr)
+                continue
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr == f"error: --c must lie in [1e-30, 1e+30], got {shown}\n"
+
 
 class TestDeterminism:
     def test_outputs_byte_identical(self, capsys, tmp_path):
