@@ -22,13 +22,13 @@ from .decompositions import (cross_norm_decomposition, equal_norm_check, equal_n
                              hermitian_decomposition, random_orthogonal, random_unitary)
 from .feasibility import StateSpace, deletion_minimality, separable_feasible, weights_feasible
 from .lhv import BORN_TOL, MAX_MAGIC_BUDGET, LhvConstructionError, build_lhv, povm_scan
-from .schmidt import operator_schmidt, reconstruct
+from .schmidt import operator_schmidt
 from .serialize import FormatError, dumps
 from .states import (BipartiteState, bell_state, identity_povm, magic_povm, max_entangled, projective_povm,
                      random_density, random_pure_state)
 from .tolerances import ATOL, INFEAS_THRESHOLD, RANK_CUTOFF, RECON_TOL, tolerance_table
 from .transport import (build_maps, build_w_basis, check_condition_a, check_condition_b, construct_alignment,
-                        transported_cost, transported_decomposition)
+                        transported_cost, transported_decomposition, unit_trace_deviation)
 
 
 MAX_SAMPLES = 10_000  # crossnorm --samples: one report row per sample
@@ -59,7 +59,8 @@ def parse_state(spec: str) -> BipartiteState:
     if spec == "bell":
         return bell_state()
     if spec.startswith("max-entangled:"):
-        return max_entangled(serialize.local_dim(_int_field(spec.split(":")[1], "state.d"), "state.d"))
+        d = serialize.local_dim(_int_field(spec.split(":")[1], "state.d"), "state.d")
+        return serialize._built("state.d", max_entangled, d)
     if spec.startswith("random:") or spec.startswith("random-pure:"):
         parts = spec.split(":")
         if len(parts) != 4:
@@ -149,10 +150,9 @@ def _parse_unitary(spec: str, D: int, seed: int, orthogonal: bool) -> np.ndarray
 def cmd_schmidt(args) -> tuple[dict, list]:
     state = parse_state(args.state)
     os = operator_schmidt(state, rank_cutoff=args.rank_cutoff)
-    residual = float(np.linalg.norm(reconstruct(os) - state.rho))
     purity_dev = abs(float(np.sum(os.s**2)) - float(np.real(np.trace(state.rho @ state.rho))))
     claims = [
-        _claim("schmidt.reconstruction_residual", residual, RECON_TOL),
+        _claim("schmidt.reconstruction_residual", os.residual, RECON_TOL),
         _claim("schmidt.two_norm_preserved", purity_dev, ATOL),
     ]
     v = os.X.vecs
@@ -184,36 +184,27 @@ def cmd_crossnorm(args) -> tuple[dict, list]:
     return {"value": float(value), "per_r": per_r}, claims
 
 
-def _decompose_transported(args, state):
-    os = operator_schmidt(state)
-    cond_a = check_condition_a(os)
-    if not cond_a.passed:
-        raise FormatError("state", "condition A fails; no transported decomposition")
+def _decompose_transported(args, os):
+    cond_a = serialize._built("state", check_condition_a, os)
+    alignment = serialize._built("state", construct_alignment, cond_a, seed=args.t_seed)
     maps = build_maps(os)
-    alignment = construct_alignment(cond_a, seed=args.t_seed)
-    w = build_w_basis(maps, alignment)
-    dec = transported_decomposition(maps, w)
-    residual = float(np.linalg.norm(dec.reconstruct() - state.rho))
-    traces = np.trace(np.concatenate([dec.A, dec.B]), axis1=1, axis2=2)
+    dec = transported_decomposition(maps, build_w_basis(maps, alignment))
     cost_dev = abs(transported_cost(dec, maps) - maps.d)
     claims = [
-        _claim("decompose.reconstruction_residual", residual, RECON_TOL),
-        _claim("decompose.unit_traces", np.max(np.abs(traces - 1.0)), 1e-9),
+        _claim("decompose.reconstruction_residual", os.residual + dec.residual, RECON_TOL),
+        _claim("decompose.unit_traces", unit_trace_deviation(dec), ATOL),
         _claim("decompose.transported_cost", cost_dev, ATOL),
     ]
-    result = serialize.encode_decomposition(dec)
-    result["T"] = serialize.encode_matrix(alignment.T)
-    return result, claims
+    return {**serialize.encode_decomposition(dec), "T": serialize.encode_matrix(alignment.T)}, claims
 
 
 def cmd_decompose(args) -> tuple[dict, list]:
-    state = parse_state(args.state)
+    os = operator_schmidt(parse_state(args.state))
     if args.theorem == 3:
-        return _decompose_transported(args, state)
+        return _decompose_transported(args, os)
     low, high = 1 / serialize.MAX_MAGNITUDE, serialize.MAX_MAGNITUDE
     if 0 < args.c < np.inf and not low <= args.c <= high:  # NaN, inf and c <= 0 keep the builders' messages
         raise CliInputError(f"--c must lie in [{low:g}, {high:g}], got {args.c!r}")
-    os = operator_schmidt(state)
     scaling = _parse_scaling(args.R, os)
     u = _parse_unitary(args.unitary, os.D, args.seed, args.orthogonal)
     if args.theorem == 1:
@@ -225,10 +216,9 @@ def cmd_decompose(args) -> tuple[dict, list]:
             dec = hermitian_decomposition(os, scaling, u.real, args.c)
         else:
             dec = equal_norm_decomposition(os, scaling, u, args.c)
-    residual = float(np.linalg.norm(dec.reconstruct() - state.rho))
     cost_dev = abs(decomposition_cost(dec, scaling) - cross_norm_value(os))
     claims = [
-        _claim("decompose.reconstruction_residual", residual, RECON_TOL),
+        _claim("decompose.reconstruction_residual", os.residual + dec.residual, RECON_TOL),
         _claim("decompose.cost_attains_cross_norm", cost_dev, ATOL),
     ]
     if args.theorem == 2:

@@ -126,8 +126,8 @@ def product_sum(w, A, B) -> np.ndarray:
 
 
 def relative_residual(m, target) -> float:
-    """||m - target|| / ||target|| in the 2-norm, by dot products.  It only gates ``RECON_TOL``, as ``not
-    residual <= RECON_TOL`` so that a NaN fails, and is quoted in the gate's error: its last bit is moot."""
+    """||m - target|| / ||target|| in the 2-norm, by dot products.  It gates ``RECON_TOL``, as ``not
+    residual <= RECON_TOL`` so that a NaN fails; the records keep it and the CLI claims report it."""
     diff = m - target
     return math.sqrt(np.vdot(diff, diff).real) / max(math.sqrt(np.vdot(target, target).real), 1e-300)
 

@@ -81,6 +81,7 @@ class SeparableDecomposition:
     a_coeff: np.ndarray | None = field(default=None, repr=False)
     b_coeff: np.ndarray | None = field(default=None, repr=False)
     meta: DecompositionMeta | None = None
+    residual: float | None = field(init=False, default=None, repr=False)  # relative to the Schmidt form, gated
 
     def __post_init__(self):
         p = frozen(self.p, float)
@@ -161,13 +162,15 @@ def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:
 
 def _assemble(os, p, a_coeff, b_coeff, meta) -> SeparableDecomposition:
     """The decomposition with terms A^k = sum_i a^k_i X_i and B^k = sum_i conj(b^k_i) Y_i in the
-    frames of ``os``, its reconstruction checked once on the realigned products."""
+    frames of ``os``, its reconstruction checked once on the realigned products and kept as ``residual``."""
     ops_a = Family(combine(a_coeff, os.X))
     ops_b = Family(combine(np.conj(b_coeff), os.Y))
     residual = relative_residual(realigned_sum(p, ops_a, ops_b), os.realigned)
     if not residual <= RECON_TOL:
         raise ValueError(f"decomposition residual {residual:.3e} exceeds {RECON_TOL:.1e}")
-    return SeparableDecomposition(p, ops_a, ops_b, a_coeff, b_coeff, meta)
+    dec = SeparableDecomposition(p, ops_a, ops_b, a_coeff, b_coeff, meta)
+    object.__setattr__(dec, "residual", residual)
+    return dec
 
 
 def equal_norm_weights(os: OperatorSchmidt, u: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ class OperatorSchmidt:
     Y: tuple = field(repr=False)
     hermitian: tuple = field(init=False)
     realigned: np.ndarray = field(init=False, repr=False)  # sum_i s_i vec(X_i) vec(Y_i)^T
+    residual: float | None = field(init=False, default=None, repr=False)  # relative, gated by operator_schmidt
 
     def __post_init__(self):
         s = frozen(self.s, float)
@@ -154,6 +155,7 @@ def operator_schmidt(state: BipartiteState, rank_cutoff: float = RANK_CUTOFF) ->
     residual = relative_residual(out.realigned, state.realigned)
     if not residual <= RECON_TOL:
         raise ValueError(f"Schmidt reconstruction residual {residual:.3e} too large")
+    object.__setattr__(out, "residual", residual)
     return out
 
 

@@ -238,6 +238,11 @@ def transported_cost(dec: SeparableDecomposition, maps: SchmidtMaps) -> float:
     return float((dec.p * na * nb).sum())
 
 
+def unit_trace_deviation(dec: SeparableDecomposition) -> float:
+    """max_k |tr O_k - 1| over the local operators O_k of both sides of ``dec``."""
+    return float(np.abs(np.concatenate([dec.A, dec.B]).trace(axis1=1, axis2=2) - 1.0).max())
+
+
 def minimal_quantum_spaces(
     maps: SchmidtMaps, w: OperatorBasis, mode: str = "convex"
 ) -> tuple[StateSpace, StateSpace]:
@@ -247,7 +252,7 @@ def minimal_quantum_spaces(
 
     ``mode="convex"`` gives the unit-trace convex hulls, ``mode="conic"``
     the positive-trace conic hulls.  Both conditions of the construction
-    must hold; the unit traces of the terms are re-verified directly.
+    must hold; the unit traces of the terms are re-verified directly, within ``ATOL``.
     """
     cond_b = check_condition_b(maps)
     if not cond_b.passed:
@@ -256,7 +261,6 @@ def minimal_quantum_spaces(
             f"is not above 1/d^2 = {1.0 / maps.d**2:.6g}"
         )
     dec = transported_decomposition(maps, w)
-    traces = np.concatenate([dec.A, dec.B]).trace(axis1=1, axis2=2)
-    if np.abs(traces - 1.0).max() > 1e-6:
+    if unit_trace_deviation(dec) > ATOL:
         raise ValueError("image operators are not unit trace; condition A alignment missing")
     return tuple(StateSpace(maps.d, gens, mode, include_quantum=True) for gens in (dec.A, dec.B))

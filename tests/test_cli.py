@@ -1,5 +1,6 @@
 """Command line interface: reports, claims, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -14,13 +15,17 @@ import pytest
 
 from minsep import serialize
 from minsep.bases import PAULI_I, PAULI_Z, phase_point_operators
-from minsep.cli import main
-from minsep.decompositions import SeparableDecomposition
+from minsep.cli import main, parse_state
+from minsep.crossnorm import DiagonalScaling
+from minsep.decompositions import (SeparableDecomposition, cross_norm_decomposition, equal_norm_decomposition,
+                                   hermitian_decomposition, random_orthogonal, random_unitary)
 from minsep.feasibility import DeletionRecord, FeasibilityResult, StateSpace, separable_feasible
 from minsep.lhv import LhvModel, ScanRecord, povm_scan
+from minsep.schmidt import operator_schmidt, reconstruct
 from minsep.states import projective_povm, random_density
 from minsep.tolerances import tolerance_table
-from minsep.transport import ConditionBReport
+from minsep.transport import (ConditionBReport, build_maps, build_w_basis, check_condition_a, construct_alignment,
+                              transported_decomposition)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -135,6 +140,70 @@ class TestDecompose:
         )
         assert code == 0
         assert all(c["pass"] for c in report["claims"])
+
+
+def _transported(os, t_seed=None):
+    maps = build_maps(os)
+    return transported_decomposition(maps, build_w_basis(maps, construct_alignment(check_condition_a(os), t_seed)))
+
+
+class TestReconstructionClaims:
+    """A reconstruction claim reads the relative residuals the library gated: the Schmidt form's,
+    plus the decomposition's against it for ``decompose``.  Multiplied back out, the reported
+    decomposition misses rho by no more than that, up to rounding."""
+
+    ROUNDING = 4 * np.finfo(float).eps
+    STATES = ["bell", "max-entangled:3", "random:4:2:3", "random-pure:5:3:3", "random:6:4:4"]
+    # (theorem and options, the same decomposition built by the library); theorem 3 needs condition A
+    DECOMPOSE = {
+        "1-seed-sqrtS": (
+            ["--theorem", "1", "--unitary", "seed", "--R", "sqrtS", "--seed", "5"],
+            lambda os: cross_norm_decomposition(
+                os, DiagonalScaling.sqrt_s(os), random_unitary(os.D, 5), np.full(os.D, 1 / os.D), np.ones(os.D)
+            ),
+        ),
+        "2-identity": (
+            ["--theorem", "2", "--c", "2.5"],
+            lambda os: equal_norm_decomposition(os, DiagonalScaling.identity(os.D), np.eye(os.D), 2.5),
+        ),
+        "2-orthogonal": (
+            ["--theorem", "2", "--unitary", "seed", "--orthogonal", "--seed", "3"],
+            lambda os: hermitian_decomposition(os, DiagonalScaling.identity(os.D), random_orthogonal(os.D, 3), 1.0),
+        ),
+        "3-reflection": (["--theorem", "3"], _transported),
+        "3-t-seed": (["--theorem", "3", "--t-seed", "4"], lambda os: _transported(os, 4)),
+    }
+    CASES = [(spec, case) for spec, case in itertools.product(STATES, DECOMPOSE)
+             if not case.startswith("3") or spec in ("bell", "max-entangled:3", "random-pure:5:3:3")]
+
+    @staticmethod
+    def claim(report, claim_id):
+        (value,) = [c["value"] for c in report["claims"] if c["id"] == claim_id]
+        return value
+
+    @staticmethod
+    def relative_miss(m, state):
+        return np.linalg.norm(m - state.rho) / np.linalg.norm(state.rho)
+
+    @pytest.mark.parametrize("spec", STATES)
+    def test_schmidt(self, capsys, spec):
+        code, report = run(capsys, "schmidt", "--state", spec)
+        state = parse_state(spec)
+        os = operator_schmidt(state)
+        value = self.claim(report, "schmidt.reconstruction_residual")
+        assert code == 0 and value == os.residual
+        assert self.relative_miss(reconstruct(os), state) <= value + self.ROUNDING
+
+    @pytest.mark.parametrize("spec, case", CASES)
+    def test_decompose(self, capsys, spec, case):
+        argv, build = self.DECOMPOSE[case]
+        code, report = run(capsys, "decompose", "--state", spec, *argv)
+        state = parse_state(spec)
+        os = operator_schmidt(state)
+        value = self.claim(report, "decompose.reconstruction_residual")
+        assert code == 0 and value == os.residual + build(os).residual
+        dec = serialize.decode_decomposition(report["result"])
+        assert self.relative_miss(dec.reconstruct(), state) <= value + self.ROUNDING
 
 
 class TestVerifyMinimal:
@@ -444,6 +513,26 @@ class TestErrors:
         ],
     )
     def test_negative_seed_names_the_field(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["schmidt", "--state", "max-entangled:1"], "state.d: max_entangled requires d >= 2"),
+            (
+                ["decompose", "--theorem", "3", "--state", "random:2:2:3"],
+                "state: condition A needs equal dimensions and full Schmidt rank",
+            ),
+            (
+                ["decompose", "--theorem", "3", "--state", "random:1:2:2"],
+                "state: condition A failed; no trace alignment exists",
+            ),
+        ],
+    )
+    def test_state_the_construction_rejects_names_its_field(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""

@@ -9,6 +9,7 @@ from scipy.linalg import dft, hadamard
 from minsep.bases import hermitian_basis, phase_point_operators
 from minsep.core import kron
 from minsep.crossnorm import DiagonalScaling, decomposition_cost
+from minsep import serialize
 from minsep.decompositions import (
     SeparableDecomposition,
     cross_norm_decomposition,
@@ -17,6 +18,7 @@ from minsep.decompositions import (
     hermitian_decomposition,
     is_row_isometry,
     is_unitary,
+    normalized_form,
     random_orthogonal,
     random_unitary,
 )
@@ -418,3 +420,20 @@ class TestBuildersAcrossScope:
         herm = decs["hermitian"][0]
         for ops in (herm.A, herm.B):
             np.testing.assert_allclose(ops, np.conj(np.swapaxes(ops, 1, 2)), rtol=0, atol=1e-12)
+
+
+class TestGatedResidual:
+    """Constructions keep the relative residual they gated; other records hold None."""
+
+    def test_constructions_keep_it(self):
+        os = operator_schmidt(random_density(3, 2, 3))
+        dec = normalized_form(os)
+        assert 0 <= os.residual <= RECON_TOL and 0 <= dec.residual <= RECON_TOL
+
+    def test_none_when_built_directly_or_decoded(self):
+        os = operator_schmidt(bell_state())
+        dec = normalized_form(os)
+        assert OperatorSchmidt(os.dA, os.dB, os.s, os.X, os.Y).residual is None
+        assert SeparableDecomposition(dec.p, dec.A, dec.B).residual is None
+        wire = serialize.encode_decomposition(dec)
+        assert "residual" not in wire and serialize.decode_decomposition(wire).residual is None

@@ -13,6 +13,7 @@ from minsep.states import BipartiteState, bell_state, haar_projectors, max_entan
 from minsep.transport import (
     ConditionAReport,
     SchmidtMaps,
+    TraceAlignment,
     build_maps,
     build_w_basis,
     check_condition_a,
@@ -21,6 +22,7 @@ from minsep.transport import (
     minimal_quantum_spaces,
     transported_cost,
     transported_decomposition,
+    unit_trace_deviation,
 )
 
 
@@ -426,6 +428,25 @@ class TestMinimalQuantumSpaces:
         dec = transported_decomposition(maps, w)
         va, vb = minimal_quantum_spaces(maps, w, mode=mode)
         assert np.array_equal(va.generators, dec.A) and np.array_equal(vb.generators, dec.B)
+
+    @pytest.mark.parametrize("mode", ["convex", "conic"])
+    def test_rejects_the_unaligned_reference_basis(self, mode):
+        maps = build_maps(operator_schmidt(bell_state()))
+        with pytest.raises(ValueError, match="^image operators are not unit trace"):
+            minimal_quantum_spaces(maps, maps.basis, mode)
+
+    @pytest.mark.parametrize("mode", ["convex", "conic"])
+    def test_unit_traces_are_held_to_atol(self, mode):
+        """Turning the alignment by 1e-7 in one plane moves a trace by about 1e-7: above ATOL."""
+        os = operator_schmidt(bell_state())
+        maps = build_maps(os)
+        aligned = construct_alignment(check_condition_a(os))
+        turn = np.eye(4)
+        turn[:2, :2] = [[np.cos(1e-7), -np.sin(1e-7)], [np.sin(1e-7), np.cos(1e-7)]]
+        w = build_w_basis(maps, TraceAlignment(aligned.e, aligned.g, turn @ aligned.T))
+        assert 1e-8 < unit_trace_deviation(transported_decomposition(maps, w)) < 1e-6
+        with pytest.raises(ValueError, match="^image operators are not unit trace"):
+            minimal_quantum_spaces(maps, w, mode)
 
     def test_rejects_an_incomplete_or_foreign_basis(self):
         def aligned(os):
