@@ -53,8 +53,8 @@ print("\njoint map reproduces Bell:", np.allclose(joint, bell.rho, atol=1e-12))
 
 # Condition B: the spectral criterion min_k s_k > 1/d^2, exact, with no sampling.
 cond_b = check_condition_b(maps)
-print(f"condition B: min s = {cond_b.min_s}, inverse-map spectral norm = {cond_b.bound},"
-      f" ceiling = {cond_b.ceiling:.4f}, passed = {cond_b.passed}")
+print(f"condition B: min s = {cond_b.min_s}, margin over 1/d^2 = {cond_b.margin},"
+      f" inverse-map spectral norm = {cond_b.bound}, ceiling = {cond_b.ceiling:.4f}, passed = {cond_b.passed}")
 
 # The alignment maps e to the uniform vector; the rotated basis W has
 # unit-trace images on both sides.
@@ -87,5 +87,5 @@ psi = np.zeros(4, dtype=complex)
 psi[0], psi[3] = np.cos(theta), np.sin(theta)
 weak = BipartiteState(2, 2, np.outer(psi, psi.conj()))
 weak_report = check_condition_b(build_maps(operator_schmidt(weak)))
-print(f"\ntheta = {theta}: min s = {weak_report.min_s:.5f} vs 1/d^2 = 0.25 ->"
-      f" passed = {weak_report.passed}")
+print(f"\ntheta = {theta}: min s = {weak_report.min_s:.5f}, margin over 1/d^2 ="
+      f" {weak_report.margin:.5f} -> passed = {weak_report.passed}")

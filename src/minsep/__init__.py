@@ -12,7 +12,7 @@ measurements from the results.
 from .bases import OperatorBasis, hermitian_basis, phase_point_operators
 from .core import kron, realign, unrealign
 from .crossnorm import DiagonalScaling, cross_norm_value, decomposition_cost, lambda_norm
-from .decompositions import (DecompositionMeta, EqualNormReport, SeparableDecomposition,
+from .decompositions import (DecompositionMeta, EqualNormReport, SeparableDecomposition, attained_costs,
                              cross_norm_decomposition, equal_norm_check, equal_norm_decomposition,
                              equal_norm_weights, hermitian_decomposition, normalized_form, random_orthogonal,
                              random_unitary)

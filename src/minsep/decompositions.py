@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Family, combine, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
-from .crossnorm import DiagonalScaling, _scaled_norms
+from .crossnorm import DiagonalScaling, _scaled_norms, decomposition_cost
 from .schmidt import OperatorSchmidt
 from .tolerances import ATOL, MIN_WEIGHT, RECON_TOL
 
@@ -39,20 +39,24 @@ def is_unitary(u: np.ndarray) -> bool:
     return bool(np.abs(u @ uh - eye).max() <= ATOL and np.abs(uh @ u - eye).max() <= ATOL)
 
 
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian with phase fix."""
+def _haar_qr(n: int, seed: int, complex_: bool) -> np.ndarray:
+    """QR of a Gaussian n x n draw (real part first, then the imaginary part when complex),
+    with the phase fix d / |d| on the diagonal d of R that makes the factor Haar-random."""
     rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
+    z = rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z + 1j * rng.normal(size=(n, n)) if complex_ else z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Gaussian with phase fix."""
+    return _haar_qr(n, seed, True)
+
+
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
     """Haar-random real orthogonal matrix via sign-fixed QR."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diagonal(r))
+    return _haar_qr(n, seed, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +137,13 @@ def cross_norm_decomposition(
     if not is_row_isometry(u):
         raise ValueError("U is not a row isometry (U U^dag != I)")
     return _family_member(os, scaling, u, p, c, "cross-norm-family")
+
+
+def attained_costs(os: OperatorSchmidt, scalings) -> list[float]:
+    """The (R, R^-1) cost of the family member with U = I, p = 1/D and c = 1, built for each
+    scaling R in ``scalings``: every one attains ``cross_norm_value(os)``."""
+    eye, p, c = np.eye(os.D, dtype=complex), np.full(os.D, 1.0 / os.D), np.ones(os.D)
+    return [decomposition_cost(cross_norm_decomposition(os, r, eye, p, c), r) for r in scalings]
 
 
 def _family_member(os, scaling, u, p, c, kind: str) -> SeparableDecomposition:

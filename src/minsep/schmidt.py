@@ -120,8 +120,9 @@ def _frame(d: int) -> tuple:
     return frame, frame.conj().T, np.conj(frame)
 
 
-def _schmidt_hermitian(m, dA, dB, cutoff):
-    """Schmidt pairs of a state from its realignment ``m``, via a real coefficient SVD."""
+def _schmidt_hermitian(m, dA, dB):
+    """Schmidt pairs of a state from its realignment ``m``, via a real coefficient SVD; singular
+    values at or below ``RANK_CUTOFF`` are dropped."""
     # Discard Hermiticity dust within tolerance: the realignment of (rho + rho^dag) / 2,
     # as rho^dag realigns to the conjugate of m with both index pairs swapped.
     m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
@@ -130,26 +131,24 @@ def _schmidt_hermitian(m, dA, dB, cutoff):
     if np.abs(g.imag).max() > 1e-10:
         raise ValueError("coefficient matrix is not real; input not Hermitian")
     o1, s, o2t = np.linalg.svd(g.real)
-    keep = np.flatnonzero(s > cutoff)  # o1, o2t are square, so index, not mask
+    keep = np.flatnonzero(s > RANK_CUTOFF)  # o1, o2t are square, so index, not mask
     xs = (pa @ o1[:, keep]).T.reshape(-1, dA, dA)
     ys = (o2t[keep, :] @ pb.T).reshape(-1, dB, dB)
     return s[keep], xs, ys
 
 
-def operator_schmidt(state: BipartiteState, rank_cutoff: float = RANK_CUTOFF) -> OperatorSchmidt:
+def operator_schmidt(state: BipartiteState) -> OperatorSchmidt:
     """Operator-Schmidt decomposition of a bipartite state, with Hermitian frames.
 
-    Singular values at or below ``rank_cutoff`` are dropped.
+    Singular values at or below ``RANK_CUTOFF`` are dropped.
     """
     if not isinstance(state, BipartiteState):
         raise TypeError(f"operator_schmidt takes a BipartiteState, got {type(state).__name__}")
-    if not 0 <= rank_cutoff < np.inf:  # nan fails both comparisons
-        raise ValueError(f"rank_cutoff must be finite and nonnegative, got {rank_cutoff}")
 
     dA, dB = state.dA, state.dB
-    s, xs, ys = _schmidt_hermitian(state.realigned, dA, dB, rank_cutoff)
+    s, xs, ys = _schmidt_hermitian(state.realigned, dA, dB)
     if len(s) == 0:
-        raise ValueError("operator is zero at the requested rank cutoff")
+        raise ValueError("operator is zero at the rank cutoff")
     out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys))
 
     residual = relative_residual(out.realigned, state.realigned)

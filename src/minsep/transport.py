@@ -124,6 +124,7 @@ class ConditionBReport:
     """Norm-ceiling condition: min_k s_k must exceed 1/d^2."""
 
     min_s: float
+    margin: float         # min_s - 1/d^2, from which marginal and passed are read
     bound: float          # 1 / sqrt(d * min_s), the inverse maps' spectral norm
     ceiling: float        # sqrt(d), the norm the images attain
     marginal: bool
@@ -140,10 +141,9 @@ def check_condition_b(maps: SchmidtMaps) -> ConditionBReport:
     """
     d = maps.d
     min_s = float(maps.os.s.min())
-    threshold = 1.0 / d**2
-    marginal = abs(min_s - threshold) <= 1e-12
-    passed = min_s - threshold > 1e-12  # never marginal
-    return ConditionBReport(min_s, float(1.0 / np.sqrt(d * min_s)), float(np.sqrt(d)), marginal, passed)
+    margin = min_s - 1.0 / d**2
+    bound, ceiling = float(1.0 / np.sqrt(d * min_s)), float(np.sqrt(d))
+    return ConditionBReport(min_s, margin, bound, ceiling, abs(margin) <= 1e-12, margin > 1e-12)  # never both
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,10 +22,10 @@ from minsep.decompositions import (SeparableDecomposition, cross_norm_decomposit
 from minsep.feasibility import DeletionRecord, FeasibilityResult, StateSpace, separable_feasible
 from minsep.lhv import LhvModel, ScanRecord, povm_scan
 from minsep.schmidt import operator_schmidt, reconstruct
-from minsep.states import projective_povm, random_density
+from minsep.states import BipartiteState, projective_povm, random_density
 from minsep.tolerances import tolerance_table
-from minsep.transport import (ConditionBReport, build_maps, build_w_basis, check_condition_a, construct_alignment,
-                              transported_decomposition)
+from minsep.transport import (ConditionBReport, build_maps, build_w_basis, check_condition_a, check_condition_b,
+                              construct_alignment, transported_decomposition)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -277,19 +277,55 @@ class TestConditions:
     def test_condition_b_reports_the_spectral_verdict_only(self, capsys):
         code, report = run(capsys, "conditions", "--state", "max-entangled:3")
         assert code == 0
-        assert set(report["result"]["condition_b"]) == {"passed", "min_s", "bound", "ceiling", "marginal"}
+        assert set(report["result"]["condition_b"]) == {"passed", "min_s", "margin", "bound", "ceiling", "marginal"}
         assert "svd_rtol" not in report["tolerances"]
+
+    @staticmethod
+    def assert_untakeable(report, reason):
+        """Both conditions fail with the library's reason, and both claims are null at their passing tolerance."""
+        failed = {"passed": False, "reason": reason}
+        assert report["result"] == {"condition_a": failed, "condition_b": failed}
+        assert report["claims"] == [
+            {"id": "conditions.a", "value": None, "tolerance": 1e-9, "pass": False},
+            {"id": "conditions.b", "value": None, "tolerance": 0.0, "pass": False},
+        ]
 
     def test_rank_deficient_reports_failure(self, capsys, tmp_path):
         path = tmp_path / "product.json"
         rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
-        from minsep.states import BipartiteState
-
         state = BipartiteState(2, 2, rho)
         path.write_text(serialize.dumps(serialize.encode_state(state)))
         code, report = run(capsys, "conditions", "--state", str(path))
         assert code == 2
         assert not report["result"]["condition_a"]["passed"]
+        self.assert_untakeable(report, "operator-Schmidt rank 1 is deficient; need d^2 = 4")
+
+    def test_unequal_dimensions_name_their_cause(self, capsys):
+        code, report = run(capsys, "conditions", "--state", "random:1:2:3")
+        assert code == 2
+        self.assert_untakeable(report, "the construction needs equal local dimensions")
+
+    @pytest.mark.parametrize("spec, theta", [("bell", None), ("max-entangled:3", None), ("critical", np.pi / 6),
+                                             ("weak", 0.1)])
+    def test_condition_b_claim_reads_the_library_margin(self, capsys, tmp_path, spec, theta):
+        """The claim value is ``check_condition_b(maps).margin``, which is min_s - 1/d^2 bit for bit, on
+        passing states, the pure state cos t|00> + sin t|11> at min_s = sin^2 t = 1/4 and a failing one."""
+        if theta is not None:
+            psi = np.zeros(4, dtype=complex)
+            psi[0], psi[3] = np.cos(theta), np.sin(theta)
+            spec = str(tmp_path / f"{spec}.json")
+            state = BipartiteState(2, 2, np.outer(psi, psi.conj()))
+            Path(spec).write_text(serialize.dumps(serialize.encode_state(state)))
+        maps = build_maps(operator_schmidt(parse_state(spec)))
+        cond_b = check_condition_b(maps)
+        assert cond_b.margin == cond_b.min_s - 1.0 / maps.d**2
+        assert cond_b.passed == (cond_b.margin > 1e-12) and cond_b.marginal == (abs(cond_b.margin) <= 1e-12)
+        code, report = run(capsys, "conditions", "--state", spec)
+        assert report["claims"][1] == {"id": "conditions.b", "value": cond_b.margin, "tolerance": 0.0,
+                                       "pass": cond_b.passed}
+        assert report["result"]["condition_b"]["margin"] == cond_b.margin
+        assert (code == 0) == (theta is None)
+        assert cond_b.marginal == (theta == np.pi / 6)
 
 
 class TestLhv:
@@ -413,7 +449,7 @@ class TestReportFields:
 
     def test_conditions(self, capsys):
         _, report = run(capsys, "conditions", "--state", "bell")
-        wire = self.names(ConditionBReport, "min_s", "bound", "ceiling", "marginal", "passed")
+        wire = self.names(ConditionBReport, "min_s", "margin", "bound", "ceiling", "marginal", "passed")
         assert set(report["result"]["condition_b"]) == wire
 
     def test_tolerance_table(self, capsys):
@@ -554,12 +590,11 @@ class TestErrors:
         code = main(["schmidt", "--state", "random:1:2"])
         assert code == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_rank_cutoff_exits_1(self, capsys, value):
-        code = main(["schmidt", "--state", "bell", "--rank-cutoff", value])
+    def test_rank_cutoff_is_not_an_option(self, capsys):
+        code = main(["schmidt", "--state", "bell", "--rank-cutoff", "0.1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == f"error: rank_cutoff must be finite and nonnegative, got {value}\n"
+        assert captured.err == "error: unrecognized arguments: --rank-cutoff 0.1\n"
 
     @pytest.mark.parametrize("spec", ["magic:abc", "magic:", "magic:0.5:3", "magic:2"])
     def test_malformed_magic_strength_names_the_field(self, capsys, tmp_path, spec):

@@ -12,6 +12,7 @@ from minsep.crossnorm import DiagonalScaling, decomposition_cost
 from minsep import serialize
 from minsep.decompositions import (
     SeparableDecomposition,
+    attained_costs,
     cross_norm_decomposition,
     equal_norm_check,
     equal_norm_decomposition,
@@ -50,6 +51,18 @@ class TestRandomMatrices:
         u = random_unitary(5, 0)[:3]
         assert is_row_isometry(u)
         assert not is_unitary(u)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 16, 63, 64])
+    def test_shared_qr_keeps_each_draw(self, n):
+        """Bit for bit the separate draws the two names made before they shared one QR helper."""
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            d = np.diagonal(r)
+            assert random_unitary(n, seed).tobytes() == (q * (d / np.abs(d))).tobytes()
+            q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+            o = random_orthogonal(n, seed)
+            assert o.dtype == float and o.tobytes() == (q * np.sign(np.diagonal(r))).tobytes()
 
 
 class TestCrossNormFamily:
@@ -154,6 +167,25 @@ class TestCrossNormFamily:
             SeparableDecomposition(np.full(2, 0.5), (np.eye(2), np.eye(3)), (np.eye(2), np.eye(2)))
         with pytest.raises(ValueError, match=r"^B\[0\] has shape \(2, 3\), expected \(2, 2\)$"):
             SeparableDecomposition(np.ones(1), (np.eye(2),), (np.ones((2, 3)),))
+
+
+class TestAttainedCosts:
+    @pytest.mark.parametrize("seed, dA, dB", [(7, 2, 2), (1, 2, 3), (3, 3, 3), (5, 4, 4)])
+    def test_matches_members_built_by_hand(self, seed, dA, dB):
+        """Each cost is that of the member with U = I, p = 1/D, c = 1, built as the crossnorm command
+        built it before attained_costs existed, with the scalings drawn in the same order."""
+        os = operator_schmidt(random_density(seed, dA, dB))
+        rng = np.random.default_rng(9)
+        scalings = [DiagonalScaling(np.exp(rng.normal(0.0, 0.5, os.D))) for _ in range(6)]
+        expected = []
+        for scaling in scalings:
+            dec = cross_norm_decomposition(
+                os, scaling, np.eye(os.D, dtype=complex), np.full(os.D, 1.0 / os.D), np.ones(os.D)
+            )
+            expected.append(decomposition_cost(dec, scaling))
+        costs = attained_costs(os, scalings)
+        assert costs == expected
+        np.testing.assert_allclose(costs, os.lambda_total, rtol=0, atol=1e-9)
 
 
 class TestEqualNormFamily:

@@ -9,7 +9,7 @@ from minsep.core import realign
 from minsep.decompositions import normalized_form
 from minsep.schmidt import OperatorSchmidt, operator_schmidt, reconstruct
 from minsep.states import bell_state, max_entangled, product_state, random_density
-from minsep.tolerances import RANK_CUTOFF, RECON_TOL
+from minsep.tolerances import RECON_TOL
 
 from conftest import near_max_entangled
 from test_core import singular_values_charpoly, singular_values_gram
@@ -167,11 +167,6 @@ class TestNormalizedForm:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("cutoff", [-1.0, float("nan"), float("inf")])
-    def test_rejects_negative_cutoff(self, cutoff):
-        with pytest.raises(ValueError, match="must be finite and nonnegative"):
-            operator_schmidt(bell_state(), rank_cutoff=cutoff)
-
     @pytest.mark.parametrize("arg", [np.eye(4) / 4, [[1.0]], None], ids=["ndarray", "list", "none"])
     def test_takes_a_state_only(self, arg):
         with pytest.raises(TypeError) as info:
@@ -254,7 +249,7 @@ ORDER_CASES += UNEQUAL_CASES
 def test_lexsort_order_matches_tuple_key_sort(name, state):
     """The array sort gives bit-identical s, X and Y, signed zeros included,
     on degenerate (Bell, max_entangled) and generic spectra alike."""
-    s, xs, ys = schmidt._schmidt_hermitian(realign(state.rho, state.dA, state.dB), state.dA, state.dB, RANK_CUTOFF)
+    s, xs, ys = schmidt._schmidt_hermitian(realign(state.rho, state.dA, state.dB), state.dA, state.dB)
     s_ref, xs_ref, ys_ref = tuple_key_order(s, xs, ys)
     os = operator_schmidt(state)
     assert os.s.tobytes() == s_ref.tobytes()
@@ -327,7 +322,7 @@ def test_tie_free_order_matches_byte_key_sort(d, seed):
     """On a spectrum with no tie after rounding, the SVD order that _canonical_order
     returns is the full byte-key sort's, bit for bit."""
     state = random_density(seed, d, d)
-    s, xs, ys = schmidt._schmidt_hermitian(state.realigned, d, d, RANK_CUTOFF)
+    s, xs, ys = schmidt._schmidt_hermitian(state.realigned, d, d)
     rounded = np.round(s, 12)
     assert (rounded[1:] < rounded[:-1]).all()  # untied, so the tie-free path is the one taken
     ref = byte_key_order(s, xs, ys)
