@@ -156,8 +156,8 @@ def _rules(p: np.ndarray, tables: tuple) -> _Terms:
     below -ATOL or a trace at most ATOL.  Each side's responses reduce over its
     own effects to four statistics per term, stacked [side, pair, term]: the
     trace, the largest |Re| and |Im|, and the smallest Re."""
-    stats = [(t.real.sum(axis=-1), np.abs(t.real).max(axis=-1), np.abs(t.imag).max(axis=-1), t.real.min(axis=-1))
-             for t in tables]
+    tops = [np.abs(t.view(float).reshape(*t.shape, 2)).max(axis=-2) for t in tables]  # |Re|, |Im| in one pass
+    stats = [(t.real.sum(axis=-1), top[..., 0], top[..., 1], t.real.min(axis=-1)) for t, top in zip(tables, tops)]
     tr, top_re, top_im, low = np.array(stats).swapaxes(0, 1)
     traceless = np.abs(tr) <= ATOL
     kept = ~traceless.any(axis=0)

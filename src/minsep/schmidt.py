@@ -7,7 +7,9 @@ coefficients are the singular values of the realignment of rho.
 A state is Hermitian, so the decomposition is computed in a Hermitian
 product basis, where the coefficient matrix is real; the real SVD then
 yields real orthogonal mixings of Hermitian operators, so every X_i and Y_i
-comes out Hermitian even when the Schmidt spectrum is degenerate.
+comes out Hermitian even when the Schmidt spectrum is degenerate.  Inside a
+cluster of tied coefficients, :func:`_gauge` fixes the frames from the
+cluster's span alone, so they do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -75,41 +77,29 @@ class OperatorSchmidt:
         return all(self.hermitian)
 
 
-def _canonical_order(s, Xs, Ys):
-    """Deterministic ordering and sign convention for Schmidt pairs.
-
-    Pairs are sorted by decreasing coefficient; ties are broken by the
-    lexicographic order of the (sign-fixed) vectorised X, entries compared as
-    (real, imaginary) rounded to 10 decimals.  The sign of each pair is fixed
-    so the first significant entry of vec(X) has positive real part (positive
-    imaginary part if purely imaginary); Y flips with X, by negation: a
-    product with -1.0 would turn an imaginary -0.0 into 0.0.  A C-ordered array
-    given is flipped in place: :func:`_schmidt_hermitian` hands over its own.
-
-    ``s`` comes nonincreasing, so if round(s, 12) strictly decreases, that first key column keeps
-    the input order.  Otherwise the sort uses every key column, -round(s, 12) and then each rounded
-    entry of vec(X), real before imaginary (2 d_A^2 + 1 columns, where a lexsort makes one pass
-    each), in one stable argsort of each row's bytes.  That is the lexsort's order: adding 0.0
-    turns -0.0 into the 0.0 it compares equal to, and flipping the sign bit of a nonnegative
-    float, or every bit of a negative one, maps finite floats in order onto unsigned integers,
-    whose big-endian bytes compare alike.  Rows tied in every column keep their input order.
-    """
-    X, Y = np.asarray(Xs, order="C"), np.asarray(Ys, order="C")  # flipped in place
-    n = len(X)
-    v = X.reshape(n, -1)
-    big = np.abs(v) > 1e-8
-    lead = v[np.arange(n), np.argmax(big, axis=1)]
-    flip = big.any(axis=1) & (np.where(np.abs(lead.real) > 1e-12, lead.real, lead.imag) < 0)
-    np.negative(X, out=X, where=flip[:, None, None])
-    np.negative(Y, out=Y, where=flip[:, None, None])
-    rounded = s.round(12)
-    if (rounded[1:] < rounded[:-1]).all():
-        return s, Family(X), Family(Y)
-    key = np.column_stack([-rounded, np.round(v.view(float), 10)]) + 0.0
-    bits = key.view(np.int64)
-    rows = (bits ^ ((bits >> 63) | np.int64(-2**63))).astype(">i8").view(f"V{key[0].nbytes}")
-    order = np.argsort(rows[:, 0], kind="stable")
-    return s[order], Family(X[order]), Family(Y[order])
+def _gauge(s, left, right):
+    """Rotate each cluster of tied ``s`` (gaps at most 1e-12 s_0) in place: with V its columns of
+    ``left``, the eigenvectors O of V^T diag(1, ..., n) V, eigenvalues increasing, turn V into V O
+    and its rows of ``right`` into O^T rows, so a full cluster gives the reference basis.  Tied
+    eigenvalues switch the cluster to diag(1, 4, ..., n^2); a tie under both raises.  The product
+    moves by at most twice each cluster's spread, (D - 1) 1e-12 s_0 in all."""
+    split = s[:-1] - s[1:] > 1e-12 * s[0]
+    if split.all():
+        return
+    weights = np.arange(1.0, len(left) + 1)[:, None]
+    starts = np.flatnonzero(np.concatenate(([True], split)))
+    sizes = np.concatenate((starts[1:], [len(s)])) - starts
+    for k in set(sizes[sizes > 1].tolist()):  # one eigh per cluster size (np.unique would add 1 MB RSS)
+        idx = starts[sizes == k, None] + np.arange(k)
+        v = left[:, idx].transpose(1, 0, 2)  # [cluster, n, k]
+        w, o = np.linalg.eigh(v.transpose(0, 2, 1) @ (weights * v))
+        tied = (np.diff(w) <= 1e-8).any(axis=1)
+        if tied.any():
+            w[tied], o[tied] = np.linalg.eigh(v[tied].transpose(0, 2, 1) @ (weights**2 * v[tied]))
+            if (np.diff(w[tied]) <= 1e-8).any():
+                raise ValueError("Schmidt gauge is degenerate: a tied cluster has no unique frame")
+        left[:, idx] = (v @ o).transpose(1, 0, 2)
+        right[idx] = o.transpose(0, 2, 1) @ right[idx]
 
 
 @cache
@@ -121,8 +111,10 @@ def _frame(d: int) -> tuple:
 
 
 def _schmidt_hermitian(m, dA, dB):
-    """Schmidt pairs of a state from its realignment ``m``, via a real coefficient SVD; singular
-    values at or below ``RANK_CUTOFF`` are dropped."""
+    """Schmidt pairs (s, X, Y) of a state from its realignment ``m``, via a real coefficient SVD in
+    the gauge of :func:`_gauge`; singular values at or below ``RANK_CUTOFF`` are dropped.  The sign
+    of each pair gives the first significant entry of vec(X) a positive real part (imaginary part
+    if purely imaginary); Y flips with X by negation, which keeps an imaginary -0.0."""
     # Discard Hermiticity dust within tolerance: the realignment of (rho + rho^dag) / 2,
     # as rho^dag realigns to the conjugate of m with both index pairs swapped.
     m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
@@ -132,24 +124,25 @@ def _schmidt_hermitian(m, dA, dB):
         raise ValueError("coefficient matrix is not real; input not Hermitian")
     o1, s, o2t = np.linalg.svd(g.real)
     keep = np.flatnonzero(s > RANK_CUTOFF)  # o1, o2t are square, so index, not mask
+    _gauge(s[keep], o1, o2t)
     xs = (pa @ o1[:, keep]).T.reshape(-1, dA, dA)
     ys = (o2t[keep, :] @ pb.T).reshape(-1, dB, dB)
-    return s[keep], xs, ys
+    v = xs.reshape(len(xs), -1)
+    big = np.abs(v) > 1e-8
+    lead = v[np.arange(len(v)), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (np.where(np.abs(lead.real) > 1e-12, lead.real, lead.imag) < 0)
+    np.negative(xs, out=xs, where=flip[:, None, None])
+    np.negative(ys, out=ys, where=flip[:, None, None])
+    return s[keep], Family(xs), Family(ys)
 
 
 def operator_schmidt(state: BipartiteState) -> OperatorSchmidt:
-    """Operator-Schmidt decomposition of a bipartite state, with Hermitian frames.
-
-    Singular values at or below ``RANK_CUTOFF`` are dropped.
-    """
+    """Operator-Schmidt decomposition of a bipartite state, with Hermitian frames that depend on the
+    state alone, tied clusters included; singular values at or below ``RANK_CUTOFF`` are dropped."""
     if not isinstance(state, BipartiteState):
         raise TypeError(f"operator_schmidt takes a BipartiteState, got {type(state).__name__}")
 
-    dA, dB = state.dA, state.dB
-    s, xs, ys = _schmidt_hermitian(state.realigned, dA, dB)
-    if len(s) == 0:
-        raise ValueError("operator is zero at the rank cutoff")
-    out = OperatorSchmidt(dA, dB, *_canonical_order(s, xs, ys))
+    out = OperatorSchmidt(state.dA, state.dB, *_schmidt_hermitian(state.realigned, state.dA, state.dB))
 
     residual = relative_residual(out.realigned, state.realigned)
     if not residual <= RECON_TOL:

@@ -35,6 +35,15 @@ from .schmidt import OperatorSchmidt
 from .tolerances import ATOL
 
 
+def _full_rank_dimension(os: OperatorSchmidt) -> int:
+    """The d of a Schmidt form the construction can take, dA = dB = d with rank d^2; else ValueError."""
+    if os.dB != os.dA:
+        raise ValueError("the construction needs equal local dimensions")
+    if os.D != os.dA**2:
+        raise ValueError(f"operator-Schmidt rank {os.D} is deficient; need d^2 = {os.dA**2}")
+    return os.dA
+
+
 @dataclass(frozen=True, eq=False)
 class SchmidtMaps:
     """The invertible local maps built from a full-rank Schmidt form.
@@ -64,11 +73,7 @@ class SchmidtMaps:
     _transported: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        os, d = self.os, self.os.dA
-        if os.dB != d:
-            raise ValueError("the construction needs equal local dimensions")
-        if os.D != d * d:
-            raise ValueError(f"operator-Schmidt rank {os.D} is deficient; need d^2 = {d * d}")
+        os, d = self.os, _full_rank_dimension(self.os)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "basis", hermitian_basis(d))
         sqrt_s = np.sqrt(os.s)
@@ -104,10 +109,9 @@ def check_condition_a(os: OperatorSchmidt) -> ConditionAReport:
 
     Holds iff tr(X_j) = tr(Y_j) for all j; for unit-trace inputs the inner
     product e . f equals 1 so the norms follow automatically whenever the
-    vectors agree.
+    vectors agree.  A form the construction cannot take raises as in :func:`build_maps`.
     """
-    if os.dA != os.dB or os.D != os.dA**2:
-        raise ValueError("condition A needs equal dimensions and full Schmidt rank")
+    _full_rank_dimension(os)
     tr_x = np.asarray(os.X).trace(axis1=1, axis2=2)
     tr_y = np.asarray(os.Y).trace(axis1=1, axis2=2)
     if max(np.abs(tr_x.imag).max(), np.abs(tr_y.imag).max()) > 1e-8:

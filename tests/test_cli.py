@@ -560,7 +560,7 @@ class TestErrors:
             (["schmidt", "--state", "max-entangled:1"], "state.d: max_entangled requires d >= 2"),
             (
                 ["decompose", "--theorem", "3", "--state", "random:2:2:3"],
-                "state: condition A needs equal dimensions and full Schmidt rank",
+                "state: the construction needs equal local dimensions",
             ),
             (
                 ["decompose", "--theorem", "3", "--state", "random:1:2:2"],

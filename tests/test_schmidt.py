@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from minsep import schmidt
-from minsep.bases import hermitian_basis
+from minsep.bases import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, hermitian_basis
 from minsep.core import realign
 from minsep.decompositions import normalized_form
 from minsep.schmidt import OperatorSchmidt, operator_schmidt, reconstruct
-from minsep.states import bell_state, max_entangled, product_state, random_density
-from minsep.tolerances import RECON_TOL
+from minsep.states import BipartiteState, bell_state, max_entangled, product_state, random_density, random_pure_state
+from minsep.tolerances import RANK_CUTOFF, RECON_TOL
 
 from conftest import near_max_entangled
 from test_core import singular_values_charpoly, singular_values_gram
@@ -212,24 +212,6 @@ class TestValidation:
             os.X[0][0, 0] = 1.0
 
 
-# The tuple-key sort _canonical_order used to be, kept as the oracle.
-def tuple_key_order(s, Xs, Ys):
-    fixed = []
-    for si, x, y in zip(s, Xs, Ys):
-        v = x.reshape(-1)
-        idx = np.flatnonzero(np.abs(v) > 1e-8)
-        if len(idx):
-            lead = v[idx[0]]
-            flip = lead.real < -1e-12 or (abs(lead.real) <= 1e-12 and lead.imag < 0)
-            if flip:
-                x, y = -x, -y
-        key = tuple((round(c.real, 10), round(c.imag, 10)) for c in x.reshape(-1))
-        fixed.append((si, key, x, y))
-    fixed.sort(key=lambda t: (-round(t[0], 12), t[1]))
-    s_out = np.array([t[0] for t in fixed])
-    return s_out, [t[2] for t in fixed], [t[3] for t in fixed]
-
-
 ORDER_CASES = (
     [("bell", bell_state())]
     + [(f"max-entangled-{d}", max_entangled(d)) for d in range(2, 9)]
@@ -246,90 +228,121 @@ ORDER_CASES += UNEQUAL_CASES
 
 
 @pytest.mark.parametrize("name, state", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
-def test_lexsort_order_matches_tuple_key_sort(name, state):
-    """The array sort gives bit-identical s, X and Y, signed zeros included,
-    on degenerate (Bell, max_entangled) and generic spectra alike."""
-    s, xs, ys = schmidt._schmidt_hermitian(realign(state.rho, state.dA, state.dB), state.dA, state.dB)
-    s_ref, xs_ref, ys_ref = tuple_key_order(s, xs, ys)
+def test_gauge_ignores_the_basis_within_clusters(name, state):
+    """Hermitian frames on degenerate (Bell, max_entangled) and generic spectra
+    alike; and the gauge gives the same frames, up to rounding, from any
+    orthonormal basis of each cluster of tied coefficients."""
     os = operator_schmidt(state)
-    assert os.s.tobytes() == s_ref.tobytes()
-    assert np.array(os.X).tobytes() == np.array(xs_ref).tobytes()
-    assert np.array(os.Y).tobytes() == np.array(ys_ref).tobytes()
     assert os.hermitian == (True,) * os.D
+    s, left, right = svd_parts(state)
+    ref = left.copy(), right.copy()
+    schmidt._gauge(s, *ref)
+    starts = np.flatnonzero(np.r_[True, s[:-1] - s[1:] > 1e-12 * s[0]])
+    rng = np.random.default_rng(3)
+    for a, k in zip(starts, np.diff(np.r_[starts, len(s)])):  # rotate each cluster jointly, keeping the product
+        turn = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        left[:, a:a + k] = left[:, a:a + k] @ turn
+        right[a:a + k] = turn.T @ right[a:a + k]
+    schmidt._gauge(s, left, right)
+    signs = np.sign(np.sum(left * ref[0], axis=0))
+    np.testing.assert_allclose(left * signs, ref[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(right * signs[:, None], ref[1], rtol=0, atol=1e-12)
 
 
-def tied_frames(last):
-    """One 2x2 frame per value in ``last``: their vec(X) agree on every key
-    column before the last entry, which is that value."""
-    head = np.array([0.5, -0.25 + 0.5j, 0.125j])
-    return [np.append(head, v).reshape(2, 2) for v in last]
+def svd_parts(state):
+    """The cut SVD that ``_schmidt_hermitian`` gauges: s, left vectors as columns, right as rows."""
+    (_, pa_dag, _), (_, _, pb_conj) = schmidt._frame(state.dA), schmidt._frame(state.dB)
+    o1, s, o2t = np.linalg.svd((pa_dag @ state.realigned @ pb_conj).real)
+    keep = np.flatnonzero(s > RANK_CUTOFF)  # o1, o2t are square
+    return s[keep], o1[:, keep], o2t[keep]
 
 
-# (s, X) given straight to _canonical_order, with a distinct Y per pair.
-DIRECT_ORDER_CASES = {
-    # Tied coefficients; the frames split only at the last key column, the
-    # imaginary part of the last entry, given in descending order.
-    "split-at-last-imag": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.3 + 0.1j])),
-    "split-at-last-real": ([0.5, 0.5], tied_frames([0.3 + 0.2j, 0.1 + 0.2j])),
-    # The same after the sign fix: both leading entries are negative.
-    "split-after-flip": ([0.5, 0.5], [-x for x in tied_frames([0.3 + 0.2j, 0.3 + 0.1j])]),
-    # Coefficients equal after rounding to 12 decimals, so the frames decide.
-    "s-tied-by-rounding": ([0.5 + 1e-14, 0.5], tied_frames([0.9, 0.1])),
-    # Entries equal after rounding to 10 decimals, and -0.0 against 0.0: full ties.
-    "x-tied-by-rounding": ([0.5, 0.5], tied_frames([0.3 + 4e-12, 0.3])),
-    "signed-zero-tie": ([0.5, 0.5], tied_frames([1e-12j, -1e-12j])),
-    # An exactly repeated coefficient and frame: a full tie keeps its input order.
-    "repeated-pair": ([0.5, 0.5, 0.5], tied_frames([0.2, 0.3, 0.2])),
-}
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_full_cluster_is_the_reference_basis(d):
+    """A maximally entangled state's d^2 coefficients are all tied, and the gauge,
+    in increasing eigenvalue order, returns hermitian_basis(d) / sqrt(d) itself,
+    each member signed by the sign rule (Bell: I, X, -Y, Z)."""
+    os = operator_schmidt(max_entangled(d))
+    ref = np.asarray(hermitian_basis(d).ops) / np.sqrt(d)
+    signs = np.sign(np.sum(np.asarray(os.X).real * ref.real + np.asarray(os.X).imag * ref.imag, axis=(1, 2)))
+    np.testing.assert_allclose(os.X, signs[:, None, None] * ref, rtol=0, atol=1e-12)
+    if d == 2:
+        assert signs.tolist() == [1, 1, -1, 1]
 
 
-@pytest.mark.parametrize("name", sorted(DIRECT_ORDER_CASES))
-def test_canonical_order_on_tied_keys(name):
-    """_canonical_order against the tuple-key oracle, bit for bit, where only
-    the last key column, or no column at all, separates tied pairs.  Each Y
-    is distinct, so the order of full ties shows in Y."""
-    s, xs = DIRECT_ORDER_CASES[name]
-    s = np.array(s)
-    ys = [np.full((3, 3), k + 1j * k) for k in range(len(xs))]
-    out = schmidt._canonical_order(s, tuple(xs), tuple(ys))
-    ref = tuple_key_order(s, xs, ys)
-    assert out[0].tobytes() == ref[0].tobytes()
-    assert np.array(out[1]).tobytes() == np.array(ref[1]).tobytes()
-    assert np.array(out[2]).tobytes() == np.array(ref[2]).tobytes()
+def perturbed(state, seed):
+    """``state`` plus a Hermitian matrix of Frobenius norm 1e-15."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(state.dim, state.dim)) + 1j * rng.normal(size=(state.dim, state.dim))
+    e += e.conj().T
+    return BipartiteState(state.dA, state.dB, state.rho + 1e-15 * e / np.linalg.norm(e))
 
 
-# The sort _canonical_order makes on every spectrum when it has ties, kept as the
-# oracle of the tie-free path that returns the SVD order instead.
-def byte_key_order(s, Xs, Ys):
-    X, Y = np.array(Xs, order="C"), np.array(Ys, order="C")
-    n = len(X)
-    v = X.reshape(n, -1)
-    big = np.abs(v) > 1e-8
-    lead = v[np.arange(n), np.argmax(big, axis=1)]
-    flip = big.any(axis=1) & (np.where(np.abs(lead.real) > 1e-12, lead.real, lead.imag) < 0)
-    np.negative(X, out=X, where=flip[:, None, None])
-    np.negative(Y, out=Y, where=flip[:, None, None])
-    key = np.column_stack([-np.round(s, 12), np.round(v.view(float), 10)]) + 0.0
-    bits = key.view(np.int64)
-    rows = (bits ^ ((bits >> 63) | np.int64(-2**63))).astype(">i8").view(f"V{key[0].nbytes}")
-    order = np.argsort(rows[:, 0], kind="stable")
-    return s[order], X[order], Y[order]
+PERTURBED_CASES = [
+    ("bell", bell_state()),
+    ("max-entangled:3", max_entangled(3)),
+    ("max-entangled:8", max_entangled(8)),
+    ("random-pure:0:2:2", random_pure_state(0, 2, 2)),
+    ("random-pure:0:3:3", random_pure_state(0, 3, 3)),
+    ("random-pure:0:8:8", random_pure_state(0, 8, 8)),
+]
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
-@pytest.mark.parametrize("seed", [21, 22])
-def test_tie_free_order_matches_byte_key_sort(d, seed):
-    """On a spectrum with no tie after rounding, the SVD order that _canonical_order
-    returns is the full byte-key sort's, bit for bit."""
-    state = random_density(seed, d, d)
-    s, xs, ys = schmidt._schmidt_hermitian(state.realigned, d, d)
-    rounded = np.round(s, 12)
-    assert (rounded[1:] < rounded[:-1]).all()  # untied, so the tie-free path is the one taken
-    ref = byte_key_order(s, xs, ys)
-    out = schmidt._canonical_order(s, xs.copy(), ys.copy())
-    assert out[0].tobytes() == ref[0].tobytes()
-    assert np.array(out[1]).tobytes() == ref[1].tobytes()
-    assert np.array(out[2]).tobytes() == ref[2].tobytes()
+@pytest.mark.parametrize("name, state", PERTURBED_CASES, ids=[c[0] for c in PERTURBED_CASES])
+def test_frames_are_stable_under_rounding_level_perturbations(name, state):
+    """Tied clusters get frames that depend only on the state: a perturbation of
+    size 1e-15 moves them by rounding, where an arbitrary basis from the SVD moved
+    them by O(1).  (Pairs of distinct coefficients delta apart still move by up to
+    about 1e-15 / delta, which no gauge removes; here delta > 5e-6.)"""
+    os = operator_schmidt(state)
+    for seed in range(3):
+        moved = operator_schmidt(perturbed(state, seed))
+        assert moved.D == os.D
+        assert np.abs(np.asarray(moved.X) - np.asarray(os.X)).max() <= 1e-12
+        assert np.abs(np.asarray(moved.Y) - np.asarray(os.Y)).max() <= 1e-12
+
+
+def test_gauge_breaks_a_tie_inside_its_own_matrix():
+    """V spanning {(e1 + e3)/sqrt(2), e2} gives V^T diag(1, 2, 3, 4) V the eigenvalues
+    2 and 2; the cluster then takes diag(1, 4, 9, 16), which orders e2 (4) before
+    (e1 + e3)/sqrt(2) (5), whatever basis of the span it came in, and the product
+    is kept."""
+    e = np.eye(4)
+    span = np.column_stack([(e[0] + e[2]) / np.sqrt(2), e[1]])
+    s, right = np.array([0.5, 0.5]), np.random.default_rng(1).normal(size=(2, 4))
+    for angle in (0.0, 0.3, 2.0):
+        turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        left, rows = span @ turn, turn.T @ right
+        product = left @ (s[:, None] * rows)
+        schmidt._gauge(s, left, rows)
+        signs = np.sign(left.sum(axis=0))
+        np.testing.assert_allclose(left * signs, span[:, ::-1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(left @ (s[:, None] * rows), product, rtol=0, atol=1e-14)
+
+
+def test_state_whose_cluster_ties_inside_the_gauge():
+    """(1/4)(I I + a (H H + Y Y) + b K K) with H = (X + Z)/sqrt(2), K = (Z - X)/sqrt(2):
+    the a-cluster spans the coordinates (e2 + e4)/sqrt(2) and e3, tied at 3 under
+    diag(1, 2, 3, 4), so diag(1, 4, 9, 16) orders Y (9) before H (10).  The frames
+    stay put under a 1e-15 perturbation."""
+    h, k = (PAULI_X + PAULI_Z) / np.sqrt(2), (PAULI_Z - PAULI_X) / np.sqrt(2)
+    rho = (np.kron(PAULI_I, PAULI_I) + 0.3 * (np.kron(h, h) + np.kron(PAULI_Y, PAULI_Y)) + 0.1 * np.kron(k, k)) / 4
+    state = BipartiteState(2, 2, rho)
+    os = operator_schmidt(state)
+    np.testing.assert_allclose(os.s, [0.5, 0.15, 0.15, 0.05], rtol=0, atol=1e-14)
+    for got, want in zip(os.X[1:3], (PAULI_Y, h)):
+        assert min(np.abs(got - want / np.sqrt(2)).max(), np.abs(got + want / np.sqrt(2)).max()) <= 1e-14
+    moved = operator_schmidt(perturbed(state, 0))
+    assert np.abs(np.asarray(moved.X) - np.asarray(os.X)).max() <= 1e-12
+
+
+def test_gauge_tied_under_both_diagonals_raises():
+    """{1, 5, 6} and {2, 3, 7} have equal sums and equal sums of squares, so the
+    span of their indicator vectors is tied under both diagonals."""
+    e = np.eye(9)
+    left = np.column_stack([e[[0, 4, 5]].sum(axis=0), e[[1, 2, 6]].sum(axis=0)]) / np.sqrt(3)
+    with pytest.raises(ValueError, match="^Schmidt gauge is degenerate: a tied cluster has no unique frame$"):
+        schmidt._gauge(np.array([0.5, 0.5]), left, np.eye(2))
 
 
 @pytest.mark.parametrize("name, state", UNEQUAL_CASES, ids=[c[0] for c in UNEQUAL_CASES])

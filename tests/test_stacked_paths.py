@@ -347,7 +347,7 @@ class TestCheckOnce:
         message = {"schmidt": "Schmidt reconstruction residual nan too large"}.get(
             builder, "decomposition residual nan exceeds 1.0e-09")
         if builder == "schmidt":
-            monkeypatch.setattr(schmidt, "_canonical_order", poisoned(schmidt._canonical_order))
+            monkeypatch.setattr(schmidt, "_schmidt_hermitian", poisoned(schmidt._schmidt_hermitian))
         else:  # every decomposition is assembled, and gated, in one place
             monkeypatch.setattr(decompositions, "combine", poisoned(core.combine))
         with pytest.raises(ValueError) as info:

@@ -164,7 +164,7 @@ class TestConditionA:
         assert report.deviation > 1e-3
 
     def test_rejects_rank_deficient(self):
-        with pytest.raises(ValueError, match="full Schmidt rank"):
+        with pytest.raises(ValueError, match=r"^operator-Schmidt rank 1 is deficient; need d\^2 = 4$"):
             check_condition_a(operator_schmidt(pure_theta(0.0)))
 
 
