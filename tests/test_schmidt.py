@@ -231,9 +231,15 @@ ORDER_CASES += UNEQUAL_CASES
 def test_gauge_ignores_the_basis_within_clusters(name, state):
     """Hermitian frames on degenerate (Bell, max_entangled) and generic spectra
     alike; and the gauge gives the same frames, up to rounding, from any
-    orthonormal basis of each cluster of tied coefficients."""
+    orthonormal basis of each cluster of tied coefficients.  An untied spectrum
+    keeps the tuple-key order, bit for bit, signed zeros included."""
     os = operator_schmidt(state)
     assert os.hermitian == (True,) * os.D
+    if untied(os.s):
+        s_ref, xs_ref, ys_ref = tuple_key_order(*svd_frames(state))
+        assert os.s.tobytes() == s_ref.tobytes()
+        assert np.array(os.X).tobytes() == np.array(xs_ref).tobytes()
+        assert np.array(os.Y).tobytes() == np.array(ys_ref).tobytes()
     s, left, right = svd_parts(state)
     ref = left.copy(), right.copy()
     schmidt._gauge(s, *ref)
@@ -250,11 +256,78 @@ def test_gauge_ignores_the_basis_within_clusters(name, state):
 
 
 def svd_parts(state):
-    """The cut SVD that ``_schmidt_hermitian`` gauges: s, left vectors as columns, right as rows."""
-    (_, pa_dag, _), (_, _, pb_conj) = schmidt._frame(state.dA), schmidt._frame(state.dB)
-    o1, s, o2t = np.linalg.svd((pa_dag @ state.realigned @ pb_conj).real)
+    """The cut SVD that ``_schmidt_hermitian`` gauges, from the same Hermitian part of the
+    realignment, bit for bit: s, left vectors as columns, right as rows."""
+    dA, dB, m = state.dA, state.dB, state.realigned
+    m = 0.5 * (m + np.conj(m.reshape(dA, dA, dB, dB).transpose(1, 0, 3, 2)).reshape(dA * dA, dB * dB))
+    (_, pa_dag, _), (_, _, pb_conj) = schmidt._frame(dA), schmidt._frame(dB)
+    o1, s, o2t = np.linalg.svd((pa_dag @ m @ pb_conj).real)
     keep = np.flatnonzero(s > RANK_CUTOFF)  # o1, o2t are square
     return s[keep], o1[:, keep], o2t[keep]
+
+
+def svd_frames(state):
+    """(s, X, Y) of the cut SVD in SVD order, before any gauge or sign rule."""
+    s, left, right = svd_parts(state)
+    (pa, _, _), (pb, _, _) = schmidt._frame(state.dA), schmidt._frame(state.dB)
+    return s, (pa @ left).T.reshape(-1, state.dA, state.dA), (right @ pb.T).reshape(-1, state.dB, state.dB)
+
+
+def untied(s):
+    return bool((s[:-1] - s[1:] > 1e-12 * s[0]).all())
+
+
+# The tuple-key sort the canonical order once was: on an untied spectrum it is the sign rule
+# and the SVD order, so it stays the oracle there.
+def tuple_key_order(s, Xs, Ys):
+    fixed = []
+    for si, x, y in zip(s, Xs, Ys):
+        v = x.reshape(-1)
+        idx = np.flatnonzero(np.abs(v) > 1e-8)
+        if len(idx):
+            lead = v[idx[0]]
+            flip = lead.real < -1e-12 or (abs(lead.real) <= 1e-12 and lead.imag < 0)
+            if flip:
+                x, y = -x, -y
+        key = tuple((round(c.real, 10), round(c.imag, 10)) for c in x.reshape(-1))
+        fixed.append((si, key, x, y))
+    fixed.sort(key=lambda t: (-round(t[0], 12), t[1]))
+    s_out = np.array([t[0] for t in fixed])
+    return s_out, [t[2] for t in fixed], [t[3] for t in fixed]
+
+
+# The byte-key sort the canonical order once made on every tied spectrum, kept as the oracle
+# of the untied path, which returns the SVD order with the sign rule.
+def byte_key_order(s, Xs, Ys):
+    X, Y = np.array(Xs, order="C"), np.array(Ys, order="C")
+    n = len(X)
+    v = X.reshape(n, -1)
+    big = np.abs(v) > 1e-8
+    lead = v[np.arange(n), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (np.where(np.abs(lead.real) > 1e-12, lead.real, lead.imag) < 0)
+    np.negative(X, out=X, where=flip[:, None, None])
+    np.negative(Y, out=Y, where=flip[:, None, None])
+    key = np.column_stack([-np.round(s, 12), np.round(v.view(float), 10)]) + 0.0
+    bits = key.view(np.int64)
+    rows = (bits ^ ((bits >> 63) | np.int64(-2**63))).astype(">i8").view(f"V{key[0].nbytes}")
+    order = np.argsort(rows[:, 0], kind="stable")
+    return s[order], X[order], Y[order]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_tie_free_order_matches_byte_key_sort(d, seed):
+    """On a spectrum with no tie, the gauge is idle and ``_schmidt_hermitian`` returns the
+    full byte-key sort of the raw SVD frames, bit for bit."""
+    state = random_density(seed, d, d)
+    s, xs, ys = svd_frames(state)
+    rounded = np.round(s, 12)
+    assert (rounded[1:] < rounded[:-1]).all() and untied(s)
+    ref = byte_key_order(s, xs, ys)
+    out = schmidt._schmidt_hermitian(state.realigned, d, d)
+    assert out[0].tobytes() == ref[0].tobytes()
+    assert np.array(out[1]).tobytes() == ref[1].tobytes()
+    assert np.array(out[2]).tobytes() == ref[2].tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
