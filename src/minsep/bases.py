@@ -103,3 +103,12 @@ def hermitian_basis(d: int) -> OperatorBasis:
         ops.append(np.diag(diag).astype(complex))
     return OperatorBasis(d, tuple(ops))
 
+
+@cache
+def _frame(d: int) -> tuple:
+    """The orthonormal Hermitian frame P, the vec(C_j) of ``hermitian_basis(d)`` over sqrt(d) as
+    columns, with P^dag and conj(P), built once per d: no caller writes to them.  P is unitary, and
+    the coordinates P^dag vec(X) of a Hermitian X are real."""
+    frame = hermitian_basis(d).ops.vecs.T / np.sqrt(d)
+    return frame, frame.conj().T, np.conj(frame)
+

@@ -21,6 +21,11 @@ infeasible.  Each deleted fit is the realigned fit over fewer generator
 vectors.  Its minimum over all complex Q, with neither sign nor simplex
 constraint, is a rigorous lower bound on the nonnegative fit's residual,
 and it certifies almost every deletion infeasible without a solver call.
+The bound is taken in the orthonormal Hermitian frame, where a Hermitian
+state's and Hermitian generators' coordinates are real: when all of them
+are real to 1e-13 (in norm, relative), it is computed in float64, and
+otherwise from the complex generator vectors.  The frame is unitary, so
+both give the same bound up to rounding; the fits stay complex.
 
 Hulls that must contain all local quantum states are handled by sampling:
 pure-state projectors (the computational basis plus a seeded Haar batch)
@@ -36,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bases import _frame
 from .core import family, frozen
 from .states import BipartiteState, haar_projectors
 from .tolerances import ATOL, FEAS_TOL, INFEAS_THRESHOLD
@@ -237,6 +243,18 @@ class MinimalityReport:
     threshold: float
 
 
+def _coordinates(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> tuple:
+    """G_A, G_B and R in the orthonormal Hermitian frames, P_A^dag G_A, P_B^dag G_B and
+    P_A^dag R conj(P_B), as float64 when each has ||Im|| <= 1e-13 ||.||; otherwise as given."""
+    (_, pa_dag, _), (_, pb_dag, pb_conj) = _frame(rho.dA), _frame(rho.dB)
+    given = (va.generators.vecs.T, vb.generators.vecs.T, rho.realigned)
+    coords = (pa_dag @ given[0], pb_dag @ given[1], pa_dag @ given[2] @ pb_conj)
+    flat = [x.view(float).ravel() for x in coords]  # re, im interleaved
+    if all(w[1::2] @ w[1::2] <= 1e-26 * (w @ w) for w in flat):
+        return tuple(np.ascontiguousarray(x.real) for x in coords)
+    return given
+
+
 def deletion_minimality(
     rho: BipartiteState,
     va: StateSpace,
@@ -254,43 +272,74 @@ def deletion_minimality(
     Q ranges over a superset of the nonnegative (and simplex) weights, so
     this bound is at most every residual the fit can reach.  QR keeps every
     column, with no rank cutoff: extra numerical directions can only lower
-    the bound.  Each side takes one stacked QR of its n generator matrices,
-    row k with generator k moved last.  Householder QR is nested, so the
-    first n - 1 columns of row k's Q are the QR basis of the side without
-    generator k, and the last row, in the side's own order, is the basis of
-    the whole side that the other side's projections need.  One stacked
-    product gives all n projections, and each bound takes the two dot
-    products ``np.linalg.norm`` takes: the same floats a QR and a norm per
-    deletion give.  A deletion whose bound is at or above ``threshold`` and
-    above ``FEAS_TOL`` is infeasible without a solver call; any other
-    deletion runs :func:`separable_feasible` on the smaller space.  The
-    ``FEAS_TOL`` condition keeps a bound at rounding level, which a tiny
-    threshold would accept, from passing a deletion that is feasible.
-    Deleting a side's only generator leaves the bound ||rho||.
+    the bound.
+
+    The bounds are computed in the orthonormal Hermitian frames P_A and P_B
+    of :func:`bases._frame`: G_A, G_B and R become P_A^dag G_A, P_B^dag G_B
+    and P_A^dag R conj(P_B).  P is unitary, so every bound is the same number
+    there up to rounding.  (A rank-deficient side is the exception: its QR
+    keeps rounding directions, which real and complex arithmetic draw
+    differently, and each draw gives its own valid lower bound.)  When each
+    of the three has an imaginary part of norm at most 1e-13 of its own
+    norm, the imaginary parts are dropped and the QR, the projections and
+    the bounds run in float64.  A Hermitian
+    state and Hermitian generators pass, as their imaginary parts are
+    rounding, near 1e-16; anything else keeps the complex generator vectors
+    and R as given.  Dropping the parts bounds the fit for the Hermitian
+    parts of rho and of the generators.  A bound is the distance from R to a
+    subspace, so rho's dropped part moves it by at most that part's norm,
+    1e-13 ||R||, which stays under 1e-12 ||R||.  A generator side's part is
+    a relative change of at most 1e-13 in its matrix, which the side's
+    conditioning amplifies as it does QR's own rounding of about 1e-16.
+
+    Each side takes one stacked QR of its n generator matrices, row k with
+    generator k moved last.  Householder QR is nested, so the first n - 1
+    columns of row k's Q are a QR basis of the side without generator k:
+    bit for bit in complex arithmetic, up to rounding in real arithmetic,
+    where LAPACK applies each reflector to a different number of columns.
+    The last row, in the side's own order, is the basis of the whole side
+    that the other side's projections need.  One stacked product gives all
+    n projections, and each bound takes the dots ``np.linalg.norm`` takes,
+    one for a real row and two for a complex one.
+
+    A deletion whose bound is at or above ``threshold`` and above
+    ``FEAS_TOL`` is infeasible without a solver call; any other deletion
+    runs :func:`separable_feasible` on the smaller space.  The ``FEAS_TOL``
+    condition keeps a bound at rounding level, which a tiny threshold would
+    accept, from passing a deletion that is feasible.  Deleting a side's
+    only generator leaves the bound ||rho||.
 
     The claim "these spaces cannot be made smaller" passes when every
     single-generator deletion is infeasible with a residual at or above
     ``threshold``.
     """
     _check_spaces(rho, va, vb)
+    ga, gb, realigned = _coordinates(rho, va, vb)
     bases = []
-    for space in (va, vb):
-        g, n = space.generators.vecs.T, len(space)
+    for space, g in ((va, ga), (vb, gb)):
+        n = len(space)
         j, k = np.arange(n - 1), np.arange(n)[:, None]
         # Row k of the stack is G with column k moved last: the first n - 1 columns
         # of its Q span G without generator k, and the last row is G itself.
         q = np.linalg.qr(g[:, np.concatenate([j + (j >= k), k], axis=1)].transpose(1, 0, 2))[0]
-        bases.append((q[:, :, : n - 1], q[-1] if n else g))
+        # A contiguous copy, as a real stack's strided slice would round its products differently.
+        bases.append((np.ascontiguousarray(q[:, :, : n - 1]), q[-1] if n else g))
     (qa, span_a), (qb, span_b) = bases
     records = []
     for side, space, other, q, q_other, target in (
-        ("A", va, vb, qa, span_b, rho.realigned),
-        ("B", vb, va, qb, span_a, rho.realigned.T),
+        ("A", va, vb, qa, span_b, realigned),
+        ("B", vb, va, qb, span_a, realigned.T),
     ):
         fits = q @ (q.conj().swapaxes(1, 2) @ (target @ q_other.conj())) @ q_other.T
-        residuals = (target - fits).reshape(len(space), target.size)
-        for k, (re, im) in enumerate(zip(residuals.real, residuals.imag)):
-            bound = math.sqrt(re.dot(re) + im.dot(im))  # the two dots np.linalg.norm takes
+        size = target.size  # rows padded to an even length start 16-byte aligned, as a fresh array does
+        residuals = np.empty((len(space), size + size % 2), fits.dtype)[:, :size]
+        np.subtract(target.reshape(size), fits.reshape(len(space), size), out=residuals)
+        if np.iscomplexobj(residuals):  # the dots np.linalg.norm takes
+            squares = [re.dot(re) + im.dot(im) for re, im in zip(residuals.real, residuals.imag)]
+        else:
+            squares = [row.dot(row) for row in residuals]
+        for k, square in enumerate(squares):
+            bound = math.sqrt(square)
             if bound >= threshold and bound > FEAS_TOL:
                 records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
                 continue

@@ -15,11 +15,10 @@ cluster's span alone, so they do not depend on the BLAS kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
-from .bases import hermitian_basis
+from .bases import _frame
 from .core import Family, family, frozen, hermitian_mask, product_sum, realigned_sum, relative_residual
 from .states import BipartiteState
 from .tolerances import RANK_CUTOFF, RECON_TOL
@@ -82,9 +81,14 @@ def _gauge(s, left, right):
     ``left``, the eigenvectors O of V^T diag(1, ..., n) V, eigenvalues increasing, turn V into V O
     and its rows of ``right`` into O^T rows, so a full cluster gives the reference basis.  Tied
     eigenvalues switch the cluster to diag(1, 4, ..., n^2); a tie under both raises.  The product
-    moves by at most twice each cluster's spread, (D - 1) 1e-12 s_0 in all."""
+    moves by at most twice each cluster's spread, (D - 1) 1e-12 s_0 in all.  A cluster that spans
+    the space has V square and orthogonal, so V O is the identity and O^T is V: no eigh."""
     split = s[:-1] - s[1:] > 1e-12 * s[0]
     if split.all():
+        return
+    if len(s) == len(left) and not split.any():
+        right[: len(s)] = left @ right[: len(s)]
+        left[:] = np.eye(len(s))
         return
     weights = np.arange(1.0, len(left) + 1)[:, None]
     starts = np.flatnonzero(np.concatenate(([True], split)))
@@ -100,14 +104,6 @@ def _gauge(s, left, right):
                 raise ValueError("Schmidt gauge is degenerate: a tied cluster has no unique frame")
         left[:, idx] = (v @ o).transpose(1, 0, 2)
         right[idx] = o.transpose(0, 2, 1) @ right[idx]
-
-
-@cache
-def _frame(d: int) -> tuple:
-    """The orthonormal Hermitian frame P, the vec(C_j) of ``hermitian_basis(d)`` over sqrt(d) as
-    columns, with P^dag and conj(P), built once per d: no caller writes to them."""
-    frame = hermitian_basis(d).ops.vecs.T / np.sqrt(d)
-    return frame, frame.conj().T, np.conj(frame)
 
 
 def _schmidt_hermitian(m, dA, dB):

@@ -2,11 +2,15 @@
 
 ``deletion_minimality`` takes one stacked QR of all of a side's deleted
 generator matrices.  The loop it replaced, one ``np.linalg.qr`` per deleted
-generator, is kept here as the oracle, and every record must match it bit for
-bit: the same residual floats, feasibility and deciding path, on Hermitian and
-complex generator sets, dependent sets (n > d^2), repeated generators,
-one-generator and empty sides, padded spaces whose deletions run the fit, and
-transported maximally entangled states up to d = 8.
+generator, is kept here as the oracle.  Run in the coordinates the program
+chose (real Hermitian-frame coordinates for Hermitian inputs, the complex
+generator vectors otherwise), every record must match it bit for bit: the same
+residual floats, feasibility and deciding path.  Run on the complex generator
+vectors, as before real coordinates, every record must keep its feasibility
+and deciding path, with each residual within 1e-12 ||R||.  The sets cover
+Hermitian and complex generators, dependent sets (n > d^2), repeated
+generators, one-generator and empty sides, padded spaces whose deletions run
+the fit, and transported maximally entangled states up to d = 8.
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ from minsep.feasibility import (
     DeletionRecord,
     MinimalityReport,
     StateSpace,
+    _coordinates,
     deletion_minimality,
     separable_feasible,
 )
@@ -39,16 +44,28 @@ def vecs(space):
     return np.asarray(space.generators).reshape(len(space), space.dim**2).T
 
 
-def oracle_deletion_minimality(rho, va, vb, threshold=INFEAS_THRESHOLD):
-    """``deletion_minimality`` with one QR per deleted generator."""
-    realigned = realign(rho.rho, rho.dA, rho.dB)
+def complex_coordinates(rho, va, vb):
+    """The generator vectors and the realignment as they are: the complex path."""
+    return vecs(va), vecs(vb), realign(rho.rho, rho.dA, rho.dB)
+
+
+def oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=False):
+    """``deletion_minimality`` with one QR per deleted generator, on G_A, G_B and R
+    given as ``coordinates``: of G without column k, or, with ``moved_last``, the
+    first n - 1 columns of the QR of G with column k moved last."""
+    ga, gb, realigned = coordinates
     records = []
-    for side, space, other, target in (("A", va, vb, realigned), ("B", vb, va, realigned.T)):
-        g = vecs(space)
-        q_other = np.linalg.qr(vecs(other))[0]
+    for side, space, other, g, g_other, target in (
+        ("A", va, vb, ga, gb, realigned), ("B", vb, va, gb, ga, realigned.T),
+    ):
+        q_other = np.linalg.qr(g_other)[0]
         fixed = target @ q_other.conj()
         for k in range(len(space)):
-            q = np.linalg.qr(np.delete(g, k, axis=1))[0]
+            rest = np.delete(g, k, axis=1)
+            if moved_last:
+                q = np.linalg.qr(np.concatenate([rest, g[:, [k]]], axis=1))[0][:, : len(space) - 1].copy()
+            else:
+                q = np.linalg.qr(rest)[0]
             bound = float(np.linalg.norm(target - q @ (q.conj().T @ fixed) @ q_other.T))
             if bound >= threshold and bound > FEAS_TOL:
                 records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
@@ -60,16 +77,37 @@ def oracle_deletion_minimality(rho, va, vb, threshold=INFEAS_THRESHOLD):
     return MinimalityReport(tuple(records), passed, threshold)
 
 
-def assert_bit_identical(rho, va, vb, threshold=INFEAS_THRESHOLD):
+def assert_bit_identical(rho, va, vb, threshold=INFEAS_THRESHOLD, rank_deficient=False):
+    """Bit for bit against the moved-last oracle in the program's coordinates.
+    Against the deletion oracle on the complex generator vectors: bit for bit on
+    the complex path, within 1e-12 ||R|| on the real one.  A ``rank_deficient``
+    side has QR rounding directions in its bases, which real and complex
+    arithmetic draw differently, so there only feasibility and the verdict are
+    compared with the complex oracle."""
     report = deletion_minimality(rho, va, vb, threshold)
-    oracle = oracle_deletion_minimality(rho, va, vb, threshold)
     assert len(report.records) == len(va) + len(vb)
-    for record, expected in zip(report.records, oracle.records, strict=True):
-        assert (record.side, record.index, record.feasible, record.decided_by) == (
-            expected.side, expected.index, expected.feasible, expected.decided_by,
-        )
-        assert record.residual.hex() == expected.residual.hex(), record
-    assert report.passed == oracle.passed
+    coordinates = _coordinates(rho, va, vb)
+    real = not np.iscomplexobj(coordinates[0])
+    for oracle, atol in (
+        (oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=True), None),
+        (oracle_deletion_minimality(rho, va, vb, threshold, complex_coordinates(rho, va, vb)),
+         1e-12 * np.linalg.norm(rho.realigned) if real else None),
+    ):
+        if real and rank_deficient and atol is not None:
+            assert [(r.side, r.index, r.feasible) for r in report.records] == [
+                (r.side, r.index, r.feasible) for r in oracle.records
+            ]
+            assert report.passed == oracle.passed
+            continue
+        for record, expected in zip(report.records, oracle.records, strict=True):
+            assert (record.side, record.index, record.feasible, record.decided_by) == (
+                expected.side, expected.index, expected.feasible, expected.decided_by,
+            )
+            if atol is None:
+                assert record.residual.hex() == expected.residual.hex(), record
+            else:
+                assert abs(record.residual - expected.residual) <= atol, record
+        assert report.passed == oracle.passed
     return report
 
 
@@ -123,15 +161,24 @@ class TestStackedBoundIsBitIdentical:
         gens = random_generators(rng, 3, 5, True)
         va = StateSpace(3, gens + gens[:2], mode)
         vb = StateSpace(2, random_generators(rng, 2, 3, True), mode)
+        rho = random_density(11, 3, 2)
         for threshold in THRESHOLDS:
-            assert_bit_identical(random_density(11, 3, 2), va, vb, threshold)
+            report = assert_bit_identical(rho, va, vb, threshold, rank_deficient=True)
+        # Whichever rounding directions QR drew, each bound is at most the residual
+        # the fit without that generator reaches.
+        for record in report.records:
+            fit = separable_feasible(rho, va.without(record.index), vb) if record.side == "A" else (
+                separable_feasible(rho, va, vb.without(record.index)))
+            assert record.residual <= fit.residual + 1e-12
 
     def test_one_generator_side_bound_is_the_state_norm(self):
         rho = random_density(5, 2, 3)
         va = StateSpace(2, (np.eye(2) / 2,), "convex")
         vb = StateSpace(3, random_generators(np.random.default_rng(5), 3, 4, True), "convex")
         report = assert_bit_identical(rho, va, vb)
-        assert report.records[0].residual == float(np.linalg.norm(realign(rho.rho, 2, 3)))
+        # ||R|| in the coordinates the verdict ran in; in others, up to rounding.
+        assert report.records[0].residual == float(np.linalg.norm(_coordinates(rho, va, vb)[2]))
+        assert report.records[0].residual == pytest.approx(np.linalg.norm(realign(rho.rho, 2, 3)), rel=1e-15)
 
     @pytest.mark.parametrize("both_sides", [False, True])
     def test_padded_spaces_run_the_fit(self, both_sides):

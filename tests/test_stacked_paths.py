@@ -19,6 +19,7 @@ import pytest
 
 from conftest import apply_map, frob_norm, near_max_entangled, random_mixed_decomposition
 from test_lhv import oracle_magic_threshold  # the closed form from one table per side, written out
+from test_stacked_bound import complex_coordinates, oracle_deletion_minimality
 import minsep
 from minsep import bases, core, crossnorm, decompositions, feasibility, lhv, schmidt, serialize, states, tolerances, transport
 from minsep.bases import OperatorBasis, hermitian_basis, phase_point_operators
@@ -38,8 +39,8 @@ from minsep.decompositions import (
 from minsep.feasibility import StateSpace, quantum_augmented_feasible, weights_feasible
 from minsep.lhv import LhvConstructionError, LhvModel, ScanRecord, build_lhv, povm_scan
 from minsep.schmidt import OperatorSchmidt, operator_schmidt
-from minsep.states import Povm, bell_state, magic_povm, random_density
-from minsep.tolerances import ATOL
+from minsep.states import BipartiteState, Povm, bell_state, magic_povm, random_density
+from minsep.tolerances import ATOL, INFEAS_THRESHOLD
 from minsep.transport import (
     ConditionBReport,
     build_maps,
@@ -126,6 +127,38 @@ def transported_parts(seed, d, t_seed=None):
     maps = build_maps(os)
     w = build_w_basis(maps, construct_alignment(check_condition_a(os), seed=t_seed))
     return os, maps, transported_decomposition(maps, w)
+
+
+# Deletion verdicts by the path they take: Hermitian inputs in real coordinates,
+# the others on their complex generator vectors.
+REAL_CASES = ["transported", "transported-4", "herm-2x3", "herm-3x2", "herm-3x3", "herm-4x4", "one-generator", "empty"]
+COMPLEX_CASES = ["non-hermitian", "anti-hermitian-part", "state-dust"]
+
+
+def deletion_case(case):
+    """(state, va, vb) of one deletion verdict named in REAL_CASES or COMPLEX_CASES."""
+    if case.startswith("herm"):
+        dA, dB = map(int, case[5:].split("x"))
+        st = random_density(dA + dB, dA, dB)
+        os = operator_schmidt(st)
+        dec = hermitian_decomposition(os, DiagonalScaling.identity(os.D), random_orthogonal(os.D, 3), 1.0)
+        return st, StateSpace(dA, dec.A, "convex"), StateSpace(dB, dec.B, "convex")
+    d = 4 if case == "transported-4" else 3
+    st, dec = near_max_entangled(0, d), transported_parts(0, d)[2]
+    a, b = list(dec.A), list(dec.B)
+    kick = np.triu(np.ones((d, d)), 1)  # nonzero above the diagonal only, so K - K^dag is anti-Hermitian
+    if case == "one-generator":
+        a, b = a[:4], b[:1]
+    elif case == "empty":
+        a, b = a[:3], []
+    elif case == "non-hermitian":
+        b = [x + 0.5 * kick for x in b]
+    elif case == "anti-hermitian-part":
+        a[0] = a[0] + 1e-9 * (kick - kick.T)
+    elif case == "state-dust":
+        dust = np.triu(np.ones((d * d, d * d)), 1)
+        st = BipartiteState(d, d, st.rho + 1e-10 * (dust - dust.T))
+    return st, StateSpace(d, tuple(a), "conic"), StateSpace(d, tuple(b), "conic")
 
 
 def qubit_decompositions():
@@ -282,20 +315,25 @@ class TestCheckOnce:
             # Only the Born verification at the decomposition's own c* builds a pair.
             assert len(built) == per_scan
 
-    @pytest.mark.parametrize("sizes", [(9, 9), (4, 1), (3, 0)], ids=["transported", "one-generator", "empty"])
-    def test_a_verdict_factors_each_side_once(self, monkeypatch, sizes):
+    @pytest.mark.parametrize("case", REAL_CASES + COMPLEX_CASES)
+    def test_a_verdict_factors_each_side_once(self, monkeypatch, case):
         """One stacked QR per side gives every deletion basis and the other
-        side's span; each bound is taken without np.linalg.norm."""
-        d = 3
-        st, dec = near_max_entangled(0, d), transported_parts(0, d)[2]
-        va = StateSpace(d, dec.A[: sizes[0]], "conic")
-        vb = StateSpace(d, dec.B[: sizes[1]], "conic")
+        side's span; each bound is taken without np.linalg.norm.  The stacks are
+        float64 for Hermitian inputs and complex128 otherwise, where the records
+        stay those of the per-deletion QR on the generator vectors, bit for bit."""
+        st, va, vb = deletion_case(case)
         qr = count_calls(monkeypatch, [np.linalg], "qr")
         norm = count_calls(monkeypatch, [np.linalg], "norm")
         report = feasibility.deletion_minimality(st, va, vb)
         assert {r.decided_by for r in report.records} == {"ls_bound"}
-        assert len(report.records) == sum(sizes)
+        assert len(report.records) == len(va) + len(vb)
         assert len(qr) == 2 and norm == []
+        dtype = np.float64 if case in REAL_CASES else np.complex128
+        assert [args[0].dtype for args in qr] == [dtype, dtype]
+        if case in COMPLEX_CASES:
+            monkeypatch.undo()
+            oracle = oracle_deletion_minimality(st, va, vb, INFEAS_THRESHOLD, complex_coordinates(st, va, vb))
+            assert [r.residual.hex() for r in report.records] == [r.residual.hex() for r in oracle.records]
 
     @pytest.mark.parametrize("builder", ["cross-norm", "equal-norm", "hermitian"])
     def test_builders_check_once(self, monkeypatch, builder):
