@@ -22,10 +22,11 @@ vectors.  Its minimum over all complex Q, with neither sign nor simplex
 constraint, is a rigorous lower bound on the nonnegative fit's residual,
 and it certifies almost every deletion infeasible without a solver call.
 The bound is taken in the orthonormal Hermitian frame, where a Hermitian
-state's and Hermitian generators' coordinates are real: when all of them
-are real to 1e-13 (in norm, relative), it is computed in float64, and
-otherwise from the complex generator vectors.  The frame is unitary, so
-both give the same bound up to rounding; the fits stay complex.
+state's and Hermitian generators' coordinates are real: when rho and both
+sides are Hermitian to 1e-13 (in norm, relative) and neither side is
+nearly dependent, it is computed in float64, and otherwise from the
+complex generator vectors.  The frame is unitary, so both give the same
+bound up to rounding; the fits stay complex.
 
 Hulls that must contain all local quantum states are handled by sampling:
 pure-state projectors (the computational basis plus a seeded Haar batch)
@@ -243,16 +244,43 @@ class MinimalityReport:
     threshold: float
 
 
-def _coordinates(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> tuple:
-    """G_A, G_B and R in the orthonormal Hermitian frames, P_A^dag G_A, P_B^dag G_B and
-    P_A^dag R conj(P_B), as float64 when each has ||Im|| <= 1e-13 ||.||; otherwise as given."""
+def _hermitian_coordinates(rho: BipartiteState, va: StateSpace, vb: StateSpace):
+    """G_A, G_B and R in the orthonormal Hermitian frames, the float64 P_A^dag G_A, P_B^dag G_B
+    and P_A^dag R conj(P_B), when rho and each side are Hermitian to 1e-13: ||X - X^dag|| <=
+    2e-13 ||X|| over the whole array, twice the norm of the imaginary part of X's coordinates
+    (P is unitary).  None otherwise, before any projection."""
+    for x in (np.asarray(va.generators), np.asarray(vb.generators), rho.rho):
+        anti = x - x.conj().swapaxes(-1, -2)
+        if np.vdot(anti, anti).real > 4e-26 * np.vdot(x, x).real:
+            return None
     (_, pa_dag, _), (_, pb_dag, pb_conj) = _frame(rho.dA), _frame(rho.dB)
-    given = (va.generators.vecs.T, vb.generators.vecs.T, rho.realigned)
-    coords = (pa_dag @ given[0], pb_dag @ given[1], pa_dag @ given[2] @ pb_conj)
-    flat = [x.view(float).ravel() for x in coords]  # re, im interleaved
-    if all(w[1::2] @ w[1::2] <= 1e-26 * (w @ w) for w in flat):
-        return tuple(np.ascontiguousarray(x.real) for x in coords)
-    return given
+    coords = (pa_dag @ va.generators.vecs.T, pb_dag @ vb.generators.vecs.T, pa_dag @ rho.realigned @ pb_conj)
+    return tuple(np.ascontiguousarray(x.real) for x in coords)
+
+
+def _stacked_bases(g: np.ndarray) -> tuple:
+    """One stacked QR of the side G = [g_1 ... g_n]: row k is G with column k moved last, so the
+    first n - 1 columns of its Q span G without generator k, and the last row is G itself.
+    Returns those n bases, the basis of G, and whether G is well conditioned: more columns than
+    rows, or every diagonal entry of its R above 1e-3 of the largest."""
+    n = g.shape[1]
+    j, k = np.arange(n - 1), np.arange(n)[:, None]
+    q, r = np.linalg.qr(g[:, np.concatenate([j + (j >= k), k], axis=1)].transpose(1, 0, 2))
+    diag = np.abs(r[-1].diagonal()) if n else np.ones(1)
+    return q[:, :, : n - 1], q[-1] if n else g, n > len(g) or diag.min() > 1e-3 * diag.max()
+
+
+def _deletion_bases(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> tuple:
+    """(G_A, G_B, R) in the coordinates the bounds run in, and each side's :func:`_stacked_bases`:
+    real Hermitian-frame coordinates when rho and the generators are Hermitian and both sides are
+    well conditioned, the complex generator vectors and R as given otherwise."""
+    coords = _hermitian_coordinates(rho, va, vb)
+    if coords is not None:
+        sides = [_stacked_bases(g) for g in coords[:2]]
+        if all(well_conditioned for *_, well_conditioned in sides):
+            return coords, sides
+    coords = (va.generators.vecs.T, vb.generators.vecs.T, rho.realigned)
+    return coords, [_stacked_bases(g) for g in coords[:2]]
 
 
 def deletion_minimality(
@@ -275,22 +303,24 @@ def deletion_minimality(
     the bound.
 
     The bounds are computed in the orthonormal Hermitian frames P_A and P_B
-    of :func:`bases._frame`: G_A, G_B and R become P_A^dag G_A, P_B^dag G_B
-    and P_A^dag R conj(P_B).  P is unitary, so every bound is the same number
-    there up to rounding.  (A rank-deficient side is the exception: its QR
-    keeps rounding directions, which real and complex arithmetic draw
-    differently, and each draw gives its own valid lower bound.)  When each
-    of the three has an imaginary part of norm at most 1e-13 of its own
-    norm, the imaginary parts are dropped and the QR, the projections and
-    the bounds run in float64.  A Hermitian
-    state and Hermitian generators pass, as their imaginary parts are
-    rounding, near 1e-16; anything else keeps the complex generator vectors
-    and R as given.  Dropping the parts bounds the fit for the Hermitian
-    parts of rho and of the generators.  A bound is the distance from R to a
-    subspace, so rho's dropped part moves it by at most that part's norm,
-    1e-13 ||R||, which stays under 1e-12 ||R||.  A generator side's part is
-    a relative change of at most 1e-13 in its matrix, which the side's
-    conditioning amplifies as it does QR's own rounding of about 1e-16.
+    of :func:`bases._frame` when rho and each generator side are Hermitian
+    to 1e-13, ||X - X^dag|| <= 2e-13 ||X||: G_A, G_B and R become the real
+    parts of P_A^dag G_A, P_B^dag G_B and P_A^dag R conj(P_B), and the QR,
+    the projections and the bounds run in float64.  The imaginary part
+    dropped there has norm ||X - X^dag|| / 2, at most 1e-13 of X's.  A bound
+    is the distance from R to a subspace, so rho's dropped part moves it by
+    at most 1e-13 ||R||, under 1e-12 ||R||.  A side's dropped part perturbs
+    the side by at most 1e-13 relative, which its condition number amplifies
+    as it does QR's own rounding; Hermitian generators' parts are that
+    rounding, near 1e-16.  P is unitary, so the real and the complex bound
+    are the same number up to rounding, about 1e-16 times the side's
+    condition number.  A side with at most as many generators as rows whose
+    R has a diagonal entry at or below 1e-3 of its largest (a dependent or
+    nearly dependent set, condition number at least 1e3) keeps the complex
+    path: its QR keeps directions drawn from rounding, which real and complex
+    arithmetic draw differently.  Anything else also keeps the complex
+    generator vectors and R as given, and their bounds are the complex
+    computation's bit for bit.
 
     Each side takes one stacked QR of its n generator matrices, row k with
     generator k moved last.  Householder QR is nested, so the first n - 1
@@ -299,8 +329,8 @@ def deletion_minimality(
     where LAPACK applies each reflector to a different number of columns.
     The last row, in the side's own order, is the basis of the whole side
     that the other side's projections need.  One stacked product gives all
-    n projections, and each bound takes the dots ``np.linalg.norm`` takes,
-    one for a real row and two for a complex one.
+    n projections; a complex bound takes the two dots ``np.linalg.norm``
+    takes, and a real one a single row dot.
 
     A deletion whose bound is at or above ``threshold`` and above
     ``FEAS_TOL`` is infeasible without a solver call; any other deletion
@@ -314,30 +344,18 @@ def deletion_minimality(
     ``threshold``.
     """
     _check_spaces(rho, va, vb)
-    ga, gb, realigned = _coordinates(rho, va, vb)
-    bases = []
-    for space, g in ((va, ga), (vb, gb)):
-        n = len(space)
-        j, k = np.arange(n - 1), np.arange(n)[:, None]
-        # Row k of the stack is G with column k moved last: the first n - 1 columns
-        # of its Q span G without generator k, and the last row is G itself.
-        q = np.linalg.qr(g[:, np.concatenate([j + (j >= k), k], axis=1)].transpose(1, 0, 2))[0]
-        # A contiguous copy, as a real stack's strided slice would round its products differently.
-        bases.append((np.ascontiguousarray(q[:, :, : n - 1]), q[-1] if n else g))
-    (qa, span_a), (qb, span_b) = bases
+    (_, _, realigned), ((qa, span_a, _), (qb, span_b, _)) = _deletion_bases(rho, va, vb)
     records = []
     for side, space, other, q, q_other, target in (
         ("A", va, vb, qa, span_b, realigned),
         ("B", vb, va, qb, span_a, realigned.T),
     ):
         fits = q @ (q.conj().swapaxes(1, 2) @ (target @ q_other.conj())) @ q_other.T
-        size = target.size  # rows padded to an even length start 16-byte aligned, as a fresh array does
-        residuals = np.empty((len(space), size + size % 2), fits.dtype)[:, :size]
-        np.subtract(target.reshape(size), fits.reshape(len(space), size), out=residuals)
-        if np.iscomplexobj(residuals):  # the dots np.linalg.norm takes
+        residuals = (target - fits).reshape(len(space), target.size)
+        if np.iscomplexobj(residuals):  # the two dots np.linalg.norm takes
             squares = [re.dot(re) + im.dot(im) for re, im in zip(residuals.real, residuals.imag)]
         else:
-            squares = [row.dot(row) for row in residuals]
+            squares = np.einsum("ij,ij->i", residuals, residuals)
         for k, square in enumerate(squares):
             bound = math.sqrt(square)
             if bound >= threshold and bound > FEAS_TOL:

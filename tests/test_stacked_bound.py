@@ -2,16 +2,16 @@
 
 ``deletion_minimality`` takes one stacked QR of all of a side's deleted
 generator matrices.  The loop it replaced, one ``np.linalg.qr`` per deleted
-generator, is kept here as the oracle.  Run in the coordinates the program
-chose (real Hermitian-frame coordinates for Hermitian inputs, the complex
-generator vectors otherwise), every record must match it bit for bit: the same
-residual floats, feasibility and deciding path.  Run on the complex generator
-vectors, as before real coordinates, every record must keep its feasibility
-and deciding path, with each residual within 1e-12 ||R||.  The sets cover
-Hermitian and complex generators, dependent sets (n > d^2), repeated
-generators, one-generator and empty sides, padded spaces whose deletions run
-the fit, and transported maximally entangled states up to d = 8.
-"""
+generator, is kept here as the oracle.  On the complex path (non-Hermitian
+inputs, and nearly dependent sides), every record must match it bit for bit:
+the same residual floats, feasibility and deciding path.  On the real path
+(real Hermitian-frame coordinates), every record must keep the feasibility
+and deciding path of the oracle run in those coordinates, with each residual
+within the products' rounding, and of the oracle run on the complex generator
+vectors, with each residual within 1e-12 ||R||.  The sets cover Hermitian and
+complex generators, dependent sets (n > d^2), repeated generators,
+one-generator and empty sides, padded spaces whose deletions run the fit, and
+transported maximally entangled states up to d = 8."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from minsep.feasibility import (
     DeletionRecord,
     MinimalityReport,
     StateSpace,
-    _coordinates,
+    _deletion_bases,
     deletion_minimality,
     separable_feasible,
 )
@@ -63,7 +63,7 @@ def oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=F
         for k in range(len(space)):
             rest = np.delete(g, k, axis=1)
             if moved_last:
-                q = np.linalg.qr(np.concatenate([rest, g[:, [k]]], axis=1))[0][:, : len(space) - 1].copy()
+                q = np.linalg.qr(np.concatenate([rest, g[:, [k]]], axis=1))[0][:, : len(space) - 1]
             else:
                 q = np.linalg.qr(rest)[0]
             bound = float(np.linalg.norm(target - q @ (q.conj().T @ fixed) @ q_other.T))
@@ -77,36 +77,31 @@ def oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=F
     return MinimalityReport(tuple(records), passed, threshold)
 
 
-def assert_bit_identical(rho, va, vb, threshold=INFEAS_THRESHOLD, rank_deficient=False):
-    """Bit for bit against the moved-last oracle in the program's coordinates.
-    Against the deletion oracle on the complex generator vectors: bit for bit on
-    the complex path, within 1e-12 ||R|| on the real one.  A ``rank_deficient``
-    side has QR rounding directions in its bases, which real and complex
-    arithmetic draw differently, so there only feasibility and the verdict are
-    compared with the complex oracle."""
+def assert_matches_oracles(rho, va, vb, threshold=INFEAS_THRESHOLD):
+    """Against the moved-last oracle in the program's coordinates and the
+    deletion oracle on the complex generator vectors: bit for bit on the
+    complex path.  On the real path, within m ulp of ||R|| of the first, with
+    m = max(dA^2, dB^2) the products' inner length (the stacked products round
+    apart from the single ones), and within 1e-12 ||R|| of the second.
+    Feasibility and the deciding path always match."""
     report = deletion_minimality(rho, va, vb, threshold)
     assert len(report.records) == len(va) + len(vb)
-    coordinates = _coordinates(rho, va, vb)
+    coordinates = _deletion_bases(rho, va, vb)[0]
+    norm = np.linalg.norm(rho.realigned)
     real = not np.iscomplexobj(coordinates[0])
     for oracle, atol in (
-        (oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=True), None),
-        (oracle_deletion_minimality(rho, va, vb, threshold, complex_coordinates(rho, va, vb)),
-         1e-12 * np.linalg.norm(rho.realigned) if real else None),
+        (oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=True),
+         max(rho.dA, rho.dB) ** 2 * np.spacing(norm)),
+        (oracle_deletion_minimality(rho, va, vb, threshold, complex_coordinates(rho, va, vb)), 1e-12 * norm),
     ):
-        if real and rank_deficient and atol is not None:
-            assert [(r.side, r.index, r.feasible) for r in report.records] == [
-                (r.side, r.index, r.feasible) for r in oracle.records
-            ]
-            assert report.passed == oracle.passed
-            continue
         for record, expected in zip(report.records, oracle.records, strict=True):
             assert (record.side, record.index, record.feasible, record.decided_by) == (
                 expected.side, expected.index, expected.feasible, expected.decided_by,
             )
-            if atol is None:
-                assert record.residual.hex() == expected.residual.hex(), record
-            else:
+            if real:
                 assert abs(record.residual - expected.residual) <= atol, record
+            else:
+                assert record.residual.hex() == expected.residual.hex(), record
         assert report.passed == oracle.passed
     return report
 
@@ -153,7 +148,7 @@ class TestStackedBoundIsBitIdentical:
         vb = StateSpace(dB, random_generators(rng, dB, nB, hermitian), mode)
         rho = random_density(int(rng.integers(1000)), dA, dB)
         for threshold in THRESHOLDS:
-            assert_bit_identical(rho, va, vb, threshold)
+            assert_matches_oracles(rho, va, vb, threshold)
 
     @pytest.mark.parametrize("mode", ["convex", "conic"])
     def test_repeated_generator(self, mode):
@@ -163,9 +158,10 @@ class TestStackedBoundIsBitIdentical:
         vb = StateSpace(2, random_generators(rng, 2, 3, True), mode)
         rho = random_density(11, 3, 2)
         for threshold in THRESHOLDS:
-            report = assert_bit_identical(rho, va, vb, threshold, rank_deficient=True)
-        # Whichever rounding directions QR drew, each bound is at most the residual
-        # the fit without that generator reaches.
+            report = assert_matches_oracles(rho, va, vb, threshold)
+        # The dependent side keeps the complex path; each bound is at most the
+        # residual the fit without that generator reaches.
+        assert np.iscomplexobj(_deletion_bases(rho, va, vb)[0][0])
         for record in report.records:
             fit = separable_feasible(rho, va.without(record.index), vb) if record.side == "A" else (
                 separable_feasible(rho, va, vb.without(record.index)))
@@ -175,9 +171,8 @@ class TestStackedBoundIsBitIdentical:
         rho = random_density(5, 2, 3)
         va = StateSpace(2, (np.eye(2) / 2,), "convex")
         vb = StateSpace(3, random_generators(np.random.default_rng(5), 3, 4, True), "convex")
-        report = assert_bit_identical(rho, va, vb)
-        # ||R|| in the coordinates the verdict ran in; in others, up to rounding.
-        assert report.records[0].residual == float(np.linalg.norm(_coordinates(rho, va, vb)[2]))
+        report = assert_matches_oracles(rho, va, vb)
+        # ||R||, up to the rounding of its sum of squares.
         assert report.records[0].residual == pytest.approx(np.linalg.norm(realign(rho.rho, 2, 3)), rel=1e-15)
 
     @pytest.mark.parametrize("both_sides", [False, True])
@@ -187,12 +182,12 @@ class TestStackedBoundIsBitIdentical:
         va = StateSpace(2, ws + (PAULI_I,), "convex")
         vb = StateSpace(2, tuple(w.T for w in ws) + ((PAULI_I,) if both_sides else ()), "convex")
         for threshold in THRESHOLDS:
-            report = assert_bit_identical(bell_state(), va, vb, threshold)
+            report = assert_matches_oracles(bell_state(), va, vb, threshold)
             assert "nnls" in {r.decided_by for r in report.records}
 
     @pytest.mark.parametrize("mode", ["convex", "conic"])
     @pytest.mark.parametrize("d", range(2, 9))
     def test_transported_max_entangled(self, d, mode):
         st, dec = transported_max_entangled(d)
-        report = assert_bit_identical(st, StateSpace(d, dec.A, mode), StateSpace(d, dec.B, mode))
+        report = assert_matches_oracles(st, StateSpace(d, dec.A, mode), StateSpace(d, dec.B, mode))
         assert report.passed

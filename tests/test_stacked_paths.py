@@ -335,7 +335,22 @@ class TestCheckOnce:
             oracle = oracle_deletion_minimality(st, va, vb, INFEAS_THRESHOLD, complex_coordinates(st, va, vb))
             assert [r.residual.hex() for r in report.records] == [r.residual.hex() for r in oracle.records]
 
-    @pytest.mark.parametrize("builder", ["cross-norm", "equal-norm", "hermitian"])
+    @pytest.mark.parametrize("extra", ["repeated", "nearly-dependent"])
+    def test_a_dependent_side_keeps_the_complex_path(self, monkeypatch, extra):
+        """A Hermitian side of at most d^2 generators whose R diagonal falls to
+        1e-3 of its largest is factored again on the complex generator vectors,
+        and its records are the per-deletion QR's there, bit for bit."""
+        st, dec = near_max_entangled(0, 3), transported_parts(0, 3)[2]
+        a = dec.A[:4] + ((dec.A[0] if extra == "repeated" else dec.A[0] + 1e-6 * dec.A[4]),)
+        va, vb = StateSpace(3, a, "conic"), StateSpace(3, dec.B, "conic")
+        qr = count_calls(monkeypatch, [np.linalg], "qr")
+        report = feasibility.deletion_minimality(st, va, vb)
+        assert [args[0].dtype for args in qr] == [np.float64] * 2 + [np.complex128] * 2
+        monkeypatch.undo()
+        oracle = oracle_deletion_minimality(st, va, vb, INFEAS_THRESHOLD, complex_coordinates(st, va, vb))
+        assert report == oracle
+
+    @pytest.mark.parametrize("builder",["cross-norm", "equal-norm", "hermitian"])
     def test_builders_check_once(self, monkeypatch, builder):
         os = operator_schmidt(random_density(5, 2, 3))
         scaling = DiagonalScaling(np.linspace(0.8, 1.2, os.D))
