@@ -261,23 +261,24 @@ def _hermitian_coordinates(rho: BipartiteState, va: StateSpace, vb: StateSpace):
 def _stacked_bases(g: np.ndarray) -> tuple:
     """One stacked QR of the side G = [g_1 ... g_n]: row k is G with column k moved last, so the
     first n - 1 columns of its Q span G without generator k, and the last row is G itself.
-    Returns those n bases, the basis of G, and whether G is well conditioned: more columns than
-    rows, or every diagonal entry of its R above 1e-3 of the largest."""
+    Returns those n bases, the basis of G and the diagonal of G's R (empty when n = 0)."""
     n = g.shape[1]
     j, k = np.arange(n - 1), np.arange(n)[:, None]
     q, r = np.linalg.qr(g[:, np.concatenate([j + (j >= k), k], axis=1)].transpose(1, 0, 2))
-    diag = np.abs(r[-1].diagonal()) if n else np.ones(1)
-    return q[:, :, : n - 1], q[-1] if n else g, n > len(g) or diag.min() > 1e-3 * diag.max()
+    return q[:, :, : n - 1], q[-1] if n else g, r[-1:].diagonal(axis1=1, axis2=2)
 
 
 def _deletion_bases(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> tuple:
     """(G_A, G_B, R) in the coordinates the bounds run in, and each side's :func:`_stacked_bases`:
-    real Hermitian-frame coordinates when rho and the generators are Hermitian and both sides are
-    well conditioned, the complex generator vectors and R as given otherwise."""
+    real Hermitian-frame coordinates when rho and the generators are Hermitian and neither side
+    is nearly dependent, the complex generator vectors and R as given otherwise.  A side is nearly
+    dependent when it has at most as many generators as rows and an R diagonal entry at or below
+    1e-3 of its largest."""
     coords = _hermitian_coordinates(rho, va, vb)
     if coords is not None:
         sides = [_stacked_bases(g) for g in coords[:2]]
-        if all(well_conditioned for *_, well_conditioned in sides):
+        diags = [np.abs(diag) for *_, diag in sides]
+        if all(g.shape[1] > len(g) or np.all(d > 1e-3 * d.max(initial=0.0)) for g, d in zip(coords, diags)):
             return coords, sides
     coords = (va.generators.vecs.T, vb.generators.vecs.T, rho.realigned)
     return coords, [_stacked_bases(g) for g in coords[:2]]
