@@ -245,17 +245,15 @@ class MinimalityReport:
 
 
 def _hermitian_coordinates(rho: BipartiteState, va: StateSpace, vb: StateSpace):
-    """G_A, G_B and R in the orthonormal Hermitian frames, the float64 P_A^dag G_A, P_B^dag G_B
-    and P_A^dag R conj(P_B), when rho and each side are Hermitian to 1e-13: ||X - X^dag|| <=
-    2e-13 ||X|| over the whole array, twice the norm of the imaginary part of X's coordinates
-    (P is unitary).  None otherwise, before any projection."""
-    for x in (np.asarray(va.generators), np.asarray(vb.generators), rho.rho):
-        anti = x - x.conj().swapaxes(-1, -2)
-        if np.vdot(anti, anti).real > 4e-26 * np.vdot(x, x).real:
-            return None
+    """G_A, G_B and R in the orthonormal Hermitian frames, the float64 real parts of P_A^dag G_A,
+    P_B^dag G_B and P_A^dag R conj(P_B), when each has ||Im|| <= 1e-13 ||.||: rho and each side
+    Hermitian to 1e-13, as ||Im|| = ||X - X^dag|| / 2 (P is unitary).  None otherwise."""
     (_, pa_dag, _), (_, pb_dag, pb_conj) = _frame(rho.dA), _frame(rho.dB)
     coords = (pa_dag @ va.generators.vecs.T, pb_dag @ vb.generators.vecs.T, pa_dag @ rho.realigned @ pb_conj)
-    return tuple(np.ascontiguousarray(x.real) for x in coords)
+    flat = [x.view(float).ravel() for x in coords]  # re, im interleaved
+    if all(w[1::2] @ w[1::2] <= 1e-26 * (w @ w) for w in flat):
+        return tuple(np.ascontiguousarray(x.real) for x in coords)
+    return None
 
 
 def _stacked_bases(g: np.ndarray) -> tuple:
@@ -277,8 +275,8 @@ def _deletion_bases(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> tupl
     coords = _hermitian_coordinates(rho, va, vb)
     if coords is not None:
         sides = [_stacked_bases(g) for g in coords[:2]]
-        diags = [np.abs(diag) for *_, diag in sides]
-        if all(g.shape[1] > len(g) or np.all(d > 1e-3 * d.max(initial=0.0)) for g, d in zip(coords, diags)):
+        diags = [np.abs(diag).ravel().tolist() for *_, diag in sides]
+        if all(g.shape[1] > len(g) or min(d, default=1) > 1e-3 * max(d, default=1) for g, d in zip(coords, diags)):
             return coords, sides
     coords = (va.generators.vecs.T, vb.generators.vecs.T, rho.realigned)
     return coords, [_stacked_bases(g) for g in coords[:2]]
@@ -356,7 +354,7 @@ def deletion_minimality(
         if np.iscomplexobj(residuals):  # the two dots np.linalg.norm takes
             squares = [re.dot(re) + im.dot(im) for re, im in zip(residuals.real, residuals.imag)]
         else:
-            squares = np.einsum("ij,ij->i", residuals, residuals)
+            squares = [row.dot(row) for row in residuals]
         for k, square in enumerate(squares):
             bound = math.sqrt(square)
             if bound >= threshold and bound > FEAS_TOL:
