@@ -80,18 +80,17 @@ def oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=F
 def assert_matches_oracles(rho, va, vb, threshold=INFEAS_THRESHOLD):
     """Against the moved-last oracle in the program's coordinates and the
     deletion oracle on the complex generator vectors: bit for bit on the
-    complex path.  On the real path, within m ulp of ||R|| of the first, with
-    m = max(dA^2, dB^2) the products' inner length (the stacked products round
-    apart from the single ones), and within 1e-12 ||R|| of the second.
-    Feasibility and the deciding path always match."""
+    complex path.  On the real path, within 4 ulp of ||R|| of the first (its
+    rounding may follow the allocator's alignment and the BLAS kernel) and
+    within 1e-12 ||R|| of the second.  Feasibility and the deciding path always
+    match."""
     report = deletion_minimality(rho, va, vb, threshold)
     assert len(report.records) == len(va) + len(vb)
     coordinates = _deletion_bases(rho, va, vb)[0]
     norm = np.linalg.norm(rho.realigned)
     real = not np.iscomplexobj(coordinates[0])
     for oracle, atol in (
-        (oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=True),
-         max(rho.dA, rho.dB) ** 2 * np.spacing(norm)),
+        (oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=True), 4 * np.spacing(norm)),
         (oracle_deletion_minimality(rho, va, vb, threshold, complex_coordinates(rho, va, vb)), 1e-12 * norm),
     ):
         for record, expected in zip(report.records, oracle.records, strict=True):
