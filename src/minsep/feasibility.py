@@ -21,12 +21,12 @@ infeasible.  Each deleted fit is the realigned fit over fewer generator
 vectors.  Its minimum over all complex Q, with neither sign nor simplex
 constraint, is a rigorous lower bound on the nonnegative fit's residual,
 and it certifies almost every deletion infeasible without a solver call.
-The bound is taken in the orthonormal Hermitian frame, where a Hermitian
-state's and Hermitian generators' coordinates are real: when rho and both
-sides are Hermitian to 1e-13 (in norm, relative) and neither side is
-nearly dependent, it is computed in float64, and otherwise from the
-complex generator vectors.  The frame is unitary, so both give the same
-bound up to rounding; the fits stay complex.
+Convex bounds come in closed form from one rank-revealing SVD per side, cut
+at 1e-10 s_0 with a certified margin for what the cuts drop, and do not
+depend on the BLAS kernel.  Conic bounds come from a stacked QR per side,
+in float64 Hermitian-frame coordinates when rho and both sides are
+Hermitian and neither side is nearly dependent; QR keeps every column, so
+a dependent conic side's bounds still depend on rounding.
 
 Hulls that must contain all local quantum states are handled by sampling:
 pure-state projectors (the computational basis plus a seeded Haar batch)
@@ -266,20 +266,55 @@ def _stacked_bases(g: np.ndarray) -> tuple:
     return q[:, :, : n - 1], q[-1] if n else g, r[-1:].diagonal(axis1=1, axis2=2)
 
 
-def _deletion_bases(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> tuple:
-    """(G_A, G_B, R) in the coordinates the bounds run in, and each side's :func:`_stacked_bases`:
-    real Hermitian-frame coordinates when rho and the generators are Hermitian and neither side
-    is nearly dependent, the complex generator vectors and R as given otherwise.  A side is nearly
-    dependent when it has at most as many generators as rows and an R diagonal entry at or below
-    1e-3 of its largest."""
+def _conic_bounds(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> tuple:
+    """(G_A, G_B, R) in the coordinates the conic bounds run in, and each side's bounds from its
+    :func:`_stacked_bases`: real Hermitian-frame coordinates, or the complex generator vectors and R
+    when rho or a generator is not Hermitian or a side is nearly dependent (at most as many
+    generators as rows and an R diagonal entry at or below 1e-3 of its largest)."""
     coords = _hermitian_coordinates(rho, va, vb)
-    if coords is not None:
+    sides = [_stacked_bases(g) for g in coords[:2]] if coords else []
+    diags = [np.abs(diag).ravel().tolist() for *_, diag in sides]
+    if not sides or not all(g.shape[1] > len(g) or min(d, default=1) > 1e-3 * max(d, default=1)
+                            for g, d in zip(coords, diags)):
+        coords = (va.generators.vecs.T, vb.generators.vecs.T, rho.realigned)
         sides = [_stacked_bases(g) for g in coords[:2]]
-        diags = [np.abs(diag).ravel().tolist() for *_, diag in sides]
-        if all(g.shape[1] > len(g) or min(d, default=1) > 1e-3 * max(d, default=1) for g, d in zip(coords, diags)):
-            return coords, sides
-    coords = (va.generators.vecs.T, vb.generators.vecs.T, rho.realigned)
-    return coords, [_stacked_bases(g) for g in coords[:2]]
+    (qa, span_a, _), (qb, span_b, _), realigned = *sides, coords[2]
+    bounds = []
+    for space, q, q_other, target in ((va, qa, span_b, realigned), (vb, qb, span_a, realigned.T)):
+        fits = q @ (q.conj().swapaxes(1, 2) @ (target @ q_other.conj())) @ q_other.T
+        residuals = (target - fits).reshape(len(space), target.size)
+        if np.iscomplexobj(residuals):  # the two dots np.linalg.norm takes
+            squares = [re.dot(re) + im.dot(im) for re, im in zip(residuals.real, residuals.imag)]
+        else:
+            squares = [row.dot(row) for row in residuals]
+        bounds.append([math.sqrt(square) for square in squares])
+    return coords, bounds
+
+
+def _convex_bounds(rho: BipartiteState, va: StateSpace, vb: StateSpace) -> list:
+    """Each side's deletion bounds for convex spaces, in closed form from one SVD per side."""
+    sides = []
+    for g in (va.generators.vecs.T, vb.generators.vecs.T):
+        u, s, vh = np.linalg.svd(g, full_matrices=False)
+        sv = s.tolist()
+        r = sum(x > 1e-10 * sv[0] for x in sv)
+        y = vh[:r] / s[:r, None]  # column k: S_r^-1 v_k
+        yy, slack = np.einsum("ij,ij->j", y.conj(), y).real, 0.0
+        if r < g.shape[1]:  # leverages and a_k from p_ik = v_i^dag v_k; V_r is unitary otherwise
+            p = vh[:r].conj().T @ vh[:r]
+            yy[p.diagonal().real < 1 - 1e-8] = np.inf  # no direction lost
+            p.flat[:: len(p) + 1] = 0.0
+            slack = abs(p).max(0, initial=0.0) / np.sqrt(yy)
+        sides.append((u[:, :r], y, yy, slack, max(sv[r:], default=0.0), max(sv, default=0.0)))
+    (ua, ya, yya, slack_a, drop_a, s0_a), (ub, yb, yyb, slack_b, drop_b, s0_b) = sides
+    c = ua.conj().T @ rho.realigned @ ub.conj()
+    e = (rho.realigned - ua @ c @ ub.T).view(float).ravel()  # E as re, im pairs
+    bounds = []
+    for y, yy, target, slack, s0 in ((ya, yya, c, slack_a, s0_b), (yb, yyb, c.T, slack_b, s0_a)):
+        t = (y.conj().T @ target).view(float)  # row k: ||S_r^-1 v_k|| z_k^dag R conj(U_B), re, im pairs
+        margin = drop_a * s0_b + drop_b * s0_a + slack * s0
+        bounds.append((np.sqrt(e @ e + np.einsum("ij,ij->i", t, t) / yy) - margin).tolist())
+    return bounds
 
 
 def deletion_minimality(
@@ -292,71 +327,56 @@ def deletion_minimality(
     of the spaces without it.
 
     With R the realignment of rho, the fit without A-side generator k is
-    min ||R - G_A' Q G_B^T|| over the remaining generator vectors G_A'.  Over
-    all complex Q the minimum is the distance from R to Q_A' Q_A'^dag R
-    conj(Q_B) Q_B^T, where Q_A' and Q_B are orthonormal bases (thin QR) of
-    the two column spans; B-side deletions are the same with R transposed.
-    Q ranges over a superset of the nonnegative (and simplex) weights, so
-    this bound is at most every residual the fit can reach.  QR keeps every
-    column, with no rank cutoff: extra numerical directions can only lower
-    the bound.
-
-    The bounds are computed in the orthonormal Hermitian frames P_A and P_B
-    of :func:`bases._frame` when rho and each generator side are Hermitian
-    to 1e-13, ||X - X^dag|| <= 2e-13 ||X||: G_A, G_B and R become the real
-    parts of P_A^dag G_A, P_B^dag G_B and P_A^dag R conj(P_B), and the QR,
-    the projections and the bounds run in float64.  The imaginary part
-    dropped there has norm ||X - X^dag|| / 2, at most 1e-13 of X's.  A bound
-    is the distance from R to a subspace, so rho's dropped part moves it by
-    at most 1e-13 ||R||, under 1e-12 ||R||.  A side's dropped part perturbs
-    the side by at most 1e-13 relative, which its condition number amplifies
-    as it does QR's own rounding; Hermitian generators' parts are that
-    rounding, near 1e-16.  P is unitary, so the real and the complex bound
-    are the same number up to rounding, about 1e-16 times the side's
-    condition number.  A side with at most as many generators as rows whose
-    R has a diagonal entry at or below 1e-3 of its largest (a dependent or
-    nearly dependent set, condition number at least 1e3) keeps the complex
-    path: its QR keeps directions drawn from rounding, which real and complex
-    arithmetic draw differently.  Anything else also keeps the complex
-    generator vectors and R as given, and their bounds are the complex
-    computation's bit for bit.
-
-    Each side takes one stacked QR of its n generator matrices, row k with
-    generator k moved last.  Householder QR is nested, so the first n - 1
-    columns of row k's Q are a QR basis of the side without generator k:
-    bit for bit in complex arithmetic, up to rounding in real arithmetic,
-    where LAPACK applies each reflector to a different number of columns.
-    The last row, in the side's own order, is the basis of the whole side
-    that the other side's projections need.  One stacked product gives all
-    n projections; a complex bound takes the two dots ``np.linalg.norm``
-    takes, and a real one a single row dot.
-
-    A deletion whose bound is at or above ``threshold`` and above
-    ``FEAS_TOL`` is infeasible without a solver call; any other deletion
-    runs :func:`separable_feasible` on the smaller space.  The ``FEAS_TOL``
+    min ||R - G_A' Q G_B^T|| over the remaining generator vectors G_A';
+    B-side deletions are the same with R transposed.  A deletion whose lower
+    bound on that minimum is at or above the finite ``threshold`` and above
+    ``FEAS_TOL`` is infeasible without a solver call; any other deletion runs
+    :func:`separable_feasible` on the smaller space.  The ``FEAS_TOL``
     condition keeps a bound at rounding level, which a tiny threshold would
-    accept, from passing a deletion that is feasible.  Deleting a side's
-    only generator leaves the bound ||rho||.
+    accept, from passing a deletion that is feasible.
+
+    Convex bounds take one SVD per side (:func:`_convex_bounds`), G = U S
+    V^dag thin on the complex generator vectors, cut to rank r at s_i >
+    1e-10 s_0.  With C = U_A^dag R conj(U_B), E = R - U_A C U_B^T is the
+    whole-side residual, taken as a matrix.  Deleting generator k loses the
+    direction z_k = U_r S_r^-1 v_k / ||S_r^-1 v_k|| when its leverage
+    l_k = ||v_k||^2 is 1 (always when r = n) and none when l_k < 1; it counts
+    as lost at l_k >= 1 - 1e-8.  The bound is sqrt(||E||^2 + ||z_k^dag R
+    conj(U_B)||^2), the second term only when lost, less the margin
+    (d_A + a_k) s_0^B + d_B s_0^A, with d the sides' largest dropped singular
+    values and a_k = max_{i != k} |z_k^dag g_i| (0 when r = n or not lost).
+    Projecting each remaining g_i on U_r, less z_k when lost, moves it by at
+    most d_A + a_k, and each g_Bj on U_B's kept part by at most d_B; no
+    vector is longer than s_0.  So a convex fit sum q_ij g_i g_Bj^T (q >= 0,
+    sum q = 1) moves by at most the margin, into a subspace whose distance
+    from R is the root (Pythagoras): the bound holds whatever the cuts
+    decide, and they set only its tightness and stability.  An exactly
+    dependent side's rounding-level singular values, near 1e-16 s_0, fall far
+    below the cut.  An independent generator's computed leverage misses 1
+    only at second order, by about (1e-16 s_0 / s_r)^2 <= 1e-12, and its a_k
+    is rounding; a dependent one has 1 - l_k = 1 / min ||x||^2 over G x = 0
+    with x_k = 1, and a_k <= s_0 sqrt(1 - l_k).  The bounds see only U_r U_r^dag
+    and z_k up to phase, which neither a tie in S nor the BLAS kernel
+    changes.  Conic weights are unbounded, so the margin fails there.
+
+    Conic bounds keep one stacked QR per side (:func:`_conic_bounds`): the
+    distance from R to Q_A' Q_A'^dag R conj(Q_B) Q_B^T, Q_A' and Q_B
+    orthonormal bases of the two spans.  QR keeps every column, which only
+    lowers the bound, but a dependent side's extra columns are rounding, so
+    its bounds depend on it.  Hermitian-frame float64 coordinates move a
+    bound by at most 1e-13 ||R|| plus rounding.
 
     The claim "these spaces cannot be made smaller" passes when every
     single-generator deletion is infeasible with a residual at or above
     ``threshold``.
     """
     _check_spaces(rho, va, vb)
-    (_, _, realigned), ((qa, span_a, _), (qb, span_b, _)) = _deletion_bases(rho, va, vb)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    bounds = _convex_bounds(rho, va, vb) if va.mode == "convex" else _conic_bounds(rho, va, vb)[1]
     records = []
-    for side, space, other, q, q_other, target in (
-        ("A", va, vb, qa, span_b, realigned),
-        ("B", vb, va, qb, span_a, realigned.T),
-    ):
-        fits = q @ (q.conj().swapaxes(1, 2) @ (target @ q_other.conj())) @ q_other.T
-        residuals = (target - fits).reshape(len(space), target.size)
-        if np.iscomplexobj(residuals):  # the two dots np.linalg.norm takes
-            squares = [re.dot(re) + im.dot(im) for re, im in zip(residuals.real, residuals.imag)]
-        else:
-            squares = [row.dot(row) for row in residuals]
-        for k, square in enumerate(squares):
-            bound = math.sqrt(square)
+    for side, space, other, side_bounds in (("A", va, vb, bounds[0]), ("B", vb, va, bounds[1])):
+        for k, bound in enumerate(side_bounds):
             if bound >= threshold and bound > FEAS_TOL:
                 records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
                 continue

@@ -199,6 +199,64 @@ class TestLowThreshold:
         assert {row["decided_by"] for row in report["result"]["deletions"]} == {"nnls"}
 
 
+class TestMargins:
+    def test_nearly_repeated_generator_subtracts_the_cut_margin(self):
+        """g_4 = g_0 + 1e-12 h, h outside the others' span: the rank cut drops that
+        direction, so deleting g_0 or g_4 loses none, and its bound is the residual
+        of the projection on the kept spans less the margin d_A s_0^B (B drops
+        nothing)."""
+        rng = np.random.default_rng(3)
+        gens = random_generators(rng, 3, 5, True)
+        va = StateSpace(3, gens[:4] + (gens[0] + 1e-12 * gens[4],), "convex")
+        vb = StateSpace(2, random_generators(rng, 2, 3, True), "convex")
+        rho = random_density(13, 3, 2)
+        report = deletion_minimality(rho, va, vb, threshold=0.0)
+        (ua, sa, _), (ub, sb, _) = (np.linalg.svd(s.generators.vecs.T, full_matrices=False) for s in (va, vb))
+        assert sa[4] < 1e-10 * sa[0] < sa[3]
+        kept = ua[:, :4]
+        residual = np.linalg.norm(rho.realigned - kept @ (kept.conj().T @ rho.realigned @ ub.conj()) @ ub.T)
+        margin = sa[4] * sb[0]
+        assert margin > 1e-12
+        for k in (0, 4):
+            assert report.records[k].residual == pytest.approx(residual - margin, abs=1e-14)
+        for record, (_, _, fit, _) in zip(report.records, nnls_deletions(rho, va, vb), strict=True):
+            assert record.residual <= fit + 1e-12
+
+
+    def test_a_direction_reached_only_by_large_weights_subtracts_its_slack(self):
+        """g_1 = g_0 + 1e-5 g_2: g_2 lies in the others' span only with weights
+        near 1e5, so its leverage is 1 - 5e-11 and its deletion counts as losing
+        z_2.  Convex weights reach along z_2 by at most a_2 s_0^B, with a_2 =
+        max_{i != 2} |z_2^dag g_i|, and the bound subtracts that."""
+        rng = np.random.default_rng(4)
+        a, w, *rest = random_generators(rng, 3, 4, True)
+        va = StateSpace(3, (a, a + 1e-5 * w, w, *rest), "convex")
+        vb = StateSpace(2, random_generators(rng, 2, 3, True), "convex")
+        rho = random_density(17, 3, 2)
+        report = deletion_minimality(rho, va, vb, threshold=0.0)
+        g, h = va.generators.vecs.T, vb.generators.vecs.T
+        z = np.linalg.pinv(g, rcond=1e-10)[2].conj()  # orthogonal to every other cut column
+        z /= np.linalg.norm(z)
+        slack = max(abs(z.conj() @ g[:, i]) for i in (0, 1, 3, 4))
+        (ua, sa, _), (ub, sb, _) = (np.linalg.svd(x, full_matrices=False) for x in (g, h))
+        kept, fixed = ua[:, :4], rho.realigned @ ub.conj()
+        residual = np.linalg.norm(rho.realigned - kept @ (kept.conj().T @ fixed) @ ub.T)
+        t = np.linalg.norm(z.conj() @ fixed)
+        assert sa[4] < 1e-10 * sa[0] < sa[3] and slack * sb[0] > 1e-6
+        expected = np.sqrt(residual**2 + t**2) - (sa[4] + slack) * sb[0]
+        assert report.records[2].residual == pytest.approx(expected, abs=1e-12)
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_raises(self, threshold):
+        # A NaN threshold once sent every row to the fit and failed the claim.
+        a = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+        va, vb = StateSpace(2, a, "convex"), StateSpace(2, (PAULI_I, PAULI_X, PAULI_Y.T, PAULI_Z), "convex")
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            deletion_minimality(bell_state(), va, vb, threshold=threshold)
+
+
 class TestAdvertisedScope:
     """Transported maximally entangled states up to d = 8: the realigned
     state is I/d, so every deletion leaves exactly 1/d unexplained."""

@@ -7,14 +7,22 @@ change rotated frames and moved results: random-pure:4:2:2's magic threshold
 read 0.8319 under Haswell and 0.8578 under Nehalem.  Each kernel runs the
 README chain and that threshold in a fresh interpreter; every number must
 agree within 1e-12, and every exit code, flag and string exactly.  A numpy
-that ignores the variable gives two equal runs.
+that ignores the variable gives two equal runs.  The convex deletion bounds
+of a dependent side are compared the same way, against Prescott.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from minsep.feasibility import deletion_minimality
+from test_stacked_bound import repeated_generator_case
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -87,3 +95,29 @@ def test_reports_agree_across_kernels(tmp_path):
     assert [code for _, code, _ in first["runs"]] == [0] * len(COMMANDS)
     assert_agree(first, second, "")
     assert first["runs"][-1][2]["result"]["threshold"] > 0
+
+
+BOUNDS_SCRIPT = """
+import json
+from minsep.feasibility import deletion_minimality
+from test_stacked_bound import repeated_generator_case
+rho, va, vb = repeated_generator_case("convex")
+print(json.dumps([r.residual for r in deletion_minimality(rho, va, vb, threshold=0.0).records]))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86_64 kernels")
+def test_convex_dependent_side_bounds_agree_across_kernels():
+    """Seven Hermitian generators spanning five dimensions, convex.  Their stacked
+    QR kept rounding-noise columns, so row A-0 read 0.3094 under Haswell and
+    0.3173 under Prescott; the rank-revealing SVD drops them.  Every bound of
+    this process's kernel must agree with Prescott's within 1e-12 ||R||."""
+    rho, va, vb = repeated_generator_case("convex")
+    here = [r.residual for r in deletion_minimality(rho, va, vb, threshold=0.0).records]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]), OPENBLAS_CORETYPE="Prescott")
+    proc = subprocess.run([sys.executable, "-c", BOUNDS_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    prescott = json.loads(proc.stdout)
+    assert len(prescott) == len(here) == len(va) + len(vb)
+    atol = 1e-12 * np.linalg.norm(rho.realigned)
+    assert all(abs(a - b) <= atol for a, b in zip(here, prescott)), (here, prescott)

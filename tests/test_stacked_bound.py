@@ -1,17 +1,21 @@
-"""The stacked deletion bound against the per-deletion QR it replaced.
+"""The deletion bounds against per-deletion oracles.
 
-``deletion_minimality`` takes one stacked QR of all of a side's deleted
-generator matrices.  The loop it replaced, one ``np.linalg.qr`` per deleted
-generator, is kept here as the oracle.  On the complex path (non-Hermitian
-inputs, and nearly dependent sides), every record must match it bit for bit:
-the same residual floats, feasibility and deciding path.  On the real path
-(real Hermitian-frame coordinates), every record must keep the feasibility
-and deciding path of the oracle run in those coordinates, with each residual
-within the products' rounding, and of the oracle run on the complex generator
-vectors, with each residual within 1e-12 ||R||.  The sets cover Hermitian and
-complex generators, dependent sets (n > d^2), repeated generators,
-one-generator and empty sides, padded spaces whose deletions run the fit, and
-transported maximally entangled states up to d = 8."""
+Convex spaces take their bounds in closed form from one SVD per side.  The
+oracle for them factors every deleted generator set on its own: an SVD of
+G without column k, cut by the same rule, with the same margin subtracted,
+and an explicit projection.  Every record must match it within 1e-12 ||R||,
+with the same feasibility and deciding path.  Conic spaces take one stacked
+QR of all of a side's deleted generator matrices, and the loop it replaced,
+one ``np.linalg.qr`` per deleted generator, is their oracle.  On the complex
+path (non-Hermitian inputs, and nearly dependent sides) every conic record
+must match it bit for bit.  On the real path (real Hermitian-frame
+coordinates) every conic record must keep the feasibility and deciding path
+of the oracle run in those coordinates, with each residual within the
+products' rounding, and of the oracle run on the complex generator vectors,
+with each residual within 1e-12 ||R||.  The sets cover Hermitian and complex
+generators, dependent sets (n > d^2), repeated generators, one-generator and
+empty sides, padded spaces whose deletions run the fit, and transported
+maximally entangled states up to d = 8."""
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from minsep.feasibility import (
     DeletionRecord,
     MinimalityReport,
     StateSpace,
-    _deletion_bases,
+    _conic_bounds,
     deletion_minimality,
     separable_feasible,
 )
@@ -77,30 +81,66 @@ def oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=F
     return MinimalityReport(tuple(records), passed, threshold)
 
 
+def cut(g):
+    """G's left singular vectors kept at s_i > 1e-10 s_0, its largest dropped singular value and s_0."""
+    u, s, _ = np.linalg.svd(g, full_matrices=False)
+    r = int(np.count_nonzero(s > 1e-10 * s[:1].max(initial=0.0)))
+    return u[:, :r], (s[r] if r < len(s) else 0.0), s[:1].max(initial=0.0)
+
+
+def oracle_svd_deletion_minimality(rho, va, vb, threshold):
+    """Convex ``deletion_minimality`` with one SVD per deleted generator: the distance from R to
+    the span of the products of G without column k and of the other side, each cut by
+    :func:`cut` and projected explicitly, less the margin: each side's largest dropped singular
+    value, with generator k deleted, times the other side's largest one."""
+    ga, gb, realigned = complex_coordinates(rho, va, vb)
+    records = []
+    for side, space, other, g, g_other, target in (
+        ("A", va, vb, ga, gb, realigned), ("B", vb, va, gb, ga, realigned.T),
+    ):
+        u_other, drop_other, s0_other = cut(g_other)
+        s0 = cut(g)[2]
+        for k in range(len(space)):
+            u, drop, _ = cut(np.delete(g, k, axis=1))
+            fit = u @ (u.conj().T @ target @ u_other.conj()) @ u_other.T
+            bound = float(np.linalg.norm(target - fit)) - drop * s0_other - drop_other * s0
+            if bound >= threshold and bound > FEAS_TOL:
+                records.append(DeletionRecord(side, k, bound, False, "ls_bound"))
+                continue
+            pair = (space.without(k), other) if side == "A" else (other, space.without(k))
+            result = separable_feasible(rho, *pair)
+            records.append(DeletionRecord(side, k, result.residual, result.feasible, "nnls"))
+    passed = all(r.residual >= threshold and not r.feasible for r in records)
+    return MinimalityReport(tuple(records), passed, threshold)
+
+
 def assert_matches_oracles(rho, va, vb, threshold=INFEAS_THRESHOLD):
-    """Against the moved-last oracle in the program's coordinates and the
-    deletion oracle on the complex generator vectors: bit for bit on the
-    complex path.  On the real path, within 4 ulp of ||R|| of the first (its
-    rounding may follow the allocator's alignment and the BLAS kernel) and
-    within 1e-12 ||R|| of the second.  Feasibility and the deciding path always
-    match."""
+    """Convex spaces against the per-deletion SVD oracle, within 1e-12 ||R||.  Conic spaces
+    against the moved-last oracle in the program's coordinates and the deletion oracle on the
+    complex generator vectors: bit for bit on the complex path.  On the real path, within 4 ulp
+    of ||R|| of the first (its rounding may follow the allocator's alignment and the BLAS kernel)
+    and within 1e-12 ||R|| of the second.  Feasibility and the deciding path always match."""
     report = deletion_minimality(rho, va, vb, threshold)
     assert len(report.records) == len(va) + len(vb)
-    coordinates = _deletion_bases(rho, va, vb)[0]
     norm = np.linalg.norm(rho.realigned)
-    real = not np.iscomplexobj(coordinates[0])
-    for oracle, atol in (
-        (oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=True), 4 * np.spacing(norm)),
-        (oracle_deletion_minimality(rho, va, vb, threshold, complex_coordinates(rho, va, vb)), 1e-12 * norm),
-    ):
+    if va.mode == "convex":
+        oracles, hex_match = [(oracle_svd_deletion_minimality(rho, va, vb, threshold), 1e-12 * norm)], False
+    else:
+        coordinates = _conic_bounds(rho, va, vb)[0]
+        hex_match = np.iscomplexobj(coordinates[0])
+        oracles = [
+            (oracle_deletion_minimality(rho, va, vb, threshold, coordinates, moved_last=True), 4 * np.spacing(norm)),
+            (oracle_deletion_minimality(rho, va, vb, threshold, complex_coordinates(rho, va, vb)), 1e-12 * norm),
+        ]
+    for oracle, atol in oracles:
         for record, expected in zip(report.records, oracle.records, strict=True):
             assert (record.side, record.index, record.feasible, record.decided_by) == (
                 expected.side, expected.index, expected.feasible, expected.decided_by,
             )
-            if real:
-                assert abs(record.residual - expected.residual) <= atol, record
-            else:
+            if hex_match:
                 assert record.residual.hex() == expected.residual.hex(), record
+            else:
+                assert abs(record.residual - expected.residual) <= atol, record
         assert report.passed == oracle.passed
     return report
 
@@ -120,6 +160,15 @@ def transported_max_entangled(d):
     return st, transported_decomposition(maps, w)
 
 
+def repeated_generator_case(mode):
+    """A 3x2 state with 7 Hermitian A generators that span 5 dimensions (two repeated) and 3 B ones."""
+    rng = np.random.default_rng(7)
+    gens = random_generators(rng, 3, 5, True)
+    va = StateSpace(3, gens + gens[:2], mode)
+    vb = StateSpace(2, random_generators(rng, 2, 3, True), mode)
+    return random_density(11, 3, 2), va, vb
+
+
 # (dA, dB, nA, nB): partial spans, full spans, dependent sets (n > d^2),
 # and one-generator and empty sides.
 GENERATOR_COUNTS = [
@@ -137,7 +186,7 @@ GENERATOR_COUNTS = [
 ]
 
 
-class TestStackedBoundIsBitIdentical:
+class TestDeletionBoundsMatchTheirOracles:
     @pytest.mark.parametrize("mode", ["convex", "conic"])
     @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "complex"])
     @pytest.mark.parametrize("dA,dB,nA,nB", GENERATOR_COUNTS)
@@ -151,16 +200,13 @@ class TestStackedBoundIsBitIdentical:
 
     @pytest.mark.parametrize("mode", ["convex", "conic"])
     def test_repeated_generator(self, mode):
-        rng = np.random.default_rng(7)
-        gens = random_generators(rng, 3, 5, True)
-        va = StateSpace(3, gens + gens[:2], mode)
-        vb = StateSpace(2, random_generators(rng, 2, 3, True), mode)
-        rho = random_density(11, 3, 2)
+        rho, va, vb = repeated_generator_case(mode)
         for threshold in THRESHOLDS:
             report = assert_matches_oracles(rho, va, vb, threshold)
-        # The dependent side keeps the complex path; each bound is at most the
-        # residual the fit without that generator reaches.
-        assert np.iscomplexobj(_deletion_bases(rho, va, vb)[0][0])
+        # A dependent conic side keeps the complex path.  Each bound is at most
+        # the residual the fit without that generator reaches.
+        if mode == "conic":
+            assert np.iscomplexobj(_conic_bounds(rho, va, vb)[0][0])
         for record in report.records:
             fit = separable_feasible(rho, va.without(record.index), vb) if record.side == "A" else (
                 separable_feasible(rho, va, vb.without(record.index)))

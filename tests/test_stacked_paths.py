@@ -317,17 +317,23 @@ class TestCheckOnce:
 
     @pytest.mark.parametrize("case", REAL_CASES + COMPLEX_CASES)
     def test_a_verdict_factors_each_side_once(self, monkeypatch, case):
-        """One stacked QR per side gives every deletion basis and the other
-        side's span; each bound is taken without np.linalg.norm.  The stacks are
-        float64 for Hermitian inputs and complex128 otherwise, where the records
-        stay those of the per-deletion QR on the generator vectors, bit for bit."""
+        """One factorisation per side gives every deletion bound and the other
+        side's span.  Convex spaces take one SVD of each side's complex generator
+        vectors.  Conic spaces take one stacked QR per side, and each bound is
+        taken without np.linalg.norm; the stacks are float64 for Hermitian inputs
+        and complex128 otherwise, where the records stay those of the
+        per-deletion QR on the generator vectors, bit for bit."""
         st, va, vb = deletion_case(case)
         qr = count_calls(monkeypatch, [np.linalg], "qr")
+        svd = count_calls(monkeypatch, [np.linalg], "svd")
         norm = count_calls(monkeypatch, [np.linalg], "norm")
         report = feasibility.deletion_minimality(st, va, vb)
         assert {r.decided_by for r in report.records} == {"ls_bound"}
         assert len(report.records) == len(va) + len(vb)
-        assert len(qr) == 2 and norm == []
+        if va.mode == "convex":
+            assert qr == [] and [args[0].dtype for args in svd] == [np.complex128] * 2
+            return
+        assert svd == [] and len(qr) == 2 and norm == []
         dtype = np.float64 if case in REAL_CASES else np.complex128
         assert [args[0].dtype for args in qr] == [dtype, dtype]
         if case in COMPLEX_CASES:
